@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .integrate import IntegratorConfig, crossing, integrate
 from .systems import (
     ArchSystem,
@@ -121,43 +119,74 @@ def classify_linear(pair: EigenPair) -> str:
     return "stable_node" if a < 0.0 else "unstable_node"
 
 
-def _refine_root(system: VectorField2D, x0: float, y0: float) -> tuple[float, float] | None:
-    """Damped Gauss-Newton root polish; pinv tolerates singular Jacobians."""
-    p = np.array([x0, y0], dtype=float)
-    fx, fy = system.field_at(p[0], p[1])
+def _pinv_2x2(m: Mat2) -> tuple[float, float, float, float]:
+    """Moore-Penrose pseudo-inverse of ``m``, row major.
+
+    As ``numpy.linalg.pinv(m, rcond=1e-12)``, a singular value at or below
+    1e-12 times the largest counts as zero. The singular values follow from
+    sigma1^2 + sigma2^2 = ||m||_F^2 and sigma1 * sigma2 = |det m|; the entries
+    are first scaled by their largest magnitude so no square overflows or
+    underflows. Full rank gives adj(m) / det, rank one m^T / ||m||_F^2, and
+    the zero matrix zero.
+    """
+    scale = max(abs(m.a11), abs(m.a12), abs(m.a21), abs(m.a22))
+    if scale == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    a, b, c, d = m.a11 / scale, m.a12 / scale, m.a21 / scale, m.a22 / scale
+    fro2 = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    gap = (fro2 - 2.0 * abs(det)) * (fro2 + 2.0 * abs(det))
+    s1_sq = 0.5 * (fro2 + math.sqrt(max(gap, 0.0)))
+    if abs(det) > 1e-12 * s1_sq:  # sigma2 / sigma1 = |det| / sigma1^2
+        k = det * scale
+        return d / k, -b / k, -c / k, a / k
+    k = fro2 * scale
+    return a / k, c / k, b / k, d / k
+
+
+def _refine_root(system: VectorField2D, px: float, py: float) -> tuple[float, float] | None:
+    """Damped Gauss-Newton root polish; ``_pinv_2x2`` tolerates singular Jacobians.
+
+    Iteration stops once the Gauss-Newton step falls to 1e-14 of the point's
+    scale, not on a small residual: at a multiple root the residual is tiny
+    long before the point is, and a residual stop would leave seeds from
+    either side a few 1e-7 apart.
+    """
+    fx, fy = system.field_at(px, py)
     if not (math.isfinite(fx) and math.isfinite(fy)):
         return None
-    r = np.array([fx, fy])
-    cost = float(r @ r)
+    cost = fx * fx + fy * fy
     for _ in range(80):
-        if max(abs(float(r[0])), abs(float(r[1]))) <= 1e-12:
+        i11, i12, i21, i22 = _pinv_2x2(system.jacobian(Point2(px, py)))
+        dx = -(i11 * fx + i12 * fy)
+        dy = -(i21 * fx + i22 * fy)
+        if not (math.isfinite(dx) and math.isfinite(dy)):
             break
-        jm = system.jacobian(Point2(float(p[0]), float(p[1])))
-        jac = np.array([[jm.a11, jm.a12], [jm.a21, jm.a22]])
-        try:
-            d = -np.linalg.pinv(jac, rcond=1e-12) @ r
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(d)) or float(d @ d) == 0.0:
+        if max(abs(dx), abs(dy)) <= 1e-14 * (1.0 + max(abs(px), abs(py))):
             break
         alpha = 1.0
         improved = False
         while alpha >= 1e-12:
-            q = p + alpha * d
-            qx, qy = system.field_at(float(q[0]), float(q[1]))
-            if math.isfinite(qx) and math.isfinite(qy):
-                rq = np.array([qx, qy])
-                cq = float(rq @ rq)
+            qx, qy = px + alpha * dx, py + alpha * dy
+            gx, gy = system.field_at(qx, qy)
+            if math.isfinite(gx) and math.isfinite(gy):
+                cq = gx * gx + gy * gy
                 if cq < cost:
-                    p, r, cost = q, rq, cq
+                    px, py, fx, fy, cost = qx, qy, gx, gy, cq
                     improved = True
                     break
             alpha *= 0.5
         if not improved:
             break
-    if max(abs(float(r[0])), abs(float(r[1]))) <= 1e-10:
-        return float(p[0]), float(p[1])
+    if max(abs(fx), abs(fy)) <= 1e-10:
+        return px, py
     return None
+
+
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """``n >= 2`` evenly spaced values from lo to hi, as ``numpy.linspace`` gives them."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 def find_equilibria(
@@ -176,9 +205,9 @@ def find_equilibria(
         points = [p for p in analytic if window.contains_point(p)]
     else:
         found: list[tuple[float, float]] = []
-        for sx in np.linspace(window.x_min, window.x_max, grid):
-            for sy in np.linspace(window.y_min, window.y_max, grid):
-                root = _refine_root(system, float(sx), float(sy))
+        for sx in _grid(window.x_min, window.x_max, grid):
+            for sy in _grid(window.y_min, window.y_max, grid):
+                root = _refine_root(system, sx, sy)
                 if root is None:
                     continue
                 if not window.contains(root[0], root[1]):

@@ -21,6 +21,7 @@ from archflow import (
     sector_census,
     trace_separatrix,
 )
+from archflow.analysis import _grid, _pinv_2x2
 
 
 def test_eigen_repeated_zero():
@@ -103,6 +104,96 @@ def test_find_equilibria_generic_two_roots():
     assert saddle.classification == "saddle"
     assert node.location.x == pytest.approx(1.0, abs=1e-9)
     assert node.classification == "unstable_node"
+
+
+def test_find_equilibria_merges_double_root():
+    # The paper's field and (x^2, y) each have one double root at the origin.
+    # Seeds from either side must polish to the same point, not to two
+    # points a few 1e-7 apart. The label is left open: the numeric Jacobian
+    # at the root cannot settle it.
+    for func in (lambda x, y: (y * y, -0.5 * x), lambda x, y: (x * x, y)):
+        eqs = find_equilibria(CallableField(func), Window(-3.0, 3.0, -3.0, 3.0))
+        assert len(eqs) == 1
+        assert math.hypot(eqs[0].location.x, eqs[0].location.y) <= 1e-9
+
+
+def _numpy_pinv(m):
+    return np.linalg.pinv(np.array([[m.a11, m.a12], [m.a21, m.a22]]), rcond=1e-12)
+
+
+def _rotation(phi):
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s], [s, c]])
+
+
+def _from_svd(sigma1, sigma2, phi, psi):
+    a = _rotation(phi) @ np.diag([sigma1, sigma2]) @ _rotation(psi).T
+    return Mat2(*(float(v) for v in a.ravel()))
+
+
+def test_pinv_2x2_full_rank_matches_numpy():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        scale = 10.0 ** rng.uniform(-150, 150)
+        m = Mat2(*(float(v) for v in scale * rng.normal(size=4)))
+        want = _numpy_pinv(m)
+        cond = np.linalg.cond(want)
+        got = np.array(_pinv_2x2(m)).reshape(2, 2)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14 * cond * np.abs(want).max())
+
+
+def test_pinv_2x2_rank_deficient_matches_numpy():
+    rng = np.random.default_rng(12)
+    cases = [
+        Mat2(1.0, 2.0, 2.0, 4.0),
+        Mat2(3.0, 0.0, 0.0, 0.0),
+        Mat2(0.0, 0.0, -5.0, 0.0),
+        Mat2(0.0, 2.0, 0.0, -7.0),
+        Mat2(-1e200, 1e200, 2e200, -2e200),
+        Mat2(1e-200, 0.0, 3e-200, 0.0),
+    ]
+    for _ in range(200):
+        u, v = rng.normal(size=2), rng.normal(size=2)
+        cases.append(Mat2(*(float(w) for w in np.outer(u, v).ravel())))
+    for m in cases:
+        want = _numpy_pinv(m)
+        got = np.array(_pinv_2x2(m)).reshape(2, 2)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_pinv_2x2_zero_matrix():
+    assert _pinv_2x2(Mat2(0.0, 0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(_numpy_pinv(Mat2(0.0, 0.0, 0.0, 0.0)), np.zeros((2, 2)))
+
+
+def test_pinv_2x2_rank_cutoff_matches_numpy():
+    # sigma2 / sigma1 just above the 1e-12 cutoff keeps the full inverse,
+    # just below it drops sigma2, as numpy does. The margin of 1.5x covers
+    # the rounding of det, which is about 1e-16 * sigma1^2.
+    rng = np.random.default_rng(13)
+    for ratio, full_rank in ((1.5e-12, True), (1e-12 / 1.5, False)):
+        for _ in range(100):
+            sigma1 = 10.0 ** rng.uniform(-3, 3)
+            phi, psi = rng.uniform(0.0, 2.0 * math.pi, size=2)
+            m = _from_svd(sigma1, ratio * sigma1, phi, psi)
+            want = _numpy_pinv(m)
+            got = np.array(_pinv_2x2(m)).reshape(2, 2)
+            # Largest entry ~ 1/sigma2 when sigma2 is kept, ~ 1/sigma1 when dropped.
+            assert (np.abs(got).max() * sigma1 > 1e6) == full_rank
+            assert (np.abs(want).max() * sigma1 > 1e6) == full_rank
+            # With sigma2 kept the inverse is only as good as cond * eps ~ 1e-4.
+            tol = 1e-3 if full_rank else 1e-9
+            assert np.allclose(got, want, rtol=0.0, atol=tol * np.abs(want).max())
+
+
+def test_grid_matches_numpy_linspace_bit_for_bit():
+    windows = [(-3.0, 3.0), (-4.0, 4.0), (-1.0, 1.0), (1.0, 2.0), (-0.3, 7.1), (-1e-3, 2e5)]
+    for lo, hi in windows:
+        for n in (2, 3, 7, 10, 20, 21, 50, 101):
+            want = np.linspace(lo, hi, n)
+            got = _grid(lo, hi, n)
+            assert len(got) == n
+            assert all(g == float(w) for g, w in zip(got, want))
 
 
 def test_find_equilibria_grid_validation():

@@ -1,0 +1,59 @@
+"""The runtime needs nothing beyond the standard library.
+
+numpy is a test dependency only. A child interpreter first checks that
+``import archflow.cli`` pulls numpy in nowhere, then blocks it with
+``sys.modules["numpy"] = None`` so that any import of it, even one hidden
+inside a function, raises. Every subcommand and the generic equilibrium
+search then run in that interpreter.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CHILD = """
+import contextlib
+import io
+import sys
+
+import archflow.cli
+
+assert "numpy" not in sys.modules, "import archflow.cli imported numpy"
+sys.modules["numpy"] = None
+
+from archflow import CallableField, Window, find_equilibria
+
+runs = {
+    "analyze": ["analyze", "--preset", "tented", "--format", "machine"],
+    "classify": ["classify", "--preset", "tented", "--format", "machine"],
+    "trace": ["trace", "--preset", "tented", "--tmax", "5", "--out", "t.csv"],
+    "portrait": ["portrait", "--preset", "tented", "--out", "p.svg"],
+    "sweep": ["sweep", "--theta-from", "0.1", "--theta-to", "1", "--steps", "3"],
+}
+for name, argv in runs.items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = archflow.cli.main(argv)
+    assert code == 0, (name, code)
+    with open(name + ".out", "w") as fh:
+        fh.write(out.getvalue())
+
+eqs = find_equilibria(CallableField(lambda x, y: (x * x - 1.0, y)), Window(-3, 3, -3, 3))
+assert [round(e.location.x, 9) for e in eqs] == [-1.0, 1.0], eqs
+print("ok")
+"""
+
+
+def test_runtime_runs_with_numpy_blocked(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+    assert (tmp_path / "analyze.out").read_text() == (GOLDEN / "tented_analyze.txt").read_text()
+    assert (tmp_path / "classify.out").read_text() == (GOLDEN / "tented_classify.txt").read_text()
+    assert (tmp_path / "p.svg").read_text() == (GOLDEN / "tented.svg").read_text()
+    assert (tmp_path / "t.csv").read_text().startswith("t,x,y")
+    assert len((tmp_path / "sweep.out").read_text().splitlines()) == 3
