@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .integrate import IntegratorConfig, crossing, integrate
@@ -357,13 +358,18 @@ def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> flo
         raise ValueError(f"theta must be finite and > 0, got {theta!r}")
     if not (math.isfinite(apex) and apex > 0):
         raise ValueError(f"apex must be finite and > 0, got {apex!r}")
+    # apex*apex*apex gives inf where apex**3 raises OverflowError; a cube that
+    # underflows leaves no level set to integrate along.
+    apex_cubed = apex * apex * apex
+    if not (math.isfinite(apex_cubed) and apex_cubed >= sys.float_info.min):
+        raise ValueError(f"apex**3 must be a finite normal float, got apex={apex!r}")
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction must lie in (0, 1), got {fraction!r}")
 
     system = ArchSystem(theta)
     y_target = fraction * apex
     y_floor = 0.5 * y_target
-    x_reach = math.sqrt(2.0 * (apex**3 - y_floor**3) / (3.0 * theta))
+    x_reach = math.sqrt(2.0 * (apex_cubed - y_floor**3) / (3.0 * theta))
     box = Window(-1.5 * x_reach - 1.0, 1.5 * x_reach + 1.0, y_floor, apex + 1.0)
     start = Point2(0.0, apex)
 

@@ -6,6 +6,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .analysis import classify_arch, find_equilibria, sector_census
 from .integrate import IntegrationError, IntegratorConfig, integrate
@@ -65,50 +66,32 @@ def _to_format(text: str) -> str:
     return text
 
 
-_DEFAULT_WINDOW = Window(-4.0, 4.0, -4.0, 4.0)
+class Option(NamedTuple):
+    """One subcommand option: flag ``--key-with-hyphens`` and config key ``key``."""
 
-# Per-subcommand option tables: key -> (converter for config values, default).
-_TABLES: dict[str, dict[str, tuple]] = {
-    "analyze": {
-        "window": (_to_window, _DEFAULT_WINDOW),
-        "census_radius": (float, 0.5),
-        "census_samples": (int, 360),
-    },
-    "trace": {
-        "start": (_to_point, Point2(0.0, 1.0)),
-        "tmax": (float, 10.0),
-        "method": (_to_method, "rk45"),
-        "step": (float, 0.01),
-        "tol": (float, 1e-10),
-        "window": (_to_window, None),
-        "out": (str, "trace.csv"),
-    },
-    "portrait": {
-        "window": (_to_window, _DEFAULT_WINDOW),
-        "seeds_above": (int, 8),
-        "seeds_below": (int, 4),
-        "inset": (float, 0.05),
-        "method": (_to_method, "rk45"),
-        "step": (float, 0.01),
-        "tol": (float, 1e-10),
-        "width": (int, 800),
-        "height": (int, 800),
-        "arrows": (_to_bool, True),
-        "resolution": (int, 256),
-        "out": (str, "portrait.svg"),
-    },
-    "classify": {
-        "apex": (float, 1.0),
-        "fraction": (float, 0.5),
-    },
-    "sweep": {
-        "theta_from": (float, 0.001),
-        "theta_to": (float, 5.0),
-        "steps": (int, 5),
-        "apex": (float, 1.0),
-        "fraction": (float, 0.5),
-    },
-}
+    key: str
+    convert: Callable[[str], Any]
+    default: Any
+    check: tuple[Callable[[Any], bool], str] | None = None  # (predicate, requirement)
+    metavar: str | None = None
+    help: str | None = None
+
+
+class Command(NamedTuple):
+    help: str
+    theta: bool  # takes --theta/--preset
+    options: tuple[Option, ...]
+    run: Callable[[dict], int]
+
+
+def _add_flag(parser: argparse.ArgumentParser, option: Option) -> None:
+    flag = "--" + option.key.replace("_", "-")
+    if option.convert is _to_bool:
+        parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None,
+                            help=option.help)
+    else:
+        parser.add_argument(flag, type=option.convert, default=None,
+                            metavar=option.metavar, help=option.help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,65 +100,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyze, trace, and draw the planar arch ridge-flow system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, theta: bool = True) -> None:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key=value file; flags override it")
-        p.add_argument("--format", type=_to_format, default=None,
-                       help="human or machine")
-        if theta:
+        _add_flag(p, _FORMAT)
+        if command.theta:
             g = p.add_mutually_exclusive_group()
             g.add_argument("--theta", type=float, default=None,
                            help="stiffness parameter, > 0")
             g.add_argument("--preset", choices=sorted(PRESETS), default=None,
                            help="named stiffness: plain, tented, strong")
-
-    p = sub.add_parser("analyze", help="equilibrium, eigenvalues, sector census")
-    common(p)
-    p.add_argument("--window", type=_to_window, default=None, metavar="X0,X1,Y0,Y1")
-    p.add_argument("--census-radius", dest="census_radius", type=float, default=None)
-    p.add_argument("--census-samples", dest="census_samples", type=int, default=None)
-
-    p = sub.add_parser("trace", help="integrate one trajectory to CSV")
-    common(p)
-    p.add_argument("--start", type=_to_point, default=None, metavar="X,Y")
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--method", type=_to_method, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--window", type=_to_window, default=None, metavar="X0,X1,Y0,Y1",
-                   help="optional stop box (inflated 5 percent)")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("portrait", help="render a styled phase portrait to SVG")
-    common(p)
-    p.add_argument("--window", type=_to_window, default=None, metavar="X0,X1,Y0,Y1")
-    p.add_argument("--seeds-above", dest="seeds_above", type=int, default=None)
-    p.add_argument("--seeds-below", dest="seeds_below", type=int, default=None)
-    p.add_argument("--inset", type=float, default=None)
-    p.add_argument("--method", type=_to_method, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--arrows", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--resolution", type=int, default=None,
-                   help="separatrix segments per branch")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("classify", help="arch category and opening angle")
-    common(p)
-    p.add_argument("--apex", type=float, default=None)
-    p.add_argument("--fraction", type=float, default=None)
-
-    p = sub.add_parser("sweep", help="classify a range of stiffness values")
-    common(p, theta=False)
-    p.add_argument("--theta-from", dest="theta_from", type=float, default=None)
-    p.add_argument("--theta-to", dest="theta_to", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--apex", type=float, default=None)
-    p.add_argument("--fraction", type=float, default=None)
-
+        for option in command.options:
+            _add_flag(p, option)
     return parser
 
 
@@ -223,64 +160,33 @@ def parse_invocation(argv: list[str] | None = None) -> tuple[str, dict]:
     """Parse flags plus optional config file into (subcommand, options)."""
     ns = _build_parser().parse_args(argv)
     cfg = _load_config(ns.config) if ns.config else {}
-    table = _TABLES[ns.command]
-    needs_theta = ns.command != "sweep"
+    command = COMMANDS[ns.command]
+    options = (_FORMAT, *command.options)
 
-    known = set(table) | {"format"} | ({"theta", "preset"} if needs_theta else set())
+    known = {option.key for option in options} | ({"theta", "preset"} if command.theta else set())
     for key in cfg:
         if key not in known:
             raise UsageError(f"unknown config key {key!r} for {ns.command}")
 
     opts: dict = {}
-    for key, (convert, default) in table.items():
-        flag_value = getattr(ns, key, None)
-        if flag_value is not None:
-            opts[key] = flag_value
-        elif key in cfg:
+    for option in options:
+        value = getattr(ns, option.key)
+        if value is None and option.key in cfg:
             try:
-                opts[key] = convert(cfg[key])
+                value = option.convert(cfg[option.key])
             except ValueError as exc:
-                raise UsageError(f"config {key}: {exc}") from exc
-        else:
-            opts[key] = default
+                raise UsageError(f"config {option.key}: {exc}") from exc
+        opts[option.key] = option.default if value is None else value
 
-    if needs_theta:
+    if command.theta:
         opts["theta"] = _resolve_theta(ns, cfg)
-    if ns.format is not None:
-        opts["format"] = ns.format
-    elif "format" in cfg:
-        try:
-            opts["format"] = _to_format(cfg["format"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    else:
-        opts["format"] = "human"
 
-    _validate(ns.command, opts)
+    for option in options:
+        if option.check is not None:
+            holds, requirement = option.check
+            if not holds(opts[option.key]):
+                raise UsageError(f"{option.key} {requirement}, got {opts[option.key]}")
     return ns.command, opts
-
-
-def _validate(command: str, o: dict) -> None:
-    def positive(key: str) -> None:
-        v = o.get(key)
-        if v is not None and not (math.isfinite(v) and v > 0):
-            raise UsageError(f"{key} must be finite and > 0, got {v}")
-
-    for key in ("census_radius", "tmax", "step", "tol", "apex", "theta_from", "theta_to"):
-        if key in o:
-            positive(key)
-    if "census_samples" in o and o["census_samples"] < 8:
-        raise UsageError(f"census_samples must be >= 8, got {o['census_samples']}")
-    if "fraction" in o and not (0.0 < o["fraction"] < 1.0):
-        raise UsageError(f"fraction must lie in (0, 1), got {o['fraction']}")
-    if "inset" in o and not (0.0 <= o["inset"] < 0.5):
-        raise UsageError(f"inset must lie in [0, 0.5), got {o['inset']}")
-    for key in ("seeds_above", "seeds_below"):
-        if key in o and o[key] < 0:
-            raise UsageError(f"{key} must be >= 0, got {o[key]}")
-    for key in ("width", "height", "resolution", "steps"):
-        if key in o and o[key] < 1:
-            raise UsageError(f"{key} must be >= 1, got {o[key]}")
 
 
 def _run_analyze(o: dict) -> int:
@@ -352,17 +258,17 @@ def _run_classify(o: dict) -> int:
     return 0
 
 
-def _run_trace(o: dict) -> int:
-    system = ArchSystem(o["theta"])
-    cfg = IntegratorConfig(
-        method=o["method"],
-        step=o["step"],
-        rel_tol=o["tol"],
-        abs_tol=o["tol"],
-        stop_time=o["tmax"],
-        stop_box=o["window"].inflated(0.05) if o["window"] is not None else None,
+def _integrator(o: dict, **stops: Any) -> IntegratorConfig:
+    """The method/step/tol options as an integrator with the given stop conditions."""
+    return IntegratorConfig(
+        method=o["method"], step=o["step"], rel_tol=o["tol"], abs_tol=o["tol"], **stops
     )
-    trajectory = integrate(system, o["start"], cfg)
+
+
+def _run_trace(o: dict) -> int:
+    stop_box = o["window"].inflated(0.05) if o["window"] is not None else None
+    cfg = _integrator(o, stop_time=o["tmax"], stop_box=stop_box)
+    trajectory = integrate(ArchSystem(o["theta"]), o["start"], cfg)
     Path(o["out"]).write_text(export_trajectory_csv(trajectory, o["theta"]))
     if o["format"] == "machine":
         print(f"out={o['out']}")
@@ -377,20 +283,13 @@ def _run_trace(o: dict) -> int:
 
 
 def _run_portrait(o: dict) -> int:
-    integrator = IntegratorConfig(
-        method=o["method"],
-        step=o["step"],
-        rel_tol=o["tol"],
-        abs_tol=o["tol"],
-        stop_time=10_000.0,
-    )
     spec = PortraitSpec(
         system=ArchSystem(o["theta"]),
         window=o["window"],
         seeds_above=o["seeds_above"],
         seeds_below=o["seeds_below"],
         seed_inset=o["inset"],
-        integrator=integrator,
+        integrator=_integrator(o, stop_time=10_000.0),
         arrowheads=o["arrows"],
         separatrix_resolution=o["resolution"],
     )
@@ -426,12 +325,62 @@ def _run_sweep(o: dict) -> int:
     return 0
 
 
-_EXECUTORS = {
-    "analyze": _run_analyze,
-    "classify": _run_classify,
-    "trace": _run_trace,
-    "portrait": _run_portrait,
-    "sweep": _run_sweep,
+def _at_least(n: int) -> tuple[Callable[[Any], bool], str]:
+    return (lambda v: v >= n, f"must be >= {n}")
+
+
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+
+# Shared by every subcommand; added before the theta/preset pair.
+_FORMAT = Option("format", _to_format, "human", help="human or machine")
+
+_WINDOW = Option("window", _to_window, Window(-4.0, 4.0, -4.0, 4.0), metavar="X0,X1,Y0,Y1")
+
+_INTEGRATOR = (
+    Option("method", _to_method, "rk45"),
+    Option("step", float, 0.01, _POSITIVE),
+    Option("tol", float, 1e-10, _POSITIVE),
+)
+
+_APEX_FRACTION = (
+    Option("apex", float, 1.0, _POSITIVE),
+    Option("fraction", float, 0.5, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
+)
+
+# One entry per subcommand; each option row is the only declaration of its
+# flag, config key, default and range check.
+COMMANDS: dict[str, Command] = {
+    "analyze": Command("equilibrium, eigenvalues, sector census", True, (
+        _WINDOW,
+        Option("census_radius", float, 0.5, _POSITIVE),
+        Option("census_samples", int, 360, _at_least(8)),
+    ), _run_analyze),
+    "trace": Command("integrate one trajectory to CSV", True, (
+        Option("start", _to_point, Point2(0.0, 1.0), metavar="X,Y"),
+        Option("tmax", float, 10.0, _POSITIVE),
+        *_INTEGRATOR,
+        _WINDOW._replace(default=None, help="optional stop box (inflated 5 percent)"),
+        Option("out", str, "trace.csv"),
+    ), _run_trace),
+    "portrait": Command("render a styled phase portrait to SVG", True, (
+        _WINDOW,
+        Option("seeds_above", int, 8, _at_least(0)),
+        Option("seeds_below", int, 4, _at_least(0)),
+        Option("inset", float, 0.05, (lambda v: 0.0 <= v < 0.5, "must lie in [0, 0.5)")),
+        *_INTEGRATOR,
+        Option("width", int, 800, _at_least(1)),
+        Option("height", int, 800, _at_least(1)),
+        Option("arrows", _to_bool, True),
+        Option("resolution", int, 256, _at_least(1), help="separatrix segments per branch"),
+        Option("out", str, "portrait.svg"),
+    ), _run_portrait),
+    "classify": Command("arch category and opening angle", True, _APEX_FRACTION, _run_classify),
+    "sweep": Command("classify a range of stiffness values", False, (
+        Option("theta_from", float, 0.001, _POSITIVE),
+        Option("theta_to", float, 5.0, _POSITIVE),
+        Option("steps", int, 5, _at_least(1)),
+        *_APEX_FRACTION,
+    ), _run_sweep),
 }
 
 
@@ -442,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _EXECUTORS[command](opts)
+        return COMMANDS[command].run(opts)
     except (ValueError, IntegrationError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

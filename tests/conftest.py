@@ -1,7 +1,7 @@
 """Shared test set-up.
 
-The CLI tests start ``python -m archflow`` in child processes, several of
-them with ``cwd`` set to a temporary directory. A relative ``PYTHONPATH``
+The black-box CLI tests start ``python -m archflow`` in child processes,
+some of them with ``cwd`` set to a temporary directory. A relative ``PYTHONPATH``
 such as ``src`` would then point nowhere, so the checkout's ``src`` is put
 first on ``PYTHONPATH`` as an absolute path. Every child then imports the
 same package as the in-process tests; existing entries are kept after it.

@@ -307,6 +307,10 @@ def test_opening_angle_validation():
         opening_angle(0.5, fraction=1.0)
     with pytest.raises(ValueError):
         opening_angle(0.5, fraction=0.0)
+    # apex**3 overflows to inf or underflows below the smallest normal float
+    for apex in (1e200, 1e-200):
+        with pytest.raises(ValueError, match="apex"):
+            opening_angle(1.0, apex=apex)
 
 
 def test_classify_arch_thresholds():

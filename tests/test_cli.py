@@ -1,16 +1,35 @@
+"""CLI behaviour, run in-process through ``archflow.cli.main``.
+
+Only ``--help`` starts a real ``python -m archflow`` child; the black-box
+subprocess checks live in ``test_acceptance.py``.
+"""
+
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from archflow.cli import main
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "archflow", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
+
+@pytest.fixture
+def run_cli(capsys):
+    """Run ``main(args)`` and return its exit code and captured output.
+
+    An argparse failure raises ``SystemExit(2)``; its code is returned like
+    any other.
+    """
+
+    def run(*args):
+        try:
+            returncode = main(list(args))
+        except SystemExit as exc:
+            returncode = exc.code
+        out, err = capsys.readouterr()
+        return SimpleNamespace(returncode=returncode, stdout=out, stderr=err)
+
+    return run
 
 
 def parse_machine(text):
@@ -21,7 +40,7 @@ def parse_machine(text):
     return out
 
 
-def test_analyze_machine_output():
+def test_analyze_machine_output(run_cli):
     result = run_cli("analyze", "--preset", "tented", "--format", "machine")
     assert result.returncode == 0
     got = parse_machine(result.stdout)
@@ -39,14 +58,14 @@ def test_analyze_machine_output():
     assert got["is_cusp"] == "true"
 
 
-def test_analyze_human_output_mentions_cusp():
+def test_analyze_human_output_mentions_cusp(run_cli):
     result = run_cli("analyze", "--theta", "5")
     assert result.returncode == 0
     assert "cusp: yes" in result.stdout
     assert "degenerate_nonhyperbolic" in result.stdout
 
 
-def test_analyze_empty_window():
+def test_analyze_empty_window(run_cli):
     result = run_cli(
         "analyze", "--theta", "1", "--window", "2,3,2,3", "--format", "machine"
     )
@@ -54,7 +73,7 @@ def test_analyze_empty_window():
     assert parse_machine(result.stdout)["equilibria"] == "0"
 
 
-def test_classify_presets():
+def test_classify_presets(run_cli):
     expected = {"plain": "plain", "tented": "tented", "strong": "strong"}
     for preset, category in expected.items():
         result = run_cli("classify", "--preset", preset, "--format", "machine")
@@ -63,16 +82,17 @@ def test_classify_presets():
         assert got["category"] == category
 
 
-def test_classify_angle_value():
+def test_classify_angle_value(run_cli):
     result = run_cli("classify", "--theta", "0.5", "--format", "machine")
     got = parse_machine(result.stdout)
     assert got["opening_angle_deg"] == "49.6798"
 
 
-def test_trace_writes_csv(tmp_path):
+def test_trace_writes_csv(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     result = run_cli(
         "trace", "--theta", "0.5", "--tmax", "2", "--out", "run.csv",
-        "--format", "machine", cwd=tmp_path,
+        "--format", "machine",
     )
     assert result.returncode == 0
     got = parse_machine(result.stdout)
@@ -84,29 +104,30 @@ def test_trace_writes_csv(tmp_path):
     assert lines[1].startswith("0,0,1,")
 
 
-def test_trace_box_stop(tmp_path):
+def test_trace_box_stop(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     result = run_cli(
         "trace", "--theta", "0.5", "--start", "0,1", "--tmax", "100",
         "--window=-2,2,-2,2", "--out", "run.csv", "--format", "machine",
-        cwd=tmp_path,
     )
     assert result.returncode == 0
     assert parse_machine(result.stdout)["stop_reason"] == "box_exit"
 
 
-def test_trace_rk4_sample_count(tmp_path):
+def test_trace_rk4_sample_count(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     result = run_cli(
         "trace", "--theta", "0.5", "--method", "rk4", "--step", "0.1",
-        "--tmax", "1", "--out", "run.csv", "--format", "machine", cwd=tmp_path,
+        "--tmax", "1", "--out", "run.csv", "--format", "machine",
     )
     assert result.returncode == 0
     assert parse_machine(result.stdout)["samples"] == "11"
 
 
-def test_portrait_writes_svg(tmp_path):
+def test_portrait_writes_svg(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     result = run_cli(
         "portrait", "--preset", "tented", "--out", "p.svg", "--format", "machine",
-        cwd=tmp_path,
     )
     assert result.returncode == 0
     got = parse_machine(result.stdout)
@@ -116,26 +137,28 @@ def test_portrait_writes_svg(tmp_path):
     assert svg.count("<polyline") == 14
 
 
-def test_portrait_deterministic_bytes(tmp_path):
+def test_portrait_deterministic_bytes(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     for name in ("a.svg", "b.svg"):
         result = run_cli(
-            "portrait", "--theta", "5", "--out", name, cwd=tmp_path,
+            "portrait", "--theta", "5", "--out", name,
         )
         assert result.returncode == 0
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
 
-def test_portrait_seed_and_arrow_flags(tmp_path):
+def test_portrait_seed_and_arrow_flags(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     result = run_cli(
         "portrait", "--theta", "0.5", "--seeds-above", "2", "--seeds-below", "1",
-        "--no-arrows", "--out", "p.svg", "--format", "machine", cwd=tmp_path,
+        "--no-arrows", "--out", "p.svg", "--format", "machine",
     )
     assert result.returncode == 0
     assert parse_machine(result.stdout)["paths"] == "5"
     assert '<path d="M' not in (tmp_path / "p.svg").read_text()
 
 
-def test_sweep_rows():
+def test_sweep_rows(run_cli):
     result = run_cli(
         "sweep", "--theta-from", "0.001", "--theta-to", "5", "--steps", "5",
         "--format", "machine",
@@ -151,7 +174,7 @@ def test_sweep_rows():
     assert angles == sorted(angles, reverse=True)
 
 
-def test_config_file_supplies_defaults(tmp_path):
+def test_config_file_supplies_defaults(run_cli, tmp_path):
     cfg = tmp_path / "arch.cfg"
     cfg.write_text("# sample run\npreset = strong\nformat = machine\nfraction = 0.5\n")
     result = run_cli("classify", "--config", str(cfg))
@@ -161,7 +184,7 @@ def test_config_file_supplies_defaults(tmp_path):
     assert got["category"] == "strong"
 
 
-def test_flags_override_config(tmp_path):
+def test_flags_override_config(run_cli, tmp_path):
     cfg = tmp_path / "arch.cfg"
     cfg.write_text("theta = 5\n")
     result = run_cli("classify", "--config", str(cfg), "--theta", "0.5",
@@ -170,7 +193,7 @@ def test_flags_override_config(tmp_path):
     assert parse_machine(result.stdout)["theta"] == "0.5"
 
 
-def test_config_rejects_unknown_key(tmp_path):
+def test_config_rejects_unknown_key(run_cli, tmp_path):
     cfg = tmp_path / "arch.cfg"
     cfg.write_text("theta = 1\nwarp = 9\n")
     result = run_cli("classify", "--config", str(cfg))
@@ -178,7 +201,7 @@ def test_config_rejects_unknown_key(tmp_path):
     assert "warp" in result.stderr
 
 
-def test_config_rejects_theta_and_preset(tmp_path):
+def test_config_rejects_theta_and_preset(run_cli, tmp_path):
     cfg = tmp_path / "arch.cfg"
     cfg.write_text("theta = 1\npreset = tented\n")
     result = run_cli("classify", "--config", str(cfg))
@@ -186,7 +209,7 @@ def test_config_rejects_theta_and_preset(tmp_path):
     assert result.stderr.strip()
 
 
-def test_missing_config_file():
+def test_missing_config_file(run_cli):
     result = run_cli("classify", "--config", "no/such/file.cfg")
     assert result.returncode == 2
 
@@ -202,30 +225,31 @@ def test_missing_config_file():
         ("sweep", "--steps", "0"),
     ],
 )
-def test_usage_errors_exit_2(args):
+def test_usage_errors_exit_2(run_cli, args):
     result = run_cli(*args)
     assert result.returncode == 2
     assert result.stderr.strip()
 
 
-def test_bad_window_string_exits_2():
+def test_bad_window_string_exits_2(run_cli):
     result = run_cli("analyze", "--theta", "1", "--window", "1,2,3")
     assert result.returncode == 2
 
 
-def test_theta_preset_conflict_exits_2():
+def test_theta_preset_conflict_exits_2(run_cli):
     result = run_cli("classify", "--theta", "1", "--preset", "tented")
     assert result.returncode == 2
 
 
-def test_unknown_flag_exits_2():
+def test_unknown_flag_exits_2(run_cli):
     result = run_cli("classify", "--theta", "1", "--frobnicate")
     assert result.returncode == 2
 
 
-def test_unwritable_output_exits_1(tmp_path):
+def test_unwritable_output_exits_1(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     result = run_cli(
-        "trace", "--theta", "1", "--out", "missing/dir/run.csv", cwd=tmp_path,
+        "trace", "--theta", "1", "--out", "missing/dir/run.csv",
     )
     assert result.returncode == 1
     assert result.stderr.strip()
@@ -233,7 +257,19 @@ def test_unwritable_output_exits_1(tmp_path):
 
 
 def test_help_exits_0():
-    result = run_cli("--help")
+    result = subprocess.run(
+        [sys.executable, "-m", "archflow", "--help"], capture_output=True, text=True
+    )
     assert result.returncode == 0
     for sub in ("analyze", "trace", "portrait", "classify", "sweep"):
         assert sub in result.stdout
+
+
+@pytest.mark.parametrize("apex", ["1e200", "1e-200"])
+def test_extreme_apex_exits_1(run_cli, apex):
+    # the cube overflows to inf or underflows to 0: a clean error, no traceback
+    result = run_cli("classify", "--theta", "1", "--apex", apex)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "apex" in result.stderr

@@ -13,7 +13,7 @@ from archflow.systems import Point2, Window
 
 DEFAULT_WINDOW = Window(-4.0, 4.0, -4.0, 4.0)
 
-# kind -> (argparse type name, message of the converter for the text "x")
+# kind -> (argparse type name, converter message for the text "x"); "str" takes any text
 KINDS = {
     "int": ("int", "invalid literal for int() with base 10: 'x'"),
     "float": ("float", "could not convert string to float: 'x'"),
@@ -21,8 +21,7 @@ KINDS = {
     "point": ("_to_point", "point needs two numbers x,y, got 'x'"),
     "method": ("_to_method", "method must be rk4 or rk45, got 'x'"),
     "format": ("_to_format", "format must be human or machine, got 'x'"),
-    "bool": (None, "expected a boolean, got 'x'"),
-    "str": (None, None),
+    "bool": (None, "expected a boolean, got 'x'"),  # a flag without a value
 }
 
 # (command, key, kind, text, parsed value, default)
@@ -153,24 +152,22 @@ def test_absent_option_gives_default(row):
     assert opts[key] == default
 
 
-@pytest.mark.parametrize("row", [r for r in OPTIONS if r[2] != "str"], ids=row_id)
+@pytest.mark.parametrize("row", [r for r in OPTIONS if r[2] in KINDS], ids=row_id)
 def test_unconvertible_value_exits_2(tmp_path, capsys, row):
     command, key, kind, *_ = row
     type_name, config_message = KINDS[kind]
+    flag = key.replace("_", "-")
     if type_name is not None:
         with pytest.raises(SystemExit) as exc:
-            main([command, *BASE[command], f"--{key.replace('_', '-')}=x"])
+            main([command, *BASE[command], f"--{flag}=x"])
         assert exc.value.code == 2
         last = capsys.readouterr().err.strip().split("\n")[-1]
-        flag = key.replace("_", "-")
         assert last == (
             f"archflow {command}: error: argument --{flag}: invalid {type_name} value: 'x'"
         )
     (tmp_path / "arch.cfg").write_text(f"{key} = x\n")
     code, err = run_main(capsys, [command, *BASE[command], "--config", str(tmp_path / "arch.cfg")])
-    assert code == 2
-    if key != "format":
-        assert err == f"usage error: config {key}: {config_message}\n"
+    assert (code, err) == (2, f"usage error: config {key}: {config_message}\n")
 
 
 @pytest.mark.parametrize("row", REJECTED, ids=row_id)
