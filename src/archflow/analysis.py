@@ -378,7 +378,7 @@ def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> flo
             method="rk45",
             step=0.01,
             rel_tol=1e-12,
-            abs_tol=1e-12,
+            abs_tol=1e-12 * apex,
             max_steps=200_000,
             direction=direction,  # type: ignore[arg-type]
             stop_box=box,

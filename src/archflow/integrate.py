@@ -8,14 +8,24 @@ the controller aims the estimate at TARGET = 0.05 of the tolerance scale:
 conserved quantities of the flow are cubic in the state, so their gradient
 amplifies per-step error roughly twentyfold near the frame edges, and the
 tighter aim keeps first-integral drift within the package's conservation
-promise at the default tolerances. Backward integration negates the field so
-every stop condition runs through one code path; recorded times carry the
-sign of the travel direction.
+promise at the default tolerances. The last stage of an accepted step is
+the field at its new point, so it serves as the next step's first stage
+(FSAL): six field evaluations per accepted step. Backward integration
+negates the field so every stop condition runs through one code path;
+recorded times carry the sign of the travel direction.
+
+Events are located inside the one step where they fire, on that step's
+continuous extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6): the
+free fourth order dopri5 interpolant for DP5(4), the cubic Hermite through
+the end points and their slopes for RK4. A box exit is solved there by
+Illinois iteration, and ``crossing`` reuses the same locator by integrating
+once more with the half-plane beyond its line as the stop box.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -185,6 +195,14 @@ _E4 = 71.0 / 1920.0
 _E5 = -17253.0 / 339200.0
 _E6 = 22.0 / 525.0
 _E7 = -1.0 / 40.0
+# dopri5 continuous extension (``contd5``): weights of the quartic term that
+# lifts the step's cubic Hermite interpolant to fourth order.
+_D1 = -12715105075.0 / 11282082432.0
+_D3 = 87487479700.0 / 32700410799.0
+_D4 = -10690763975.0 / 1880347072.0
+_D5 = 701980252875.0 / 199316789632.0
+_D6 = -1453857185.0 / 822651844.0
+_D7 = 69997945.0 / 29380423.0
 
 
 def _rk4_xy(field_at: _FieldAt, x: float, y: float, h: float) -> tuple[float, float]:
@@ -206,9 +224,15 @@ def _advance_rk45(
     h: float,
     rel_tol: float,
     abs_tol: float,
-) -> tuple[float, float, float, float, float]:
-    """One accepted Dormand-Prince step; returns (x, y, h_taken, h_next, err)."""
-    k1x, k1y = field_at(x, y)
+    k1x: float,
+    k1y: float,
+) -> tuple[float, float, float, float, float, tuple[float, ...]]:
+    """One accepted Dormand-Prince step from (x, y) whose slope is k1.
+
+    Returns (x, y, h_taken, h_next, err, stages) with stages = (k1, k3, k4,
+    k5, k6, k7) flattened. k7 is the slope at the new point, so it is the
+    next step's k1 (first same as last).
+    """
     if not (math.isfinite(k1x) and math.isfinite(k1y)):
         raise IntegrationError(
             f"field is non-finite at ({x}, {y})", state=(x, y)
@@ -255,7 +279,8 @@ def _advance_rk45(
                 factor = GROW_MAX
             else:
                 factor = min(GROW_MAX, max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2))
-            return nx, ny, h, h * factor, err
+            stages = (k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y)
+            return nx, ny, h, h * factor, err, stages
 
         factor = max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2) if err < math.inf else GROW_MIN
         h *= factor
@@ -291,34 +316,76 @@ def rk45_step(
     for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-    nx, ny, h_taken, h_next, err = _advance_rk45(
-        system.field_at, p.x, p.y, h, rel_tol, abs_tol
+    k1x, k1y = system.field_at(p.x, p.y)
+    nx, ny, h_taken, h_next, err, _ = _advance_rk45(
+        system.field_at, p.x, p.y, h, rel_tol, abs_tol, k1x, k1y
     )
     return StepResult(Point2(nx, ny), error_estimate=err, step_taken=h_taken, next_step=h_next)
 
 
-def _refine_box_exit(
-    field_at: _FieldAt,
-    x0: float,
-    y0: float,
-    h: float,
-    x_out: float,
-    y_out: float,
+def _quartic_term(h: float, k: tuple[float, ...]) -> tuple[float, float]:
+    """The dopri5 quartic interpolation term of a step with stages ``k``."""
+    k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y = k
+    return (
+        h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x + _D7 * k7x),
+        h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y + _D7 * k7y),
+    )
+
+
+def _locate_box_exit(
     box: Window,
+    x: float,
+    y: float,
+    nx: float,
+    ny: float,
+    h: float,
+    k0: tuple[float, float],
+    k1: tuple[float, float],
+    q: tuple[float, float],
 ) -> tuple[float, float, float]:
-    """Bisect the step fraction so the final sample lands just past the box edge."""
-    lo, hi = 0.0, h
-    xh, yh = x_out, y_out
-    for _ in range(60):
-        if hi - lo <= 1e-13 * max(1.0, h):
+    """Where a step from (x, y) inside the box to (nx, ny) outside leaves it.
+
+    The step is replaced by its interpolant u(s) = u0 + s*(d + (1-s)*(a +
+    s*(b + (1-s)*q))) on the step fraction s: the cubic Hermite through both
+    end points with end slopes k0 and k1, plus the quartic term q that dopri5
+    supplies (zero for RK4). The event function, the distance to the nearest
+    box edge (negative outside), is solved by Illinois: regula falsi that
+    halves the end value kept twice in a row. It stops once the bracket
+    spans at most 1e-13 of the step, which is 1e-13*h of time. Returns (s,
+    x, y) at the bracket's outside end.
+    """
+    dx, dy = nx - x, ny - y
+    ax, ay = h * k0[0] - dx, h * k0[1] - dy
+    bx, by = dx - h * k1[0] - ax, dy - h * k1[1] - ay
+    qx, qy = q
+
+    def inside(px: float, py: float) -> float:
+        return min(px - box.x_min, box.x_max - px, py - box.y_min, box.y_max - py)
+
+    lo, g_lo = 0.0, inside(x, y)
+    hi, g_hi = 1.0, inside(nx, ny)
+    kept = 0
+    for _ in range(100):
+        if hi - lo <= 1e-13:
             break
-        mid = 0.5 * (lo + hi)
-        xm, ym = _rk4_xy(field_at, x0, y0, mid)
-        if box.contains(xm, ym):
-            lo = mid
+        s = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        r = 1.0 - s
+        px = x + s * (dx + r * (ax + s * (bx + r * qx)))
+        py = y + s * (dy + r * (ay + s * (by + r * qy)))
+        g = inside(px, py)
+        if g >= 0.0:
+            lo, g_lo = s, g
+            if kept == -1:
+                g_hi *= 0.5
+            kept = -1
         else:
-            hi, xh, yh = mid, xm, ym
-    return xh, yh, hi
+            hi, g_hi, nx, ny = s, g, px, py
+            if kept == 1:
+                g_lo *= 0.5
+            kept = 1
+    return hi, nx, ny
 
 
 def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) -> Trajectory:
@@ -372,6 +439,8 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     t = 0.0
     h = config.step
     use_rk4 = config.method == "rk4"
+    if not use_rk4:
+        k1x, k1y = field_at(x, y)
     reason = "max_steps"
 
     for _ in range(config.max_steps):
@@ -393,8 +462,8 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
                     )
                 h_taken, h_next = h_try, h
             else:
-                nx, ny, h_taken, h_next, _err = _advance_rk45(
-                    field_at, x, y, h_try, config.rel_tol, config.abs_tol
+                nx, ny, h_taken, h_next, _err, k = _advance_rk45(
+                    field_at, x, y, h_try, config.rel_tol, config.abs_tol, k1x, k1y
                 )
         except StepUnderflowError:
             reason = "step_underflow"
@@ -405,8 +474,12 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
             ) from exc
 
         if box is not None and not box.contains(nx, ny):
-            ex, ey, s = _refine_box_exit(field_at, x, y, h_taken, nx, ny, box)
-            t_exit = t + s
+            if use_rk4:
+                k0, k_end, q = field_at(x, y), field_at(nx, ny), (0.0, 0.0)
+            else:
+                k0, k_end, q = k[0:2], k[10:12], _quartic_term(h_taken, k)
+            s, ex, ey = _locate_box_exit(box, x, y, nx, ny, h_taken, k0, k_end, q)
+            t_exit = t + s * h_taken
             if t_exit == t:
                 t_exit = math.nextafter(t, math.inf)
             samples.append((sign * t_exit, Point2(ex, ey)))
@@ -421,6 +494,8 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
             break
         samples.append((sign * t_new, Point2(nx, ny)))
         x, y, t, h = nx, ny, t_new, h_next
+        if not use_rk4:
+            k1x, k1y = k[10], k[11]
 
         if eq_radius is not None and math.hypot(x - eq.x, y - eq.y) <= eq_radius:
             reason = "equilibrium_reached"
@@ -440,10 +515,22 @@ def crossing(
 ) -> Point2:
     """Locate where a trajectory crosses the line y=value or x=value.
 
-    The first sample lying exactly on the line is returned as is; otherwise
-    the first bracketing sample pair is refined by bisecting the flow time
-    with short high-accuracy re-integrations from the bracket's left sample.
-    The crossed coordinate of the result is within 1e-9 of ``value``.
+    The first sample lying exactly on the line is returned as is. Otherwise
+    the flow is integrated once more from the left sample of the first
+    bracketing sample pair: DP5(4) at tolerance 1e-13 relative to the
+    bracket's coordinates, with the half-plane on that sample's side of the
+    line as its stop box. The box-exit locator of ``integrate`` then solves
+    for the crossing on the continuous extension of the one step that
+    reaches the line. The re-integration may run for twice the bracket's
+    duration, so a coarse trajectory whose own error put the crossing early
+    still finds it. The crossed coordinate of the result is within 1e-9 of
+    ``value``.
+
+    Raises
+    ------
+    CrossingNotFound
+        If no sample pair brackets the line, or the re-integrated flow does
+        not reach it within twice the bracket's duration.
     """
     if axis not in ("horizontal", "vertical"):
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
@@ -454,65 +541,33 @@ def crossing(
         return p.y if horizontal else p.x
 
     samples = trajectory.samples
-    direction = "forward"
-    if len(samples) >= 2 and samples[1][0] < samples[0][0]:
-        direction = "backward"
-
-    for i, (t0, p0) in enumerate(samples):
-        c0 = coord(p0) - value
-        if c0 == 0.0:
-            return p0
-        if i + 1 == len(samples):
-            break
-        t1, p1 = samples[i + 1]
-        c1 = coord(p1) - value
-        if c1 == 0.0:
+    if coord(samples[0][1]) == value:
+        return samples[0][1]
+    for (t0, p0), (t1, p1) in zip(samples, samples[1:]):
+        if coord(p1) == value:
             return p1
-        if (c0 > 0.0) != (c1 > 0.0):
-            return _refine_crossing(
-                system, p0, abs(t1 - t0), direction, horizontal, value
-            )
-    raise CrossingNotFound(
-        f"trajectory never brackets the {axis} line at {value}"
-    )
-
-
-def _refine_crossing(
-    system: VectorField2D,
-    p0: Point2,
-    duration: float,
-    direction: str,
-    horizontal: bool,
-    value: float,
-) -> Point2:
-    def endpoint(s: float) -> Point2:
-        cfg = IntegratorConfig(
-            method="rk45",
-            step=s,
-            rel_tol=1e-13,
-            abs_tol=1e-13,
-            max_steps=100_000,
-            direction=direction,  # type: ignore[arg-type]
-            stop_time=s,
-        )
-        return integrate(system, p0, cfg).final_point
-
-    g_lo = (p0.y if horizontal else p0.x) - value
-    lo, hi = 0.0, duration
-    best: Point2 = p0
-    best_g = abs(g_lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        if (coord(p0) > value) != (coord(p1) > value):
             break
-        p_mid = endpoint(mid)
-        g_mid = (p_mid.y if horizontal else p_mid.x) - value
-        if abs(g_mid) < best_g:
-            best, best_g = p_mid, abs(g_mid)
-        if abs(g_mid) <= 1e-10:
-            return p_mid
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return best
+    else:
+        raise CrossingNotFound(f"trajectory never brackets the {axis} line at {value}")
+
+    big = sys.float_info.max
+    side = (value, big) if coord(p0) > value else (-big, value)
+    duration = abs(t1 - t0)
+    cfg = IntegratorConfig(
+        method="rk45",
+        step=duration,
+        rel_tol=1e-13,
+        abs_tol=1e-13 * max(abs(p0.x), abs(p0.y), abs(p1.x), abs(p1.y)),
+        max_steps=100_000,
+        direction="backward" if t1 < t0 else "forward",
+        stop_box=Window(-big, big, *side) if horizontal else Window(*side, -big, big),
+        stop_time=2.0 * duration,
+    )
+    fine = integrate(system, p0, cfg)
+    if fine.stop_reason != "box_exit":
+        raise CrossingNotFound(
+            f"the flow from ({p0.x}, {p0.y}) does not reach the {axis} line at "
+            f"{value} within twice the bracket's duration"
+        )
+    return fine.final_point

@@ -298,6 +298,27 @@ def test_opening_angle_frozen_values():
     assert opening_angle(5.0) == pytest.approx(16.65618618135406, abs=1e-6)
 
 
+def _closed_form_angle(theta, apex, fraction=0.5):
+    m = math.sqrt(2.0 * theta * (1.0 - fraction**3) / (3.0 * apex)) / fraction**2
+    return 180.0 - 2.0 * math.degrees(math.atan(m))
+
+
+@pytest.mark.parametrize(
+    "theta, apex, tol",
+    [
+        (1e-9, 1e-6, 1e-6),
+        (0.5, 1e-5, 1e-6),
+        (1e3, 1e-8, 1e-6),
+        (1e9, 1e-10, 1e-6),
+        (1e-9, 1e-10, 1e-4),
+    ],
+)
+def test_opening_angle_matches_closed_form_at_extreme_scales(theta, apex, tol):
+    assert opening_angle(theta, apex=apex) == pytest.approx(
+        _closed_form_angle(theta, apex), abs=tol
+    )
+
+
 def test_opening_angle_validation():
     with pytest.raises(ValueError):
         opening_angle(0.0)

@@ -269,3 +269,81 @@ def test_seeded_random_conservation_short_runs():
         t = integrate(s, start, IntegratorConfig(stop_time=0.5))
         h0 = arch_first_integral(1.3, start)
         assert max(abs(arch_first_integral(1.3, p) - h0) for p in t.points) <= 1e-9
+
+
+def _arch_rhs(theta, sign):
+    return lambda t, u: [sign * u[1] * u[1], -sign * theta * u[0]]
+
+
+@pytest.mark.parametrize("theta", [0.001, 0.5, 5.0])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_box_exit_matches_scipy_event(theta, direction):
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    sign = 1.0 if direction == "forward" else -1.0
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, stop_box=BOX, direction=direction)
+    t_exit, p = integrate(ArchSystem(theta), Point2(0.5, 1.0), cfg).samples[-1]
+
+    edges = [
+        lambda t, u: u[0] - BOX.x_min,
+        lambda t, u: BOX.x_max - u[0],
+        lambda t, u: u[1] - BOX.y_min,
+        lambda t, u: BOX.y_max - u[1],
+    ]
+    for edge in edges:
+        edge.terminal, edge.direction = True, -1.0
+    sol = solve_ivp(_arch_rhs(theta, sign), (0.0, 100.0), [0.5, 1.0], method="DOP853",
+                    rtol=1e-13, atol=1e-13, events=edges, dense_output=True)
+    t_ref = min(ts[0] for ts in sol.t_events if len(ts))
+    x_ref, y_ref = sol.sol(t_ref)
+    assert sign * t_exit == pytest.approx(t_ref, abs=1e-9)
+    assert p.x == pytest.approx(x_ref, abs=1e-9)
+    assert p.y == pytest.approx(y_ref, abs=1e-9)
+    assert not BOX.contains_point(p)
+
+
+@pytest.mark.parametrize("theta", [0.5, 5.0])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("value", [0.5, 0.0])
+def test_crossing_matches_scipy_event(theta, direction, value):
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    sign = 1.0 if direction == "forward" else -1.0
+    s = ArchSystem(theta)
+    traj = integrate(s, Point2(0.5, 1.0), IntegratorConfig(stop_box=BOX, direction=direction))
+    p = crossing(s, traj, "horizontal", value)
+
+    def line(t, u):
+        return u[1] - value
+
+    line.terminal = True
+    sol = solve_ivp(_arch_rhs(theta, sign), (0.0, 100.0), [0.5, 1.0], method="DOP853",
+                    rtol=1e-13, atol=1e-13, events=line, dense_output=True)
+    x_ref, y_ref = sol.y_events[0][0]
+    assert p.x == pytest.approx(x_ref, abs=1e-9)
+    assert p.y == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("theta", [0.5, 5.0, 1e3])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("value", [0.5, -1.0])
+def test_crossing_lies_on_the_level_set(theta, direction, value):
+    s = ArchSystem(theta)
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, stop_box=BOX, direction=direction)
+    p = crossing(s, integrate(s, Point2(0.0, 1.0), cfg), "horizontal", value)
+    h0 = 1.0 / 3.0
+    x_level = math.sqrt(2.0 * (h0 - value**3 / 3.0) / theta)
+    assert p.y == pytest.approx(value, abs=1e-9)
+    assert p.x == pytest.approx(x_level if direction == "forward" else -x_level, abs=1e-9)
+
+
+def test_crossing_on_coarse_rk4_trajectory():
+    # At step 0.5 the RK4 samples run up to 2e-4 ahead of the flow in x, so
+    # the line just short of sample 8 is bracketed by samples 7 and 8 while
+    # the flow from sample 7 only reaches it after the bracket's duration.
+    s = ArchSystem(0.5)
+    traj = integrate(s, Point2(0.0, 1.0), IntegratorConfig(method="rk4", step=0.5, stop_box=BOX))
+    value = traj.samples[8][1].x - 5e-5
+    p = crossing(s, traj, "vertical", value)
+    assert p.x == pytest.approx(value, abs=1e-9)
+    h0 = arch_first_integral(0.5, traj.samples[7][1])
+    y_level = -((3.0 * (0.25 * value**2 - h0)) ** (1.0 / 3.0))
+    assert p.y == pytest.approx(y_level, abs=1e-9)
