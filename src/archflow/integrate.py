@@ -368,9 +368,11 @@ def _locate_box_exit(
     for _ in range(100):
         if hi - lo <= 1e-13:
             break
+        # Step at least half the target width inside the bracket: once the
+        # iterate sits on the root, the next one lands across it and closes
+        # the bracket instead of creeping toward it from one side.
         s = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        if not lo < s < hi:
-            s = 0.5 * (lo + hi)
+        s = min(max(s, lo + 5e-14), hi - 5e-14)
         r = 1.0 - s
         px = x + s * (dx + r * (ax + s * (bx + r * qx)))
         py = y + s * (dy + r * (ay + s * (by + r * qy)))

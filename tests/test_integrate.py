@@ -259,6 +259,10 @@ def test_crossing_not_found():
         crossing(s, t, "horizontal", 5.0)
     with pytest.raises(ValueError):
         crossing(s, t, "diagonal", 0.0)
+    # samples that bracket y = 0 although the flow from (0, 1) barely descends
+    forged = Trajectory(((0.0, Point2(0.0, 1.0)), (0.1, Point2(0.0, -1.0))), "time_horizon")
+    with pytest.raises(CrossingNotFound, match="twice the bracket's duration"):
+        crossing(s, forged, "horizontal", 0.0)
 
 
 def test_seeded_random_conservation_short_runs():
