@@ -407,7 +407,8 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     Trajectory
         Samples with strictly monotone times (decreasing for backward runs)
         and the ``stop_reason`` of the first condition hit. Stop conditions
-        already satisfied at ``start`` yield a single-sample trajectory.
+        already satisfied at ``start`` yield a single-sample trajectory. A
+        box exit ends on the located exit point, just outside the box.
 
     Raises
     ------
