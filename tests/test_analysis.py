@@ -314,9 +314,10 @@ def _closed_form_angle(theta, apex, fraction=0.5):
     ],
 )
 def test_opening_angle_matches_closed_form_at_extreme_scales(theta, apex, tol):
-    assert opening_angle(theta, apex=apex) == pytest.approx(
-        _closed_form_angle(theta, apex), abs=tol
-    )
+    angle, exact = opening_angle(theta, apex=apex), _closed_form_angle(theta, apex)
+    assert angle == pytest.approx(exact, abs=tol)
+    # at (1e9, 1e-10) the whole angle is 1.2e-8 degrees, below any useful abs bound
+    assert angle == pytest.approx(exact, rel=1e-6, abs=0.0)
 
 
 def test_opening_angle_validation():

@@ -351,3 +351,20 @@ def test_crossing_on_coarse_rk4_trajectory():
     h0 = arch_first_integral(0.5, traj.samples[7][1])
     y_level = -((3.0 * (0.25 * value**2 - h0)) ** (1.0 / 3.0))
     assert p.y == pytest.approx(y_level, abs=1e-9)
+
+
+@pytest.mark.parametrize("apex", [1e-4, 1e-6, 1e-8])
+def test_crossing_accuracy_scales_with_the_coordinates(apex):
+    # At the default absolute tolerance these trajectories are coarse; the
+    # crossing must still sit on the level set through the bracket's left
+    # sample to a relative 1e-12, however small the coordinates are.
+    s = ArchSystem(1.0)
+    box = Window(-10 * apex, 10 * apex, -10 * apex, 10 * apex)
+    traj = integrate(s, Point2(0.0, apex), IntegratorConfig(stop_box=box))
+    value = 0.5 * apex
+    p = crossing(s, traj, "horizontal", value)
+    left = next(p0 for (_, p0), (_, p1) in zip(traj.samples, traj.samples[1:])
+                if (p0.y > value) != (p1.y > value))
+    x_level = math.sqrt(2.0 * (arch_first_integral(1.0, left) - value**3 / 3.0))
+    assert p.y == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert p.x == pytest.approx(x_level, rel=1e-12, abs=0.0)
