@@ -6,13 +6,14 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .integrate import IntegratorConfig, crossing, integrate
+from .integrate import CrossingNotFound, IntegratorConfig, integrate
 from .systems import (
     ArchSystem,
     Mat2,
     Point2,
     VectorField2D,
     Window,
+    _require_positive,
     arch_separatrix_height,
 )
 
@@ -266,8 +267,7 @@ def sector_census(
     same-sign arc really is hyperbolic.
     """
     center = equilibrium.location if isinstance(equilibrium, Equilibrium) else equilibrium
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
+    _require_positive("radius", radius)
     if samples < 8:
         raise ValueError(f"samples must be >= 8, got {samples}")
     integral = getattr(system, "first_integral", None)
@@ -318,8 +318,7 @@ def trace_separatrix(
     in x as the window permits, shrunk when the curve leaves through the
     bottom edge first.
     """
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be finite and > 0, got {theta!r}")
+    _require_positive("theta", theta)
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     if not window.contains(0.0, 0.0):
@@ -349,15 +348,14 @@ def trace_separatrix(
 def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> float:
     """Interior angle in degrees between the ridge flanks through (0, apex).
 
-    The trajectory through the apex is integrated both ways until it falls
-    to y = fraction * apex; the flank slopes at those crossings give the
-    angle 180 - atan(m_left) - atan(m_right). Decreases strictly with theta:
-    obtuse for small stiffness, acute for large.
+    The trajectory through the apex is integrated both ways, each run
+    stopped by the half-plane y >= fraction * apex; the flank slopes at the
+    located box exits give the angle 180 - atan(m_left) - atan(m_right).
+    Decreases strictly with theta: obtuse for small stiffness, acute for
+    large. Raises CrossingNotFound when a flank stops for another reason.
     """
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be finite and > 0, got {theta!r}")
-    if not (math.isfinite(apex) and apex > 0):
-        raise ValueError(f"apex must be finite and > 0, got {apex!r}")
+    _require_positive("theta", theta)
+    _require_positive("apex", apex)
     # apex*apex*apex gives inf where apex**3 raises OverflowError; a cube that
     # underflows leaves no level set to integrate along.
     apex_cubed = apex * apex * apex
@@ -368,9 +366,8 @@ def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> flo
 
     system = ArchSystem(theta)
     y_target = fraction * apex
-    y_floor = 0.5 * y_target
-    x_reach = math.sqrt(2.0 * (apex_cubed - y_floor**3) / (3.0 * theta))
-    box = Window(-1.5 * x_reach - 1.0, 1.5 * x_reach + 1.0, y_floor, apex + 1.0)
+    big = sys.float_info.max
+    above = Window(-big, big, y_target, big)
     start = Point2(0.0, apex)
 
     def flank_slope(direction: str) -> float:
@@ -381,10 +378,14 @@ def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> flo
             abs_tol=1e-12 * apex,
             max_steps=200_000,
             direction=direction,  # type: ignore[arg-type]
-            stop_box=box,
+            stop_box=above,
         )
         traj = integrate(system, start, cfg)
-        p = crossing(system, traj, "horizontal", y_target)
+        if traj.stop_reason != "box_exit":
+            raise CrossingNotFound(
+                f"{direction} flank stopped by {traj.stop_reason} above y = {y_target}"
+            )
+        p = traj.final_point
         return theta * abs(p.x) / (p.y * p.y)
 
     return 180.0 - math.degrees(math.atan(flank_slope("forward"))) - math.degrees(
@@ -400,8 +401,7 @@ def classify_arch(
     fraction: float = 0.5,
 ) -> ArchCategory:
     """Arch category by stiffness thresholds, carrying the measured angle."""
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be finite and > 0, got {theta!r}")
+    _require_positive("theta", theta)
     if not (0.0 < plain_max < strong_min):
         raise ValueError(
             f"thresholds must satisfy 0 < plain_max < strong_min, got {plain_max}, {strong_min}"

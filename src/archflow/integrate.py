@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-from .systems import Point2, VectorField2D, Window, _require_finite
+from .systems import Point2, VectorField2D, Window, _require_finite, _require_positive
 
 STOP_REASONS = (
     "time_horizon",
@@ -92,28 +92,19 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"method must be 'rk4' or 'rk45', got {self.method!r}")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be finite and > 0, got {self.step!r}")
-        for name in ("rel_tol", "abs_tol"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        _require_positive("step", self.step)
+        _require_positive("rel_tol", self.rel_tol)
+        _require_positive("abs_tol", self.abs_tol)
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.direction not in ("forward", "backward"):
             raise ValueError(
                 f"direction must be 'forward' or 'backward', got {self.direction!r}"
             )
-        if self.stop_time is not None and not (
-            math.isfinite(self.stop_time) and self.stop_time > 0
-        ):
-            raise ValueError(f"stop_time must be finite and > 0, got {self.stop_time!r}")
-        if self.equilibrium_radius is not None and not (
-            math.isfinite(self.equilibrium_radius) and self.equilibrium_radius > 0
-        ):
-            raise ValueError(
-                f"equilibrium_radius must be finite and > 0, got {self.equilibrium_radius!r}"
-            )
+        if self.stop_time is not None:
+            _require_positive("stop_time", self.stop_time)
+        if self.equilibrium_radius is not None:
+            _require_positive("equilibrium_radius", self.equilibrium_radius)
         if self.stop_box is None and self.stop_time is None and self.equilibrium_radius is None:
             raise ValueError(
                 "at least one stop condition (stop_box, stop_time, equilibrium_radius) is required"
@@ -311,11 +302,9 @@ def rk45_step(
     abs_tol: float = 1e-10,
 ) -> StepResult:
     """One accepted adaptive step from p, retrying internally on rejection."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be finite and > 0, got {h!r}")
-    for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    _require_positive("h", h)
+    _require_positive("rel_tol", rel_tol)
+    _require_positive("abs_tol", abs_tol)
     k1x, k1y = system.field_at(p.x, p.y)
     nx, ny, h_taken, h_next, err, _ = _advance_rk45(
         system.field_at, p.x, p.y, h, rel_tol, abs_tol, k1x, k1y

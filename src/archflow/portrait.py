@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 from .analysis import trace_separatrix
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
-from .systems import ArchSystem, Point2, Window, arch_separatrix_height
+from .systems import ArchSystem, Point2, Window, _require_positive, arch_separatrix_height
 
 DEFAULT_STYLE: dict[str, tuple[str, float]] = {
     "separatrix": ("#cc0000", 2.4),
@@ -34,8 +34,7 @@ class StyledPath:
             raise ValueError("a styled path needs at least 2 points")
         if not self.color:
             raise ValueError("color must be a nonempty string")
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise ValueError(f"width must be finite and > 0, got {self.width!r}")
+        _require_positive("width", self.width)
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,8 +249,7 @@ def _arrow_glyph(path: StyledPath, to_px) -> str | None:
 
 def export_trajectory_csv(trajectory: Trajectory, theta: float) -> str:
     """CSV text with header t,x,y,H and one row per sample, 17 digits."""
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be finite and > 0, got {theta!r}")
+    _require_positive("theta", theta)
     rows = ["t,x,y,H"]
     for t, p in trajectory.samples:
         hv = 0.5 * theta * p.x * p.x + p.y**3 / 3.0

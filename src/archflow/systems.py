@@ -14,6 +14,11 @@ def _require_finite(label: str, *values: float) -> None:
             raise ValueError(f"{label} must be finite, got {v!r}")
 
 
+def _require_positive(label: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{label} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Point2:
     """A point (x, y) in the phase plane."""
@@ -174,8 +179,7 @@ class ArchSystem(VectorField2D):
     """The arch ridge-flow field dx/dt = y**2, dy/dt = -theta * x with theta > 0."""
 
     def __init__(self, theta: float) -> None:
-        if not math.isfinite(theta) or theta <= 0.0:
-            raise ValueError(f"theta must be finite and > 0, got {theta!r}")
+        _require_positive("theta", theta)
         self.theta = float(theta)
 
     def __repr__(self) -> str:
@@ -199,8 +203,7 @@ class ArchSystem(VectorField2D):
 
 def arch_first_integral(theta: float, p: Point2) -> float:
     """Conserved quantity H(x, y) = theta*x^2/2 + y^3/3 of the arch field."""
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise ValueError(f"theta must be finite and > 0, got {theta!r}")
+    _require_positive("theta", theta)
     return 0.5 * theta * p.x * p.x + p.y ** 3 / 3.0
 
 
@@ -211,7 +214,6 @@ def _cbrt(v: float) -> float:
 
 def arch_separatrix_height(theta: float, x: float) -> float:
     """Height y = -(3*theta*x^2/2)^(1/3) of the zero level set of H at x."""
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise ValueError(f"theta must be finite and > 0, got {theta!r}")
+    _require_positive("theta", theta)
     _require_finite("x", x)
     return -_cbrt(1.5 * theta * x * x)

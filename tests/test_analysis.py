@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from archflow import (
     ArchSystem,
     CallableField,
+    CrossingNotFound,
     IntegratorConfig,
     Mat2,
     Point2,
@@ -318,6 +321,40 @@ def test_opening_angle_matches_closed_form_at_extreme_scales(theta, apex, tol):
     assert angle == pytest.approx(exact, abs=tol)
     # at (1e9, 1e-10) the whole angle is 1.2e-8 degrees, below any useful abs bound
     assert angle == pytest.approx(exact, rel=1e-6, abs=0.0)
+
+
+def test_opening_angle_raises_when_a_flank_has_no_box_exit():
+    # at apex 1e100 the first step underflows before the flank moves; a
+    # one-sample flank must not be read as a slope of 0
+    with pytest.raises(CrossingNotFound):
+        opening_angle(1.0, apex=1e100)
+
+
+def test_opening_angle_flanks_are_exact_mirrors():
+    # (x, t) -> (-x, -t) maps the field onto itself, so the backward flank
+    # must replay the forward one bit for bit with x and t negated
+    rng = random.Random(7)
+    big = sys.float_info.max
+    for _ in range(200):
+        theta = 10.0 ** rng.uniform(-9.0, 9.0)
+        apex = 10.0 ** rng.uniform(-10.0, 5.0)
+        fraction = rng.uniform(0.05, 0.95)
+        forward, backward = [
+            integrate(
+                ArchSystem(theta),
+                Point2(0.0, apex),
+                IntegratorConfig(
+                    rel_tol=1e-12,
+                    abs_tol=1e-12 * apex,
+                    direction=direction,
+                    stop_box=Window(-big, big, fraction * apex, big),
+                ),
+            )
+            for direction in ("forward", "backward")
+        ]
+        assert forward.stop_reason == backward.stop_reason == "box_exit"
+        assert len(backward) == len(forward)
+        assert backward.samples == tuple((-t, Point2(-p.x, p.y)) for t, p in forward.samples)
 
 
 def test_opening_angle_validation():

@@ -273,3 +273,11 @@ def test_extreme_apex_exits_1(run_cli, apex):
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "apex" in result.stderr
+
+
+def test_flank_without_box_exit_exits_1(run_cli):
+    # the integrator cannot step off an apex of 1e100: a clean error, no traceback
+    result = run_cli("classify", "--theta", "1", "--apex", "1e100")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
