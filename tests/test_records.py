@@ -1,0 +1,277 @@
+"""Contract of archflow's 14 immutable records.
+
+For every record: the exact ``repr``, equality within the type only,
+hashing, immutability, ``copy``/``deepcopy``/``pickle`` round-trips,
+positional and keyword construction in field order, the defaults, and the
+text of every validation error. The README "Library" snippet, which prints
+record reprs, is run and its output compared line by line.
+"""
+
+import copy
+import math
+import pickle
+import re
+from pathlib import Path
+
+import pytest
+
+from archflow import (
+    DEFAULT_STYLE,
+    ArchCategory,
+    ArchSystem,
+    EigenPair,
+    Equilibrium,
+    IntegratorConfig,
+    Mat2,
+    Point2,
+    PortraitSpec,
+    Scene,
+    SectorCensus,
+    StepResult,
+    StyledPath,
+    Trajectory,
+    Vec2,
+    Window,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+P = Point2(1.0, 2.0)
+Q = Point2(3.0, 4.0)
+W = Window(-1.0, 1.0, -2.0, 2.0)
+M = Mat2(0.0, 2.0, -0.5, 0.0)
+E = EigenPair("complex_conjugate", (1j, -1j))
+SYSTEM = ArchSystem(0.5)  # compares by identity, so copies of it are unequal
+PATH = StyledPath("separatrix", (P, Q), "#cc0000", 2.4)
+STYLE = {"separatrix": ("#000000", 1.0), "upper_sector": ("#111111", 0.5),
+         "lower_sector": ("#222222", 0.5)}
+
+P_REPR = "Point2(x=1.0, y=2.0)"
+Q_REPR = "Point2(x=3.0, y=4.0)"
+W_REPR = "Window(x_min=-1.0, x_max=1.0, y_min=-2.0, y_max=2.0)"
+M_REPR = "Mat2(a11=0.0, a12=2.0, a21=-0.5, a22=0.0)"
+E_REPR = "EigenPair(kind='complex_conjugate', values=(1j, (-0-1j)))"
+PATH_REPR = f"StyledPath(role='separatrix', points=({P_REPR}, {Q_REPR}), color='#cc0000', width=2.4)"
+CONFIG = IntegratorConfig("rk4", 0.5, 1e-8, 1e-9, 50, "backward", W, 3.0, 0.1, P)
+CONFIG_REPR = (
+    "IntegratorConfig(method='rk4', step=0.5, rel_tol=1e-08, abs_tol=1e-09, max_steps=50, "
+    f"direction='backward', stop_box={W_REPR}, stop_time=3.0, equilibrium_radius=0.1, "
+    f"equilibrium={P_REPR})"
+)
+
+# (record, field names in order, positional values, repr, hashable)
+RECORDS = [
+    (Point2, "x y", (1.0, 2.0), P_REPR, True),
+    (Vec2, "dx dy", (3.0, -4.0), "Vec2(dx=3.0, dy=-4.0)", True),
+    (Mat2, "a11 a12 a21 a22", (0.0, 2.0, -0.5, 0.0), M_REPR, True),
+    (Window, "x_min x_max y_min y_max", (-1.0, 1.0, -2.0, 2.0), W_REPR, True),
+    (
+        IntegratorConfig,
+        "method step rel_tol abs_tol max_steps direction stop_box stop_time "
+        "equilibrium_radius equilibrium",
+        ("rk4", 0.5, 1e-8, 1e-9, 50, "backward", W, 3.0, 0.1, P),
+        CONFIG_REPR,
+        True,
+    ),
+    (
+        Trajectory,
+        "samples stop_reason",
+        (((0.0, P), (0.5, Q)), "box_exit"),
+        f"Trajectory(samples=((0.0, {P_REPR}), (0.5, {Q_REPR})), stop_reason='box_exit')",
+        True,
+    ),
+    (
+        StepResult,
+        "state error_estimate step_taken next_step",
+        (P, 1e-12, 0.25, 0.5),
+        f"StepResult(state={P_REPR}, error_estimate=1e-12, step_taken=0.25, next_step=0.5)",
+        True,
+    ),
+    (EigenPair, "kind values", ("complex_conjugate", (1j, -1j)), E_REPR, True),
+    (
+        Equilibrium,
+        "location jacobian eigen classification",
+        (P, M, E, "center_linear"),
+        f"Equilibrium(location={P_REPR}, jacobian={M_REPR}, eigen={E_REPR}, "
+        "classification='center_linear')",
+        True,
+    ),
+    (
+        SectorCensus,
+        "hyperbolic elliptic parabolic separatrices",
+        (2, 0, 0, 2),
+        "SectorCensus(hyperbolic=2, elliptic=0, parabolic=0, separatrices=2)",
+        True,
+    ),
+    (
+        ArchCategory,
+        "category opening_angle_deg",
+        ("tented", 49.5),
+        "ArchCategory(category='tented', opening_angle_deg=49.5)",
+        True,
+    ),
+    (StyledPath, "role points color width", ("separatrix", (P, Q), "#cc0000", 2.4), PATH_REPR, True),
+    (
+        Scene,
+        "window paths metadata",
+        (W, (PATH,), {"theta": "0.5"}),
+        f"Scene(window={W_REPR}, paths=({PATH_REPR},), metadata={{'theta': '0.5'}})",
+        False,
+    ),
+    (
+        PortraitSpec,
+        "system window seeds_above seeds_below seed_inset integrator arrowheads "
+        "separatrix_resolution style",
+        (SYSTEM, W, 3, 2, 0.1, CONFIG, False, 64, STYLE),
+        f"PortraitSpec(system=ArchSystem(theta=0.5), window={W_REPR}, seeds_above=3, "
+        f"seeds_below=2, seed_inset=0.1, integrator={CONFIG_REPR}, arrowheads=False, "
+        f"separatrix_resolution=64, style={STYLE!r})",
+        False,
+    ),
+]
+
+CASES = [pytest.param(*case, id=case[0].__name__) for case in RECORDS]
+
+
+def test_every_record_is_covered():
+    assert len({case[0] for case in RECORDS}) == 14
+
+
+@pytest.mark.parametrize("cls, names, values, text, hashable", CASES)
+def test_repr(cls, names, values, text, hashable):
+    assert repr(cls(*values)) == text
+
+
+@pytest.mark.parametrize("cls, names, values, text, hashable", CASES)
+def test_positional_and_keyword_construction(cls, names, values, text, hashable):
+    fields = names.split()
+    assert len(fields) == len(values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    assert by_keyword == cls(*values)
+    for name, value in zip(fields, values):
+        assert getattr(by_keyword, name) == value
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+
+
+@pytest.mark.parametrize("cls, names, values, text, hashable", CASES)
+def test_equality_is_within_the_type(cls, names, values, text, hashable):
+    a, b = cls(*values), cls(*values)
+    assert a == b and not a != b
+    assert a.__eq__(tuple(values)) is NotImplemented
+    assert a != tuple(values)
+
+
+@pytest.mark.parametrize("cls, names, values, text, hashable", CASES)
+def test_hash(cls, names, values, text, hashable):
+    a, b = cls(*values), cls(*values)
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+@pytest.mark.parametrize("cls, names, values, text, hashable", CASES)
+def test_fields_cannot_be_assigned_or_deleted(cls, names, values, text, hashable):
+    record = cls(*values)
+    for name in names.split():
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("cls, names, values, text, hashable", CASES)
+def test_copy_deepcopy_and_pickle(cls, names, values, text, hashable):
+    record = cls(*values)
+    assert copy.copy(record) == record
+    for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls
+        assert repr(clone) == text
+        if cls is not PortraitSpec:
+            assert clone == record
+
+
+def test_integrator_config_defaults():
+    config = IntegratorConfig(stop_time=1.0)
+    assert (config.method, config.step, config.rel_tol, config.abs_tol) == ("rk45", 0.01, 1e-10, 1e-10)
+    assert (config.max_steps, config.direction) == (200_000, "forward")
+    assert (config.stop_box, config.stop_time, config.equilibrium_radius) == (None, 1.0, None)
+    assert config.equilibrium == Point2(0.0, 0.0)
+
+
+def test_portrait_spec_defaults():
+    spec = PortraitSpec(system=SYSTEM)
+    assert spec.window == Window(-4.0, 4.0, -4.0, 4.0)
+    assert (spec.seeds_above, spec.seeds_below, spec.seed_inset) == (8, 4, 0.05)
+    assert spec.integrator == IntegratorConfig(stop_time=10_000.0)
+    assert (spec.arrowheads, spec.separatrix_resolution) == (True, 256)
+    assert spec.style == DEFAULT_STYLE and spec.style is not DEFAULT_STYLE
+
+
+def test_scene_metadata_defaults_to_a_fresh_dict():
+    a, b = Scene(W, ()), Scene(W, ())
+    assert a.metadata == {} and a.metadata is not b.metadata
+
+
+STYLE_WITHOUT_LOWER = {k: v for k, v in DEFAULT_STYLE.items() if k != "lower_sector"}
+
+INVALID = [
+    (lambda: Point2(math.nan, 0.0), "Point2 coordinates must be finite, got nan"),
+    (lambda: Point2(0.0, math.inf), "Point2 coordinates must be finite, got inf"),
+    (lambda: Vec2(0.0, -math.inf), "Vec2 components must be finite, got -inf"),
+    (lambda: Mat2(0.0, 0.0, 0.0, math.nan), "Mat2 entries must be finite, got nan"),
+    (lambda: Window(0.0, math.inf, 0.0, 1.0), "Window bounds must be finite, got inf"),
+    (lambda: Window(1, 0, 0, 1), "Window requires x_min < x_max and y_min < y_max, got [1, 0] x [0, 1]"),
+    (lambda: Window(0.0, 1.0, 2.0, 2.0),
+     "Window requires x_min < x_max and y_min < y_max, got [0.0, 1.0] x [2.0, 2.0]"),
+    (lambda: IntegratorConfig(method="euler"), "method must be 'rk4' or 'rk45', got 'euler'"),
+    (lambda: IntegratorConfig(step=0, stop_time=1.0), "step must be finite and > 0, got 0"),
+    (lambda: IntegratorConfig(rel_tol=-1.0, stop_time=1.0), "rel_tol must be finite and > 0, got -1.0"),
+    (lambda: IntegratorConfig(abs_tol=math.nan, stop_time=1.0), "abs_tol must be finite and > 0, got nan"),
+    (lambda: IntegratorConfig(max_steps=0, stop_time=1.0), "max_steps must be >= 1, got 0"),
+    (lambda: IntegratorConfig(direction="sideways", stop_time=1.0),
+     "direction must be 'forward' or 'backward', got 'sideways'"),
+    (lambda: IntegratorConfig(stop_time=0.0), "stop_time must be finite and > 0, got 0.0"),
+    (lambda: IntegratorConfig(stop_time=1.0, equilibrium_radius=math.inf),
+     "equilibrium_radius must be finite and > 0, got inf"),
+    (lambda: IntegratorConfig(),
+     "at least one stop condition (stop_box, stop_time, equilibrium_radius) is required"),
+    (lambda: Trajectory(((0.0, P),), "done"), "unknown stop_reason 'done'"),
+    (lambda: Trajectory((), "box_exit"), "a trajectory needs at least one sample"),
+    (lambda: Trajectory(((math.nan, P),), "box_exit"), "sample time must be finite, got nan"),
+    (lambda: Trajectory(((0.0, P), (0.0, Q)), "box_exit"), "sample times must be strictly monotone"),
+    (lambda: Trajectory(((0.0, P), (1.0, Q), (0.5, P)), "box_exit"),
+     "sample times must be strictly monotone"),
+    (lambda: StyledPath("decoration", (P, Q), "#cc0000", 2.4), "unknown path role 'decoration'"),
+    (lambda: StyledPath("separatrix", (P,), "#cc0000", 2.4), "a styled path needs at least 2 points"),
+    (lambda: StyledPath("separatrix", (P, Q), "", 2.4), "color must be a nonempty string"),
+    (lambda: StyledPath("separatrix", (P, Q), "#cc0000", 0.0), "width must be finite and > 0, got 0.0"),
+    (lambda: PortraitSpec(SYSTEM, seeds_above=-1), "seed counts must be >= 0"),
+    (lambda: PortraitSpec(SYSTEM, seeds_below=-1), "seed counts must be >= 0"),
+    (lambda: PortraitSpec(SYSTEM, seed_inset=0.5), "seed_inset must lie in [0, 0.5), got 0.5"),
+    (lambda: PortraitSpec(SYSTEM, separatrix_resolution=0), "separatrix_resolution must be >= 1"),
+    (lambda: PortraitSpec(SYSTEM, style={}), "style is missing role 'separatrix'"),
+    (lambda: PortraitSpec(SYSTEM, style=STYLE_WITHOUT_LOWER), "style is missing role 'lower_sector'"),
+]
+
+
+@pytest.mark.parametrize("build, message", INVALID, ids=[m for _, m in INVALID])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_readme_library_snippet(tmp_path, monkeypatch, capsys):
+    snippet = re.search(r"## Library\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(snippet, {})
+    assert capsys.readouterr().out.splitlines() == [
+        "box_exit Point2(x=4.0000000000000036, y=-2.223980090570263)",
+        "degenerate_nonhyperbolic True",
+        "ArchCategory(category='tented', opening_angle_deg=49.67978493003105)",
+    ]
+    assert (tmp_path / "portrait.svg").read_text().endswith("</svg>\n")
