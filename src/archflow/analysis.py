@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .integrate import CrossingNotFound, IntegratorConfig, integrate
 from .systems import (
@@ -13,7 +12,9 @@ from .systems import (
     Point2,
     VectorField2D,
     Window,
+    _Record,
     _require_positive,
+    _set,
     arch_separatrix_height,
 )
 
@@ -30,32 +31,40 @@ CLASSIFICATIONS = (
 ARCH_CATEGORIES = ("plain", "tented", "strong")
 
 
-@dataclass(frozen=True, slots=True)
-class EigenPair:
+class EigenPair(_Record):
     """Eigenvalues of a 2x2 matrix with their structural kind."""
 
-    kind: str  # real_distinct | real_repeated | complex_conjugate
-    values: tuple[complex, complex]
+    __slots__ = ("kind", "values")
+
+    def __init__(self, kind: str, values: tuple[complex, complex]) -> None:
+        _set(self, "kind", kind)  # real_distinct | real_repeated | complex_conjugate
+        _set(self, "values", values)
 
 
-@dataclass(frozen=True, slots=True)
-class Equilibrium:
+class Equilibrium(_Record):
     """An equilibrium with its local linear data."""
 
-    location: Point2
-    jacobian: Mat2
-    eigen: EigenPair
-    classification: str
+    __slots__ = ("location", "jacobian", "eigen", "classification")
+
+    def __init__(
+        self, location: Point2, jacobian: Mat2, eigen: EigenPair, classification: str
+    ) -> None:
+        _set(self, "location", location)
+        _set(self, "jacobian", jacobian)
+        _set(self, "eigen", eigen)
+        _set(self, "classification", classification)
 
 
-@dataclass(frozen=True, slots=True)
-class SectorCensus:
+class SectorCensus(_Record):
     """Counts of local sector types around an equilibrium."""
 
-    hyperbolic: int
-    elliptic: int
-    parabolic: int
-    separatrices: int
+    __slots__ = ("hyperbolic", "elliptic", "parabolic", "separatrices")
+
+    def __init__(self, hyperbolic: int, elliptic: int, parabolic: int, separatrices: int) -> None:
+        _set(self, "hyperbolic", hyperbolic)
+        _set(self, "elliptic", elliptic)
+        _set(self, "parabolic", parabolic)
+        _set(self, "separatrices", separatrices)
 
     @property
     def is_cusp(self) -> bool:
@@ -67,12 +76,14 @@ class SectorCensus:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ArchCategory:
+class ArchCategory(_Record):
     """Arch class for a stiffness value, with the measured opening angle."""
 
-    category: str
-    opening_angle_deg: float
+    __slots__ = ("category", "opening_angle_deg")
+
+    def __init__(self, category: str, opening_angle_deg: float) -> None:
+        _set(self, "category", category)
+        _set(self, "opening_angle_deg", opening_angle_deg)
 
 
 def eigen_2x2(m: Mat2) -> EigenPair:

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Literal
 
-from .systems import Point2, VectorField2D, Window, _require_finite, _require_positive
+from .systems import (
+    Point2, VectorField2D, Window, _Record, _require_finite, _require_positive, _set,
+)
 
 STOP_REASONS = (
     "time_horizon",
@@ -74,56 +75,61 @@ class CrossingNotFound(LookupError):
     """Raised when a trajectory never brackets the requested line."""
 
 
-@dataclass(frozen=True, slots=True)
-class IntegratorConfig:
+class IntegratorConfig(_Record):
     """Integration settings; at least one stop condition must be present."""
 
-    method: Literal["rk4", "rk45"] = "rk45"
-    step: float = 0.01
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
-    max_steps: int = 200_000
-    direction: Literal["forward", "backward"] = "forward"
-    stop_box: Window | None = None
-    stop_time: float | None = None
-    equilibrium_radius: float | None = None
-    equilibrium: Point2 = Point2(0.0, 0.0)
+    __slots__ = (
+        "method", "step", "rel_tol", "abs_tol", "max_steps", "direction",
+        "stop_box", "stop_time", "equilibrium_radius", "equilibrium",
+    )
 
-    def __post_init__(self) -> None:
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"method must be 'rk4' or 'rk45', got {self.method!r}")
-        _require_positive("step", self.step)
-        _require_positive("rel_tol", self.rel_tol)
-        _require_positive("abs_tol", self.abs_tol)
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError(
-                f"direction must be 'forward' or 'backward', got {self.direction!r}"
-            )
-        if self.stop_time is not None:
-            _require_positive("stop_time", self.stop_time)
-        if self.equilibrium_radius is not None:
-            _require_positive("equilibrium_radius", self.equilibrium_radius)
-        if self.stop_box is None and self.stop_time is None and self.equilibrium_radius is None:
+    def __init__(
+        self, method: Literal["rk4", "rk45"] = "rk45", step: float = 0.01,
+        rel_tol: float = 1e-10, abs_tol: float = 1e-10, max_steps: int = 200_000,
+        direction: Literal["forward", "backward"] = "forward", stop_box: Window | None = None,
+        stop_time: float | None = None, equilibrium_radius: float | None = None,
+        equilibrium: Point2 = Point2(0.0, 0.0),
+    ) -> None:
+        if method not in ("rk4", "rk45"):
+            raise ValueError(f"method must be 'rk4' or 'rk45', got {method!r}")
+        _require_positive("step", step)
+        _require_positive("rel_tol", rel_tol)
+        _require_positive("abs_tol", abs_tol)
+        if max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+        if direction not in ("forward", "backward"):
+            raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+        if stop_time is not None:
+            _require_positive("stop_time", stop_time)
+        if equilibrium_radius is not None:
+            _require_positive("equilibrium_radius", equilibrium_radius)
+        if stop_box is None and stop_time is None and equilibrium_radius is None:
             raise ValueError(
                 "at least one stop condition (stop_box, stop_time, equilibrium_radius) is required"
             )
+        _set(self, "method", method)
+        _set(self, "step", step)
+        _set(self, "rel_tol", rel_tol)
+        _set(self, "abs_tol", abs_tol)
+        _set(self, "max_steps", max_steps)
+        _set(self, "direction", direction)
+        _set(self, "stop_box", stop_box)
+        _set(self, "stop_time", stop_time)
+        _set(self, "equilibrium_radius", equilibrium_radius)
+        _set(self, "equilibrium", equilibrium)
 
 
-@dataclass(frozen=True, slots=True)
-class Trajectory:
+class Trajectory(_Record):
     """Recorded (time, point) samples with the reason integration stopped."""
 
-    samples: tuple[tuple[float, Point2], ...]
-    stop_reason: str
+    __slots__ = ("samples", "stop_reason")
 
-    def __post_init__(self) -> None:
-        if self.stop_reason not in STOP_REASONS:
-            raise ValueError(f"unknown stop_reason {self.stop_reason!r}")
-        if not self.samples:
+    def __init__(self, samples: tuple[tuple[float, Point2], ...], stop_reason: str) -> None:
+        if stop_reason not in STOP_REASONS:
+            raise ValueError(f"unknown stop_reason {stop_reason!r}")
+        if not samples:
             raise ValueError("a trajectory needs at least one sample")
-        ts = [t for t, _ in self.samples]
+        ts = [t for t, _ in samples]
         for t in ts:
             _require_finite("sample time", t)
         if len(ts) >= 2:
@@ -131,6 +137,8 @@ class Trajectory:
             for a, b in zip(ts, ts[1:]):
                 if b == a or (b > a) != increasing:
                     raise ValueError("sample times must be strictly monotone")
+        _set(self, "samples", samples)
+        _set(self, "stop_reason", stop_reason)
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -152,18 +160,22 @@ class Trajectory:
         return len(self.samples)
 
 
-@dataclass(frozen=True, slots=True)
-class StepResult:
+class StepResult(_Record):
     """Outcome of one adaptive step.
 
     ``step_taken`` is the size actually accepted after any rejection retries;
     ``next_step`` is the controller's proposal for the following step.
     """
 
-    state: Point2
-    error_estimate: float
-    step_taken: float
-    next_step: float
+    __slots__ = ("state", "error_estimate", "step_taken", "next_step")
+
+    def __init__(
+        self, state: Point2, error_estimate: float, step_taken: float, next_step: float
+    ) -> None:
+        _set(self, "state", state)
+        _set(self, "error_estimate", error_estimate)
+        _set(self, "step_taken", step_taken)
+        _set(self, "next_step", next_step)
 
 
 # Dormand-Prince 5(4) tableau.

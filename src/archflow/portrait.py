@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 from .analysis import trace_separatrix
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
-from .systems import ArchSystem, Point2, Window, _require_positive, arch_separatrix_height
+from .systems import (
+    ArchSystem, Point2, Window, _Record, _require_positive, _set, arch_separatrix_height,
+)
 
 DEFAULT_STYLE: dict[str, tuple[str, float]] = {
     "separatrix": ("#cc0000", 2.4),
@@ -18,62 +19,72 @@ DEFAULT_STYLE: dict[str, tuple[str, float]] = {
 _ROLES = ("separatrix", "upper_sector", "lower_sector")
 
 
-@dataclass(frozen=True, slots=True)
-class StyledPath:
+class StyledPath(_Record):
     """A flow-ordered polyline with its stroke styling."""
 
-    role: str
-    points: tuple[Point2, ...]
-    color: str
-    width: float
+    __slots__ = ("role", "points", "color", "width")
 
-    def __post_init__(self) -> None:
-        if self.role not in _ROLES:
-            raise ValueError(f"unknown path role {self.role!r}")
-        if len(self.points) < 2:
+    def __init__(self, role: str, points: tuple[Point2, ...], color: str, width: float) -> None:
+        if role not in _ROLES:
+            raise ValueError(f"unknown path role {role!r}")
+        if len(points) < 2:
             raise ValueError("a styled path needs at least 2 points")
-        if not self.color:
+        if not color:
             raise ValueError("color must be a nonempty string")
-        _require_positive("width", self.width)
+        _require_positive("width", width)
+        _set(self, "role", role)
+        _set(self, "points", points)
+        _set(self, "color", color)
+        _set(self, "width", width)
 
 
-@dataclass(frozen=True, slots=True)
-class Scene:
+class Scene(_Record):
     """Everything a renderer needs: window, styled paths, metadata strings."""
 
-    window: Window
-    paths: tuple[StyledPath, ...]
-    metadata: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("window", "paths", "metadata")
+
+    def __init__(
+        self, window: Window, paths: tuple[StyledPath, ...], metadata: dict[str, str] | None = None
+    ) -> None:
+        _set(self, "window", window)
+        _set(self, "paths", paths)
+        _set(self, "metadata", {} if metadata is None else metadata)
 
 
-@dataclass(frozen=True)
-class PortraitSpec:
+class PortraitSpec(_Record):
     """Settings for one phase portrait."""
 
-    system: ArchSystem
-    window: Window = Window(-4.0, 4.0, -4.0, 4.0)
-    seeds_above: int = 8
-    seeds_below: int = 4
-    seed_inset: float = 0.05
-    integrator: IntegratorConfig = field(
-        default_factory=lambda: IntegratorConfig(stop_time=10_000.0)
-    )
-    arrowheads: bool = True
-    separatrix_resolution: int = 256
-    style: dict[str, tuple[str, float]] = field(
-        default_factory=lambda: dict(DEFAULT_STYLE)
+    __slots__ = (
+        "system", "window", "seeds_above", "seeds_below", "seed_inset",
+        "integrator", "arrowheads", "separatrix_resolution", "style",
     )
 
-    def __post_init__(self) -> None:
-        if self.seeds_above < 0 or self.seeds_below < 0:
+    def __init__(
+        self, system: ArchSystem, window: Window = Window(-4.0, 4.0, -4.0, 4.0),
+        seeds_above: int = 8, seeds_below: int = 4, seed_inset: float = 0.05,
+        integrator: IntegratorConfig = IntegratorConfig(stop_time=10_000.0),
+        arrowheads: bool = True, separatrix_resolution: int = 256,
+        style: dict[str, tuple[str, float]] = DEFAULT_STYLE,
+    ) -> None:
+        style = dict(style)  # a copy, so the caller's later edits cannot undo the role check
+        if seeds_above < 0 or seeds_below < 0:
             raise ValueError("seed counts must be >= 0")
-        if not (0.0 <= self.seed_inset < 0.5):
-            raise ValueError(f"seed_inset must lie in [0, 0.5), got {self.seed_inset!r}")
-        if self.separatrix_resolution < 1:
+        if not (0.0 <= seed_inset < 0.5):
+            raise ValueError(f"seed_inset must lie in [0, 0.5), got {seed_inset!r}")
+        if separatrix_resolution < 1:
             raise ValueError("separatrix_resolution must be >= 1")
         for role in _ROLES:
-            if role not in self.style:
+            if role not in style:
                 raise ValueError(f"style is missing role {role!r}")
+        _set(self, "system", system)
+        _set(self, "window", window)
+        _set(self, "seeds_above", seeds_above)
+        _set(self, "seeds_below", seeds_below)
+        _set(self, "seed_inset", seed_inset)
+        _set(self, "integrator", integrator)
+        _set(self, "arrowheads", arrowheads)
+        _set(self, "separatrix_resolution", separatrix_resolution)
+        _set(self, "style", style)
 
 
 def _spread(segments: list[tuple[Point2, Point2]], count: int, inset: float) -> list[Point2]:
@@ -153,7 +164,7 @@ def build_portrait(spec: PortraitSpec) -> Scene:
     for index, (seed, role) in enumerate(seed_points(spec)):
         halves = []
         for direction in ("backward", "forward"):
-            cfg = replace(spec.integrator, stop_box=box, direction=direction)
+            cfg = spec.integrator._replace(stop_box=box, direction=direction)
             try:
                 halves.append(integrate(system, seed, cfg))
             except IntegrationError as exc:

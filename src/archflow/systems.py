@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Callable
+
+_set = object.__setattr__  # how a record's __init__ stores a field
 
 
 def _require_finite(label: str, *values: float) -> None:
@@ -19,46 +20,87 @@ def _require_positive(label: str, value: float) -> None:
         raise ValueError(f"{label} must be finite and > 0, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Point2:
+class _Record:
+    """Immutable record whose fields are its ``__slots__``, in order.
+
+    A record's ``__init__`` validates its arguments and stores each one with
+    ``_set``; ``repr``, equality within the type, hashing, copying, pickling
+    and ``_replace`` all follow the slots. Frozen dataclasses would give the
+    same behaviour, but importing ``dataclasses`` and generating each class's
+    methods at import was the largest part of archflow's cold import time.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        """A new record with the named fields changed, validated like any other."""
+        return type(self)(**{**dict(zip(self.__slots__, self._values())), **changes})
+
+
+class Point2(_Record):
     """A point (x, y) in the phase plane."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        _require_finite("Point2 coordinates", self.x, self.y)
+    def __init__(self, x: float, y: float) -> None:
+        _require_finite("Point2 coordinates", x, y)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def distance_to(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True, slots=True)
-class Vec2:
+class Vec2(_Record):
     """A field value (dx/dt, dy/dt)."""
 
-    dx: float
-    dy: float
+    __slots__ = ("dx", "dy")
 
-    def __post_init__(self) -> None:
-        _require_finite("Vec2 components", self.dx, self.dy)
+    def __init__(self, dx: float, dy: float) -> None:
+        _require_finite("Vec2 components", dx, dy)
+        _set(self, "dx", dx)
+        _set(self, "dy", dy)
 
     @property
     def norm(self) -> float:
         return math.hypot(self.dx, self.dy)
 
 
-@dataclass(frozen=True, slots=True)
-class Mat2:
+class Mat2(_Record):
     """A 2x2 real matrix, row major."""
 
-    a11: float
-    a12: float
-    a21: float
-    a22: float
+    __slots__ = ("a11", "a12", "a21", "a22")
 
-    def __post_init__(self) -> None:
-        _require_finite("Mat2 entries", self.a11, self.a12, self.a21, self.a22)
+    def __init__(self, a11: float, a12: float, a21: float, a22: float) -> None:
+        _require_finite("Mat2 entries", a11, a12, a21, a22)
+        _set(self, "a11", a11)
+        _set(self, "a12", a12)
+        _set(self, "a21", a21)
+        _set(self, "a22", a22)
 
     @property
     def trace(self) -> float:
@@ -69,22 +111,22 @@ class Mat2:
         return self.a11 * self.a22 - self.a12 * self.a21
 
 
-@dataclass(frozen=True, slots=True)
-class Window:
+class Window(_Record):
     """Axis-aligned rectangle in the phase plane."""
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
+    __slots__ = ("x_min", "x_max", "y_min", "y_max")
 
-    def __post_init__(self) -> None:
-        _require_finite("Window bounds", self.x_min, self.x_max, self.y_min, self.y_max)
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+    def __init__(self, x_min: float, x_max: float, y_min: float, y_max: float) -> None:
+        _require_finite("Window bounds", x_min, x_max, y_min, y_max)
+        if not (x_min < x_max and y_min < y_max):
             raise ValueError(
                 f"Window requires x_min < x_max and y_min < y_max, got "
-                f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
+                f"[{x_min}, {x_max}] x [{y_min}, {y_max}]"
             )
+        _set(self, "x_min", x_min)
+        _set(self, "x_max", x_max)
+        _set(self, "y_min", y_min)
+        _set(self, "y_max", y_max)
 
     @property
     def width(self) -> float:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from archflow import (
+    DEFAULT_STYLE,
     ArchSystem,
     IntegratorConfig,
     Point2,
@@ -45,6 +46,15 @@ def test_portrait_spec_validation():
         PortraitSpec(system=system, separatrix_resolution=0)
     with pytest.raises(ValueError):
         PortraitSpec(system=system, style={"separatrix": ("#cc0000", 2.4)})
+
+
+def test_portrait_spec_keeps_its_own_copy_of_the_style():
+    style = dict(DEFAULT_STYLE)
+    spec = PortraitSpec(system=ArchSystem(0.5), style=style, seeds_above=1, seeds_below=1)
+    del style["separatrix"]
+    assert spec.style is not style and spec.style == DEFAULT_STYLE
+    scene = build_portrait(spec)
+    assert [path.role for path in scene.paths][:2] == ["separatrix", "separatrix"]
 
 
 def test_seed_points_counts_and_sides():

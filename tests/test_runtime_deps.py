@@ -1,8 +1,10 @@
-"""The runtime needs nothing beyond the standard library.
+"""The runtime needs nothing beyond the standard library, and starts light.
 
-numpy is a test dependency only. A child interpreter first checks that
-``import archflow.cli`` pulls numpy in nowhere, then blocks it with
-``sys.modules["numpy"] = None`` so that any import of it, even one hidden
+numpy is a test dependency only, and ``dataclasses`` (with the ``inspect``
+it imports) is left out because its import and code generation cost every
+CLI call. A child interpreter first checks that ``import archflow.cli``
+pulls in none of them, then blocks numpy and ``dataclasses`` with
+``sys.modules[name] = None`` so that any import of them, even one hidden
 inside a function, raises. Every subcommand and the generic equilibrium
 search then run in that interpreter.
 """
@@ -20,8 +22,10 @@ import sys
 
 import archflow.cli
 
-assert "numpy" not in sys.modules, "import archflow.cli imported numpy"
+for name in ("numpy", "dataclasses", "inspect"):
+    assert name not in sys.modules, "import archflow.cli imported " + name
 sys.modules["numpy"] = None
+sys.modules["dataclasses"] = None
 
 from archflow import CallableField, Window, find_equilibria
 
