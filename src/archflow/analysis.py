@@ -237,29 +237,6 @@ def find_equilibria(
     return result
 
 
-def _cyclic_runs(labels: list[int]) -> list[tuple[int, int]]:
-    n = len(labels)
-    start = 0
-    for i in range(n):
-        if labels[i] != labels[i - 1]:
-            start = i
-            break
-    else:
-        return [(labels[0], n)]
-    runs: list[tuple[int, int]] = []
-    cur = labels[start]
-    count = 0
-    for k in range(n):
-        lab = labels[(start + k) % n]
-        if lab == cur:
-            count += 1
-        else:
-            runs.append((cur, count))
-            cur, count = lab, 1
-    runs.append((cur, count))
-    return runs
-
-
 def sector_census(
     system: VectorField2D,
     equilibrium: Point2 | Equilibrium,
@@ -300,22 +277,13 @@ def sector_census(
         else:
             labels.append(-1)
 
-    runs = _cyclic_runs(labels)
-    if len(runs) == 1:
-        lab = runs[0][0]
-        return SectorCensus(1 if lab != 0 else 0, 0, 0, 0)
-    hyperbolic = sum(1 for lab, _ in runs if lab != 0)
-    separatrices = 0
-    m = len(runs)
-    for i, (lab, _) in enumerate(runs):
-        nxt = runs[(i + 1) % m][0]
-        if lab != 0:
-            if nxt != 0 and nxt != lab:
-                separatrices += 1
-        else:
-            prev = runs[i - 1][0]
-            if prev != 0 and nxt != 0 and prev != nxt:
-                separatrices += 1
+    # A sector begins wherever a nonzero sign follows a different label; a
+    # circle of one sign has no such start but is still one sector.
+    hyperbolic = sum(1 for i, lab in enumerate(labels) if lab and lab != labels[i - 1])
+    signs = [lab for lab in labels if lab]
+    if hyperbolic == 0 and signs:
+        hyperbolic = 1
+    separatrices = sum(1 for i, lab in enumerate(signs) if lab != signs[i - 1])
     return SectorCensus(hyperbolic, 0, 0, separatrices)
 
 
