@@ -13,6 +13,7 @@ from .systems import (
     VectorField2D,
     Window,
     _Record,
+    _arch_separatrix_reach,
     _require_positive,
     _set,
     arch_separatrix_height,
@@ -303,11 +304,7 @@ def trace_separatrix(
     if not window.contains(0.0, 0.0):
         raise ValueError("window must contain the origin")
 
-    # Largest |x| whose separatrix height still clears the bottom edge.
-    if window.y_min < 0.0:
-        vertical_cap = math.sqrt(2.0 * abs(window.y_min) ** 3 / (3.0 * theta))
-    else:
-        vertical_cap = 0.0
+    vertical_cap = _arch_separatrix_reach(theta, window.y_min)
     extent_left = min(-window.x_min, vertical_cap)
     extent_right = min(window.x_max, vertical_cap)
 

@@ -7,7 +7,8 @@ import math
 from .analysis import trace_separatrix
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
 from .systems import (
-    ArchSystem, Point2, Window, _Record, _require_positive, _set, arch_separatrix_height,
+    ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_positive, _set,
+    arch_first_integral, arch_separatrix_height,
 )
 
 DEFAULT_STYLE: dict[str, tuple[str, float]] = {
@@ -130,7 +131,7 @@ def seed_points(spec: PortraitSpec) -> list[tuple[Point2, str]]:
     if sep_left > w.y_min:
         lower_segments = [(Point2(w.x_min, w.y_min), Point2(w.x_min, sep_left))]
     else:
-        cap = math.sqrt(2.0 * abs(w.y_min) ** 3 / (3.0 * theta)) if w.y_min < 0 else 0.0
+        cap = _arch_separatrix_reach(theta, w.y_min)
         lo = max(w.x_min, -cap)
         hi = min(w.x_max, cap)
         if lo >= hi:
@@ -263,6 +264,6 @@ def export_trajectory_csv(trajectory: Trajectory, theta: float) -> str:
     _require_positive("theta", theta)
     rows = ["t,x,y,H"]
     for t, p in trajectory.samples:
-        hv = 0.5 * theta * p.x * p.x + p.y**3 / 3.0
+        hv = arch_first_integral(theta, p)
         rows.append(f"{t:.17g},{p.x:.17g},{p.y:.17g},{hv:.17g}")
     return "\n".join(rows) + "\n"

@@ -259,3 +259,8 @@ def arch_separatrix_height(theta: float, x: float) -> float:
     _require_positive("theta", theta)
     _require_finite("x", x)
     return -_cbrt(1.5 * theta * x * x)
+
+
+def _arch_separatrix_reach(theta: float, y: float) -> float:
+    """Largest |x| whose separatrix height is at or above y; 0 when y >= 0."""
+    return math.sqrt(2.0 * abs(y) ** 3 / (3.0 * theta)) if y < 0.0 else 0.0

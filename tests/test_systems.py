@@ -14,6 +14,7 @@ from archflow import (
     arch_separatrix_height,
     numeric_jacobian,
 )
+from archflow.systems import _arch_separatrix_reach
 
 
 def test_point_rejects_non_finite():
@@ -135,6 +136,16 @@ def test_separatrix_height_zeroes_first_integral():
             y = arch_separatrix_height(theta, float(x))
             worst = max(worst, abs(arch_first_integral(theta, Point2(float(x), y))))
     assert worst <= 1e-10
+
+
+def test_separatrix_reach_inverts_separatrix_height():
+    for theta in (1e-3, 0.5, 5.0, 1e3):
+        for y in (-10.0, -1.0, -1e-3):
+            reach = _arch_separatrix_reach(theta, y)
+            assert arch_separatrix_height(theta, reach) == pytest.approx(y, rel=1e-12)
+            assert arch_separatrix_height(theta, -reach) == pytest.approx(y, rel=1e-12)
+        assert _arch_separatrix_reach(theta, 0.0) == 0.0
+        assert _arch_separatrix_reach(theta, 2.0) == 0.0
 
 
 def test_separatrix_height_rejects_bad_input():
