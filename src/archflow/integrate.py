@@ -214,10 +214,13 @@ def _rk4_xy(field_at: _FieldAt, x: float, y: float, h: float) -> tuple[float, fl
     k3x, k3y = field_at(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
     k4x, k4y = field_at(x + h * k3x, y + h * k3y)
     sixth = h / 6.0
-    return (
-        x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-    )
+    nx = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    ny = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    if not (math.isfinite(nx) and math.isfinite(ny)):
+        raise IntegrationError(
+            f"non-finite state after RK4 step from ({x}, {y})", state=(nx, ny)
+        )
+    return nx, ny
 
 
 def _advance_rk45(
@@ -298,10 +301,6 @@ def rk4_step(system: VectorField2D, p: Point2, t: float, h: float) -> Point2:
     if h == 0.0 or not math.isfinite(h):
         raise ValueError(f"h must be finite and nonzero, got {h!r}")
     nx, ny = _rk4_xy(system.field_at, p.x, p.y, h)
-    if not (math.isfinite(nx) and math.isfinite(ny)):
-        raise IntegrationError(
-            f"non-finite state after RK4 step from ({p.x}, {p.y})", state=(nx, ny)
-        )
     return Point2(nx, ny)
 
 
@@ -459,11 +458,6 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         try:
             if use_rk4:
                 nx, ny = _rk4_xy(field_at, x, y, h_try)
-                if not (math.isfinite(nx) and math.isfinite(ny)):
-                    raise IntegrationError(
-                        f"non-finite state after RK4 step from ({x}, {y})",
-                        state=(nx, ny),
-                    )
                 h_taken, h_next = h_try, h
             else:
                 nx, ny, h_taken, h_next, _err, k = _advance_rk45(

@@ -214,6 +214,23 @@ def test_divergence_raises_with_partial_samples():
     assert err.state is not None
 
 
+def test_rk4_non_finite_step_error_is_the_same_from_both_entry_points():
+    overflow = CallableField(lambda x, y: (1e308, 0.0))
+    start = Point2(0.0, 1.0)
+    message = "non-finite state after RK4 step from (0.0, 1.0)"
+    with pytest.raises(IntegrationError) as info:
+        rk4_step(overflow, start, 0.0, 10.0)
+    assert (str(info.value), info.value.state, info.value.partial_samples) == (
+        message, (math.inf, 1.0), None
+    )
+    cfg = IntegratorConfig(method="rk4", step=10.0, stop_time=100.0)
+    with pytest.raises(IntegrationError) as info:
+        integrate(overflow, start, cfg)
+    assert (str(info.value), info.value.state, info.value.partial_samples) == (
+        message, (math.inf, 1.0), ((0.0, start),)
+    )
+
+
 def test_crossing_exact_sample_returned_as_is():
     s = ArchSystem(0.5)
     t = integrate(s, Point2(0.0, 1.0), IntegratorConfig(stop_box=BOX))
