@@ -217,15 +217,14 @@ def numeric_jacobian(system: VectorField2D, p: Point2) -> Mat2:
     )
 
 
-class ArchSystem(VectorField2D):
+class ArchSystem(VectorField2D, _Record):
     """The arch ridge-flow field dx/dt = y**2, dy/dt = -theta * x with theta > 0."""
+
+    __slots__ = ("theta",)
 
     def __init__(self, theta: float) -> None:
         _require_positive("theta", theta)
-        self.theta = float(theta)
-
-    def __repr__(self) -> str:
-        return f"ArchSystem(theta={self.theta!r})"
+        _set(self, "theta", float(theta))
 
     def field_at(self, x: float, y: float) -> tuple[float, float]:
         return y * y, -self.theta * x

@@ -1,4 +1,4 @@
-"""Contract of archflow's 14 immutable records.
+"""Contract of archflow's 15 immutable records.
 
 For every record: the exact ``repr``, equality within the type only,
 hashing, immutability, ``copy``/``deepcopy``/``pickle`` round-trips,
@@ -41,7 +41,7 @@ Q = Point2(3.0, 4.0)
 W = Window(-1.0, 1.0, -2.0, 2.0)
 M = Mat2(0.0, 2.0, -0.5, 0.0)
 E = EigenPair("complex_conjugate", (1j, -1j))
-SYSTEM = ArchSystem(0.5)  # compares by identity, so copies of it are unequal
+SYSTEM = ArchSystem(0.5)
 PATH = StyledPath("separatrix", (P, Q), "#cc0000", 2.4)
 STYLE = {"separatrix": ("#000000", 1.0), "upper_sector": ("#111111", 0.5),
          "lower_sector": ("#222222", 0.5)}
@@ -128,13 +128,14 @@ RECORDS = [
         f"separatrix_resolution=64, style={STYLE!r})",
         False,
     ),
+    (ArchSystem, "theta", (0.5,), "ArchSystem(theta=0.5)", True),
 ]
 
 CASES = [pytest.param(*case, id=case[0].__name__) for case in RECORDS]
 
 
 def test_every_record_is_covered():
-    assert len({case[0] for case in RECORDS}) == 14
+    assert len({case[0] for case in RECORDS}) == 15
 
 
 @pytest.mark.parametrize("cls, names, values, text, hashable", CASES)
@@ -190,8 +191,7 @@ def test_copy_deepcopy_and_pickle(cls, names, values, text, hashable):
     for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(clone) is cls
         assert repr(clone) == text
-        if cls is not PortraitSpec:
-            assert clone == record
+        assert clone == record
 
 
 def test_integrator_config_defaults():
