@@ -250,10 +250,10 @@ def sector_census(
     Each maximal same-sign arc is one hyperbolic sector and each sign change
     is one separatrix crossing; samples with |H - H(center)| <= 1e-3 * r^3
     are treated as on-separatrix and attributed to a crossing only when
-    flanked by opposite signs. A sign census cannot surface
-    elliptic or parabolic sectors, which is faithful here: the level sets of
-    the arch integral through any probe circle are unbounded, so every
-    same-sign arc really is hyperbolic.
+    flanked by opposite signs. A sign census cannot surface elliptic or
+    parabolic sectors, which is faithful here: the level sets of the arch
+    integral through any probe circle are unbounded, so every same-sign arc
+    really is hyperbolic.
     """
     center = equilibrium.location if isinstance(equilibrium, Equilibrium) else equilibrium
     _require_positive("radius", radius)
