@@ -14,9 +14,9 @@ from .systems import (
     Window,
     _Record,
     _arch_separatrix_reach,
+    _arch_separatrix_y,
     _require_positive,
     _set,
-    arch_separatrix_height,
 )
 
 CLASSIFICATIONS = (
@@ -309,14 +309,9 @@ def trace_separatrix(
     extent_right = min(window.x_max, vertical_cap)
 
     def branch(extent: float, side: float) -> tuple[Point2, ...]:
-        pts = []
-        for i in range(resolution + 1):
-            x = side * extent * (1.0 - i / resolution)
-            y = arch_separatrix_height(theta, x)
-            if y == 0.0:
-                y = 0.0
-            pts.append(Point2(x, y))
-        return tuple(pts)
+        # Every x is finite, as the window is; "+ 0.0" turns the origin's -0.0 into 0.0.
+        xs = [side * extent * (1.0 - i / resolution) for i in range(resolution + 1)]
+        return tuple([Point2(x, _arch_separatrix_y(theta, x) + 0.0) for x in xs])
 
     return branch(extent_left, -1.0), branch(extent_right, 1.0)
 

@@ -25,6 +25,7 @@ once more with the half-plane beyond its line as the stop box.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import Callable, Literal
 
@@ -130,23 +131,21 @@ class Trajectory(_Record):
         if not samples:
             raise ValueError("a trajectory needs at least one sample")
         ts = [t for t, _ in samples]
-        for t in ts:
-            _require_finite("sample time", t)
-        if len(ts) >= 2:
-            increasing = ts[1] > ts[0]
-            for a, b in zip(ts, ts[1:]):
-                if b == a or (b > a) != increasing:
-                    raise ValueError("sample times must be strictly monotone")
+        if not all(map(math.isfinite, ts)):
+            _require_finite("sample time", *ts)
+        before = operator.lt if len(ts) < 2 or ts[1] > ts[0] else operator.gt
+        if not all(map(before, ts, ts[1:])):
+            raise ValueError("sample times must be strictly monotone")
         _set(self, "samples", samples)
         _set(self, "stop_reason", stop_reason)
 
     @property
     def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.samples)
+        return tuple([t for t, _ in self.samples])
 
     @property
     def points(self) -> tuple[Point2, ...]:
-        return tuple(p for _, p in self.samples)
+        return tuple([p for _, p in self.samples])
 
     @property
     def final_time(self) -> float:
@@ -431,10 +430,18 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     stop_time = config.stop_time
     time_snap = 1e-12 * max(1.0, abs(stop_time)) if stop_time is not None else 0.0
 
+    # No box is the whole plane, so one inline test serves every run.
+    inf = math.inf
+    x_min, x_max, y_min, y_max = (
+        (-inf, inf, -inf, inf) if box is None else (box.x_min, box.x_max, box.y_min, box.y_max)
+    )
+    rel_tol, abs_tol = config.rel_tol, config.abs_tol
+
     samples: list[tuple[float, Point2]] = [(0.0, start)]
+    append = samples.append
     x, y = start.x, start.y
 
-    if box is not None and not box.contains(x, y):
+    if not (x_min <= x <= x_max and y_min <= y <= y_max):
         return Trajectory(tuple(samples), "box_exit")
     if eq_radius is not None and math.hypot(x - eq.x, y - eq.y) <= eq_radius:
         return Trajectory(tuple(samples), "equilibrium_reached")
@@ -461,7 +468,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
                 h_taken, h_next = h_try, h
             else:
                 nx, ny, h_taken, h_next, _err, k = _advance_rk45(
-                    field_at, x, y, h_try, config.rel_tol, config.abs_tol, k1x, k1y
+                    field_at, x, y, h_try, rel_tol, abs_tol, k1x, k1y
                 )
         except StepUnderflowError:
             reason = "step_underflow"
@@ -471,7 +478,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
                 str(exc), state=exc.state, partial_samples=tuple(samples)
             ) from exc
 
-        if box is not None and not box.contains(nx, ny):
+        if not (x_min <= nx <= x_max and y_min <= ny <= y_max):
             if use_rk4:
                 k0, k_end, q = field_at(x, y), field_at(nx, ny), (0.0, 0.0)
             else:
@@ -480,7 +487,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
             t_exit = t + s * h_taken
             if t_exit == t:
                 t_exit = math.nextafter(t, math.inf)
-            samples.append((sign * t_exit, Point2(ex, ey)))
+            append((sign * t_exit, Point2(ex, ey)))
             reason = "box_exit"
             break
 
@@ -490,7 +497,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         if t_new == t:
             reason = "step_underflow"
             break
-        samples.append((sign * t_new, Point2(nx, ny)))
+        append((sign * t_new, Point2(nx, ny)))
         x, y, t, h = nx, ny, t_new, h_next
         if not use_rk4:
             k1x, k1y = k[10], k[11]

@@ -162,24 +162,21 @@ def build_portrait(spec: PortraitSpec) -> Scene:
         StyledPath("separatrix", tuple(reversed(right)), sep_color, sep_width),
     ]
 
+    cfg = spec.integrator
+    configs = [cfg._replace(stop_box=box, direction=d) for d in ("backward", "forward")]
     for index, (seed, role) in enumerate(seed_points(spec)):
-        halves = []
-        for direction in ("backward", "forward"):
-            cfg = spec.integrator._replace(stop_box=box, direction=direction)
-            try:
-                halves.append(integrate(system, seed, cfg))
-            except IntegrationError as exc:
-                raise IntegrationError(
-                    f"seed {index} ({role}) at ({seed.x}, {seed.y}) diverged: {exc}",
-                    state=exc.state,
-                    partial_samples=exc.partial_samples,
-                ) from exc
-        backward, forward = halves
-        pts = (*reversed(backward.points), *forward.points[1:])
+        try:
+            backward, forward = [integrate(system, seed, half) for half in configs]
+        except IntegrationError as exc:
+            raise IntegrationError(
+                f"seed {index} ({role}) at ({seed.x}, {seed.y}) diverged: {exc}",
+                state=exc.state,
+                partial_samples=exc.partial_samples,
+            ) from exc
+        pts = backward.points[::-1] + forward.points[1:]
         color, width = spec.style[role]
         paths.append(StyledPath(role, pts, color, width))
 
-    cfg = spec.integrator
     metadata = {
         "theta": repr(system.theta),
         "window": f"[{window.x_min}, {window.x_max}] x [{window.y_min}, {window.y_max}]",
@@ -208,8 +205,10 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
     sx = width_px / w.width
     sy = height_px / w.height
 
+    left, top = w.x_min, w.y_max
+
     def to_px(p: Point2) -> tuple[float, float]:
-        return (p.x - w.x_min) * sx, (w.y_max - p.y) * sy
+        return (p.x - left) * sx, (top - p.y) * sy
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -225,9 +224,9 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
     )
     draw_arrows = scene.metadata.get("arrowheads") == "true"
     for path in scene.paths:
-        coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in map(to_px, path.points))
+        pts = " ".join(["%.2f,%.2f" % ((p.x - left) * sx, (top - p.y) * sy) for p in path.points])
         lines.append(
-            f'<polyline points="{coords}" fill="none" stroke="{path.color}" '
+            f'<polyline points="{pts}" fill="none" stroke="{path.color}" '
             f'stroke-width="{path.width}"/>'
         )
         if draw_arrows:

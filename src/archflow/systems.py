@@ -24,8 +24,8 @@ class _Record:
     """Immutable record whose fields are its ``__slots__``, in order.
 
     A record's ``__init__`` validates its arguments and stores each one with
-    ``_set``; ``repr``, equality within the type, hashing, copying, pickling
-    and ``_replace`` all follow the slots. Frozen dataclasses would give the
+    ``_set`` or a slot's own setter; ``repr``, equality within the type,
+    hashing, copying, pickling and ``_replace`` all follow the slots. Frozen dataclasses would give the
     same behaviour, but importing ``dataclasses`` and generating each class's
     methods at import was the largest part of archflow's cold import time.
     """
@@ -67,12 +67,17 @@ class Point2(_Record):
     __slots__ = ("x", "y")
 
     def __init__(self, x: float, y: float) -> None:
-        _require_finite("Point2 coordinates", x, y)
-        _set(self, "x", x)
-        _set(self, "y", y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            _require_finite("Point2 coordinates", x, y)
+        _set_x(self, x)
+        _set_y(self, y)
 
     def distance_to(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
+
+
+# A Point2 is built for every sample; its slots' own setters skip _set's lookup.
+_set_x, _set_y = Point2.x.__set__, Point2.y.__set__
 
 
 class Vec2(_Record):
@@ -160,8 +165,11 @@ class VectorField2D(ABC):
 
     Subclasses implement ``field_at`` on raw floats; the object interface
     (``field``, ``jacobian``, ``analytic_equilibria``) is layered on top so
-    integrator inner loops can stay allocation free.
+    integrator inner loops work on plain floats. They still allocate: each
+    field value is a tuple and each recorded sample a ``Point2``.
     """
+
+    __slots__ = ()
 
     @abstractmethod
     def field_at(self, x: float, y: float) -> tuple[float, float]:
@@ -257,6 +265,11 @@ def arch_separatrix_height(theta: float, x: float) -> float:
     """Height y = -(3*theta*x^2/2)^(1/3) of the zero level set of H at x."""
     _require_positive("theta", theta)
     _require_finite("x", x)
+    return _arch_separatrix_y(theta, x)
+
+
+def _arch_separatrix_y(theta: float, x: float) -> float:
+    """``arch_separatrix_height`` without its checks, for callers that made them."""
     return -_cbrt(1.5 * theta * x * x)
 
 

@@ -14,6 +14,7 @@ from archflow import (
     Point2,
     Window,
     arch_first_integral,
+    arch_separatrix_height,
     classify_arch,
     classify_linear,
     crossing,
@@ -284,6 +285,24 @@ def test_trace_separatrix_clips_to_bottom_edge():
     assert right[0].x == pytest.approx(cap, abs=1e-12)
     for p in left + right:
         assert w.contains_point(p, pad=1e-9)
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1e-3, 0.5, 5.0, 1e9])
+@pytest.mark.parametrize("exit_edge", ["side", "bottom"])
+def test_trace_separatrix_vertices_are_the_separatrix_height(theta, exit_edge):
+    # The curve meets x = 4 at edge_y; a bottom below that lets both branches
+    # leave through the sides, one above it clips them at the bottom edge.
+    edge_y = arch_separatrix_height(theta, 4.0)
+    window = Window(-3.0, 4.0, 2.0 * edge_y if exit_edge == "side" else 0.5 * edge_y, 1.0)
+    left, right = trace_separatrix(theta, window, resolution=64)
+    if exit_edge == "side":
+        assert (left[0].x, right[0].x) == (-3.0, 4.0)
+    else:
+        assert -3.0 < left[0].x and right[0].x < 4.0
+        assert right[0].y == pytest.approx(window.y_min, rel=1e-12)
+    for p in left + right:
+        # Bit for bit; the vertex at the origin is stored as +0.0.
+        assert p.y.hex() == (arch_separatrix_height(theta, p.x) + 0.0).hex()
 
 
 def test_trace_separatrix_validation():

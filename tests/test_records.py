@@ -255,10 +255,19 @@ INVALID = [
     (lambda: PortraitSpec(SYSTEM, separatrix_resolution=0), "separatrix_resolution must be >= 1"),
     (lambda: PortraitSpec(SYSTEM, style={}), "style is missing role 'separatrix'"),
     (lambda: PortraitSpec(SYSTEM, style=STYLE_WITHOUT_LOWER), "style is missing role 'lower_sector'"),
+    # Rows whose message repeats an earlier one carry their own test id, as a
+    # third entry, so the ids of the rows above stay as they are.
+    (lambda: Point2(1.0, math.nan), "Point2 coordinates must be finite, got nan", "nan in y"),
+    (lambda: Trajectory(tuple((float(i), P) for i in range(49)) + ((math.nan, Q),), "box_exit"),
+     "sample time must be finite, got nan", "nan as the last of 50 sample times"),
+    (lambda: Trajectory(((0.0, P), (-1.0, Q), (0.5, P)), "box_exit"),
+     "sample times must be strictly monotone", "sample times fall, then rise"),
 ]
 
 
-@pytest.mark.parametrize("build, message", INVALID, ids=[m for _, m in INVALID])
+@pytest.mark.parametrize(
+    "build, message", [row[:2] for row in INVALID], ids=[row[-1] for row in INVALID]
+)
 def test_validation_messages(build, message):
     with pytest.raises(ValueError) as excinfo:
         build()

@@ -9,6 +9,7 @@ from archflow import (
     Mat2,
     Point2,
     Vec2,
+    VectorField2D,
     Window,
     arch_first_integral,
     arch_separatrix_height,
@@ -102,6 +103,24 @@ def test_callable_field_wraps_and_overrides_jacobian():
     assert j.a22 == pytest.approx(1.0, abs=1e-6)
     g = CallableField(lambda x, y: (x, y), jac=lambda x, y: Mat2(1.0, 0.0, 0.0, 1.0))
     assert g.jacobian(Point2(5.0, 5.0)) == Mat2(1.0, 0.0, 0.0, 1.0)
+
+
+def test_arch_system_has_no_instance_dict_and_other_fields_keep_theirs():
+    assert not hasattr(ArchSystem(0.5), "__dict__")
+    f = CallableField(lambda x, y: (y, -x))
+    assert f.field(Point2(1.0, 2.0)) == Vec2(2.0, -1.0)
+
+    class Spring(VectorField2D):  # a user field that declares no __slots__
+        def __init__(self, k: float) -> None:
+            self.k = k
+
+        def field_at(self, x: float, y: float) -> tuple[float, float]:
+            return y, -self.k * x
+
+    spring = Spring(2.0)
+    spring.k = 3.0
+    assert spring.field(Point2(1.0, 0.0)) == Vec2(0.0, -3.0)
+    assert spring.jacobian(Point2(0.0, 0.0)).a21 == pytest.approx(-3.0, abs=1e-6)
 
 
 def test_first_integral_values():
