@@ -10,9 +10,9 @@ amplifies per-step error roughly twentyfold near the frame edges, and the
 tighter aim keeps first-integral drift within the package's conservation
 promise at the default tolerances. The last stage of an accepted step is
 the field at its new point, so it serves as the next step's first stage
-(FSAL): six field evaluations per accepted step. Backward integration
-negates the field so every stop condition runs through one code path;
-recorded times carry the sign of the travel direction.
+(FSAL): six field evaluations per accepted step. A backward run takes
+signed steps h < 0 through the same code path, as DOPRI5 does; its times
+are negative, and the time horizon compares |t| with ``stop_time``.
 
 Events are located inside the one step where they fire, on that step's
 continuous extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6): the
@@ -128,6 +128,7 @@ class Trajectory(_Record):
     def __init__(self, samples: tuple[tuple[float, Point2], ...], stop_reason: str) -> None:
         if stop_reason not in STOP_REASONS:
             raise ValueError(f"unknown stop_reason {stop_reason!r}")
+        samples = tuple(samples)  # a caller's list must not change the record later
         if not samples:
             raise ValueError("a trajectory needs at least one sample")
         ts = [t for t, _ in samples]
@@ -157,24 +158,6 @@ class Trajectory(_Record):
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-class StepResult(_Record):
-    """Outcome of one adaptive step.
-
-    ``step_taken`` is the size actually accepted after any rejection retries;
-    ``next_step`` is the controller's proposal for the following step.
-    """
-
-    __slots__ = ("state", "error_estimate", "step_taken", "next_step")
-
-    def __init__(
-        self, state: Point2, error_estimate: float, step_taken: float, next_step: float
-    ) -> None:
-        _set(self, "state", state)
-        _set(self, "error_estimate", error_estimate)
-        _set(self, "step_taken", step_taken)
-        _set(self, "next_step", next_step)
 
 
 # Dormand-Prince 5(4) tableau.
@@ -289,37 +272,10 @@ def _advance_rk45(
 
         factor = max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2) if err < math.inf else GROW_MIN
         h *= factor
-        if h < MIN_STEP:
+        if abs(h) < MIN_STEP:
             raise StepUnderflowError(
                 f"step size underflow below {MIN_STEP} at ({x}, {y})", state=(x, y)
             )
-
-
-def rk4_step(system: VectorField2D, p: Point2, t: float, h: float) -> Point2:
-    """One classical fourth order step of size h from p (h may be negative)."""
-    if h == 0.0 or not math.isfinite(h):
-        raise ValueError(f"h must be finite and nonzero, got {h!r}")
-    nx, ny = _rk4_xy(system.field_at, p.x, p.y, h)
-    return Point2(nx, ny)
-
-
-def rk45_step(
-    system: VectorField2D,
-    p: Point2,
-    t: float,
-    h: float,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-10,
-) -> StepResult:
-    """One accepted adaptive step from p, retrying internally on rejection."""
-    _require_positive("h", h)
-    _require_positive("rel_tol", rel_tol)
-    _require_positive("abs_tol", abs_tol)
-    k1x, k1y = system.field_at(p.x, p.y)
-    nx, ny, h_taken, h_next, err, _ = _advance_rk45(
-        system.field_at, p.x, p.y, h, rel_tol, abs_tol, k1x, k1y
-    )
-    return StepResult(Point2(nx, ny), error_estimate=err, step_taken=h_taken, next_step=h_next)
 
 
 def _quartic_term(h: float, k: tuple[float, ...]) -> tuple[float, float]:
@@ -350,7 +306,7 @@ def _locate_box_exit(
     supplies (zero for RK4). The event function, the distance to the nearest
     box edge (negative outside), is solved by Illinois: regula falsi that
     halves the end value kept twice in a row. It stops once the bracket
-    spans at most 1e-13 of the step, which is 1e-13*h of time. Returns (s,
+    spans at most 1e-13 of the step, which is 1e-13*|h| of time. Returns (s,
     x, y) at the bracket's outside end.
     """
     dx, dy = nx - x, ny - y
@@ -395,7 +351,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     Parameters
     ----------
     system : VectorField2D
-        The field to flow along (negated internally for backward runs).
+        The field to flow along; a backward run steps with h < 0.
     start : Point2
         Initial state, recorded at time 0.
     config : IntegratorConfig
@@ -415,14 +371,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         If the state diverges to non-finite values; the samples recorded so
         far ride along as ``partial_samples``.
     """
-    field_at: _FieldAt = system.field_at
-    if config.direction == "backward":
-        base = system.field_at
-
-        def field_at(x: float, y: float) -> tuple[float, float]:
-            dx, dy = base(x, y)
-            return -dx, -dy
-
+    field_at = system.field_at
     sign = -1.0 if config.direction == "backward" else 1.0
     box = config.stop_box
     eq = config.equilibrium
@@ -447,7 +396,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         return Trajectory(tuple(samples), "equilibrium_reached")
 
     t = 0.0
-    h = config.step
+    h = sign * config.step
     use_rk4 = config.method == "rk4"
     if not use_rk4:
         k1x, k1y = field_at(x, y)
@@ -456,12 +405,12 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     for _ in range(config.max_steps):
         h_try = h
         if stop_time is not None:
-            rem = stop_time - t
+            rem = stop_time - abs(t)
             if rem <= time_snap:
                 reason = "time_horizon"
                 break
-            if h_try > rem:
-                h_try = rem
+            if abs(h_try) > rem:
+                h_try = sign * rem
         try:
             if use_rk4:
                 nx, ny = _rk4_xy(field_at, x, y, h_try)
@@ -486,18 +435,18 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
             s, ex, ey = _locate_box_exit(box, x, y, nx, ny, h_taken, k0, k_end, q)
             t_exit = t + s * h_taken
             if t_exit == t:
-                t_exit = math.nextafter(t, math.inf)
-            append((sign * t_exit, Point2(ex, ey)))
+                t_exit = math.nextafter(t, sign * math.inf)
+            append((t_exit, Point2(ex, ey)))
             reason = "box_exit"
             break
 
         t_new = t + h_taken
-        if stop_time is not None and abs(t_new - stop_time) <= time_snap:
-            t_new = stop_time
+        if stop_time is not None and abs(abs(t_new) - stop_time) <= time_snap:
+            t_new = sign * stop_time
         if t_new == t:
             reason = "step_underflow"
             break
-        append((sign * t_new, Point2(nx, ny)))
+        append((t_new, Point2(nx, ny)))
         x, y, t, h = nx, ny, t_new, h_next
         if not use_rk4:
             k1x, k1y = k[10], k[11]
@@ -505,7 +454,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         if eq_radius is not None and math.hypot(x - eq.x, y - eq.y) <= eq_radius:
             reason = "equilibrium_reached"
             break
-        if stop_time is not None and t >= stop_time:
+        if stop_time is not None and abs(t) >= stop_time:
             reason = "time_horizon"
             break
 

@@ -28,6 +28,7 @@ class StyledPath(_Record):
     def __init__(self, role: str, points: tuple[Point2, ...], color: str, width: float) -> None:
         if role not in _ROLES:
             raise ValueError(f"unknown path role {role!r}")
+        points = tuple(points)  # a caller's list must not change the record later
         if len(points) < 2:
             raise ValueError("a styled path needs at least 2 points")
         if not color:

@@ -80,21 +80,6 @@ class Point2(_Record):
 _set_x, _set_y = Point2.x.__set__, Point2.y.__set__
 
 
-class Vec2(_Record):
-    """A field value (dx/dt, dy/dt)."""
-
-    __slots__ = ("dx", "dy")
-
-    def __init__(self, dx: float, dy: float) -> None:
-        _require_finite("Vec2 components", dx, dy)
-        _set(self, "dx", dx)
-        _set(self, "dy", dy)
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.dx, self.dy)
-
-
 class Mat2(_Record):
     """A 2x2 real matrix, row major."""
 
@@ -163,10 +148,10 @@ class Window(_Record):
 class VectorField2D(ABC):
     """An autonomous planar vector field.
 
-    Subclasses implement ``field_at`` on raw floats; the object interface
-    (``field``, ``jacobian``, ``analytic_equilibria``) is layered on top so
-    integrator inner loops work on plain floats. They still allocate: each
-    field value is a tuple and each recorded sample a ``Point2``.
+    Subclasses implement ``field_at`` on raw floats, so integrator inner
+    loops work on plain floats; ``jacobian`` and ``analytic_equilibria`` take
+    and give records. Each field value is still a tuple and each recorded
+    sample a ``Point2``.
     """
 
     __slots__ = ()
@@ -174,10 +159,6 @@ class VectorField2D(ABC):
     @abstractmethod
     def field_at(self, x: float, y: float) -> tuple[float, float]:
         """Field components (dx/dt, dy/dt) at (x, y)."""
-
-    def field(self, p: Point2) -> Vec2:
-        dx, dy = self.field_at(p.x, p.y)
-        return Vec2(dx, dy)
 
     def jacobian(self, p: Point2) -> Mat2:
         """Jacobian at p; numeric central differences unless overridden."""

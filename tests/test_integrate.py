@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from archflow import (
     arch_first_integral,
     crossing,
     integrate,
-    rk4_step,
-    rk45_step,
 )
 
 BOX = Window(-4.0, 4.0, -4.0, 4.0)
@@ -62,9 +61,16 @@ def test_trajectory_validation():
     assert backward.times == (0.0, -1.0)
 
 
+def _one_rk4_step(start, h):
+    cfg = IntegratorConfig(method="rk4", step=abs(h), stop_time=abs(h),
+                           direction="forward" if h > 0 else "backward")
+    t = integrate(ArchSystem(0.5), start, cfg)
+    assert (t.stop_reason, t.times) == ("time_horizon", (0.0, h))
+    return t.final_point
+
+
 def test_rk4_step_single_step_frozen():
-    s = ArchSystem(0.5)
-    p = rk4_step(s, Point2(0.0, 1.0), 0.0, 0.01)
+    p = _one_rk4_step(Point2(0.0, 1.0), 0.01)
     assert p.x == pytest.approx(0.009999833334895835, abs=1e-14)
     assert p.y == pytest.approx(0.9999750002083321, abs=1e-14)
     drift = abs(arch_first_integral(0.5, p) - 1.0 / 3.0)
@@ -72,34 +78,34 @@ def test_rk4_step_single_step_frozen():
 
 
 def test_rk4_step_rejects_zero_h():
-    with pytest.raises(ValueError):
-        rk4_step(ArchSystem(0.5), Point2(0.0, 1.0), 0.0, 0.0)
+    for step in (0.0, -0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            IntegratorConfig(method="rk4", step=step, stop_time=1.0)
 
 
 def test_rk4_step_negative_h_reverses():
-    s = ArchSystem(0.5)
-    forward = rk4_step(s, Point2(0.0, 1.0), 0.0, 0.01)
-    back = rk4_step(s, forward, 0.0, -0.01)
+    forward = _one_rk4_step(Point2(0.0, 1.0), 0.01)
+    back = _one_rk4_step(forward, -0.01)
     assert back.x == pytest.approx(0.0, abs=1e-12)
     assert back.y == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rk45_step_result_fields():
-    s = ArchSystem(5.0)
-    r = rk45_step(s, Point2(0.0, 1.0), 0.0, 0.1)
-    assert r.error_estimate <= 1.0
-    assert 0.0 < r.step_taken <= 0.1
-    assert 0.2 * r.step_taken <= r.next_step <= 5.0 * r.step_taken
-    drift = abs(arch_first_integral(5.0, r.state) - 1.0 / 3.0)
+    # The first accepted step of a run: at most the initial step, a next
+    # step within the controller's [0.2, 5] clamp, and H kept.
+    cfg = IntegratorConfig(step=0.1, max_steps=2, stop_time=1.0)
+    (_, _), (t1, p1), (t2, _) = integrate(ArchSystem(5.0), Point2(0.0, 1.0), cfg).samples
+    assert 0.0 < t1 <= 0.1
+    assert 0.2 * t1 <= t2 - t1 <= 5.0 * t1
+    drift = abs(arch_first_integral(5.0, p1) - 1.0 / 3.0)
     assert drift <= 1e-9
 
 
 def test_rk45_step_rejects_bad_args():
-    s = ArchSystem(0.5)
-    with pytest.raises(ValueError):
-        rk45_step(s, Point2(0.0, 1.0), 0.0, -0.1)
-    with pytest.raises(ValueError):
-        rk45_step(s, Point2(0.0, 1.0), 0.0, 0.1, rel_tol=0.0)
+    with pytest.raises(ValueError, match="step must be finite and > 0, got -0.1"):
+        IntegratorConfig(step=-0.1, stop_time=1.0)
+    with pytest.raises(ValueError, match="rel_tol must be finite and > 0, got 0.0"):
+        IntegratorConfig(rel_tol=0.0, stop_time=1.0)
 
 
 def test_time_horizon_lands_exactly():
@@ -181,11 +187,15 @@ def test_backward_retraces_forward():
 
 
 def test_x_is_nondecreasing_forward():
+    # dx/dt = y^2 >= 0, so x never falls as recorded time rises, both ways.
     s = ArchSystem(0.5)
-    for start in (Point2(-2.0, -1.0), Point2(0.0, 1.0), Point2(-3.0, 2.0)):
-        t = integrate(s, start, IntegratorConfig(stop_box=BOX))
-        for a, b in zip(t.points, t.points[1:]):
-            assert b.x >= a.x - 1e-12
+    for direction in ("forward", "backward"):
+        for start in (Point2(-2.0, -1.0), Point2(0.0, 1.0), Point2(-3.0, 2.0)):
+            t = integrate(s, start, IntegratorConfig(stop_box=BOX, direction=direction))
+            assert len(t) > 2
+            in_time = sorted(t.samples, key=lambda sample: sample[0])
+            for (_, a), (_, b) in zip(in_time, in_time[1:]):
+                assert b.x >= a.x - 1e-12
 
 
 def test_conservation_along_trajectory():
@@ -218,11 +228,6 @@ def test_rk4_non_finite_step_error_is_the_same_from_both_entry_points():
     overflow = CallableField(lambda x, y: (1e308, 0.0))
     start = Point2(0.0, 1.0)
     message = "non-finite state after RK4 step from (0.0, 1.0)"
-    with pytest.raises(IntegrationError) as info:
-        rk4_step(overflow, start, 0.0, 10.0)
-    assert (str(info.value), info.value.state, info.value.partial_samples) == (
-        message, (math.inf, 1.0), None
-    )
     cfg = IntegratorConfig(method="rk4", step=10.0, stop_time=100.0)
     with pytest.raises(IntegrationError) as info:
         integrate(overflow, start, cfg)
@@ -290,6 +295,44 @@ def test_seeded_random_conservation_short_runs():
         t = integrate(s, start, IntegratorConfig(stop_time=0.5))
         h0 = arch_first_integral(1.3, start)
         assert max(abs(arch_first_integral(1.3, p) - h0) for p in t.points) <= 1e-9
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+def test_box_exits_lie_on_the_exact_orbit(rel_tol):
+    # Every orbit is the graph y = cbrt(3*H0 - 1.5*theta*x^2), so a box exit
+    # has an exact location: y from the graph on a vertical edge, and
+    # x = +-sqrt(2*(H0 - c^3/3)/theta) on the edge y = c. The integrator keeps
+    # H to about rel_tol of the scale |theta*x^2/2| + |y^3/3|; the graph turns
+    # that into an error in y of dH/y^2 and in x of dH/(theta*|x|), which the
+    # tolerance follows so that exits where y or x nears 0 are judged fairly.
+    rng = random.Random(4)
+    span = BOX.x_max - BOX.x_min
+    for _ in range(200):
+        theta = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        start = Point2(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
+        h0 = arch_first_integral(theta, start)
+        for direction in ("forward", "backward"):
+            cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol, stop_box=BOX,
+                                   direction=direction)
+            traj = integrate(ArchSystem(theta), start, cfg)
+            assert traj.stop_reason == "box_exit"
+            p = traj.final_point
+            beyond = {
+                "left": BOX.x_min - p.x, "right": p.x - BOX.x_max,
+                "bottom": BOX.y_min - p.y, "top": p.y - BOX.y_max,
+            }
+            edge = max(beyond, key=beyond.get)
+            assert 0.0 < beyond[edge] <= 1e-12 * span
+            # x never falls as time runs forward, so no run leaves behind itself.
+            assert edge != ("left" if direction == "forward" else "right")
+            scale = abs(0.5 * theta * p.x * p.x) + abs(p.y**3 / 3.0)
+            if edge in ("left", "right"):
+                level = 3.0 * h0 - 1.5 * theta * p.x * p.x
+                y = math.copysign(abs(level) ** (1.0 / 3.0), level)
+                assert abs(p.y - y) <= 10.0 * rel_tol * scale / (y * y)
+            else:
+                x = math.copysign(math.sqrt(2.0 * (h0 - p.y**3 / 3.0) / theta), p.x)
+                assert abs(p.x - x) <= 10.0 * rel_tol * scale / (theta * abs(x))
 
 
 def _arch_rhs(theta, sign):

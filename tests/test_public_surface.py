@@ -1,0 +1,60 @@
+"""The names ``archflow`` exports; removing or adding one is a named edit here."""
+
+import importlib
+
+import archflow
+
+PUBLIC = [
+    "ArchCategory",
+    "ArchSystem",
+    "CallableField",
+    "CrossingNotFound",
+    "DEFAULT_STYLE",
+    "EigenPair",
+    "Equilibrium",
+    "IntegrationError",
+    "IntegratorConfig",
+    "Mat2",
+    "Point2",
+    "PortraitSpec",
+    "Scene",
+    "SectorCensus",
+    "StepUnderflowError",
+    "StyledPath",
+    "Trajectory",
+    "VectorField2D",
+    "Window",
+    "__version__",
+    "arch_first_integral",
+    "arch_separatrix_height",
+    "build_portrait",
+    "classify_arch",
+    "classify_linear",
+    "crossing",
+    "eigen_2x2",
+    "export_trajectory_csv",
+    "find_equilibria",
+    "integrate",
+    "numeric_jacobian",
+    "opening_angle",
+    "render_svg",
+    "sector_census",
+    "seed_points",
+    "trace_separatrix",
+]
+
+RETIRED = ["StepResult", "Vec2", "rk4_step", "rk45_step"]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(archflow.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(archflow, name) is not None
+
+
+def test_retired_names_are_gone():
+    modules = [archflow] + [importlib.import_module(f"archflow.{m}") for m in ("integrate", "systems")]
+    for name in RETIRED:
+        for module in modules:
+            assert not hasattr(module, name)
+    assert not hasattr(archflow.VectorField2D, "field")
