@@ -17,13 +17,11 @@ from .integrate import (
     CrossingNotFound,
     IntegrationError,
     IntegratorConfig,
-    StepUnderflowError,
     Trajectory,
     crossing,
     integrate,
 )
 from .portrait import (
-    DEFAULT_STYLE,
     PortraitSpec,
     Scene,
     StyledPath,
@@ -39,8 +37,6 @@ from .systems import (
     Point2,
     VectorField2D,
     Window,
-    arch_first_integral,
-    arch_separatrix_height,
     numeric_jacobian,
 )
 
@@ -51,7 +47,6 @@ __all__ = [
     "ArchSystem",
     "CallableField",
     "CrossingNotFound",
-    "DEFAULT_STYLE",
     "EigenPair",
     "Equilibrium",
     "IntegrationError",
@@ -61,13 +56,10 @@ __all__ = [
     "PortraitSpec",
     "Scene",
     "SectorCensus",
-    "StepUnderflowError",
     "StyledPath",
     "Trajectory",
     "VectorField2D",
     "Window",
-    "arch_first_integral",
-    "arch_separatrix_height",
     "build_portrait",
     "classify_arch",
     "classify_linear",

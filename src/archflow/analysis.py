@@ -14,7 +14,6 @@ from .systems import (
     Window,
     _Record,
     _arch_separatrix_reach,
-    _arch_separatrix_y,
     _require_positive,
     _set,
 )
@@ -30,6 +29,9 @@ CLASSIFICATIONS = (
 )
 
 ARCH_CATEGORIES = ("plain", "tented", "strong")
+PLAIN_MAX = 0.1  # classify_arch: theta below this is plain
+STRONG_MIN = 2.0  # classify_arch: theta at or above this is strong
+SEED_GRID = 20  # find_equilibria: seeds per window side on the generic path
 
 
 class EigenPair(_Record):
@@ -203,24 +205,20 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n - 1)] + [hi]
 
 
-def find_equilibria(
-    system: VectorField2D, window: Window, grid: int = 20
-) -> list[Equilibrium]:
+def find_equilibria(system: VectorField2D, window: Window) -> list[Equilibrium]:
     """Equilibria of ``system`` inside ``window`` with their linear data.
 
     Systems that know their equilibria exactly report them directly; other
-    fields are searched by Gauss-Newton refinement from a grid x grid seed
-    lattice, deduplicated at 1e-6.
+    fields are searched by Gauss-Newton refinement from a SEED_GRID x
+    SEED_GRID seed lattice spanning the window, deduplicated at 1e-6.
     """
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
     analytic = system.analytic_equilibria()
     if analytic is not None:
         points = [p for p in analytic if window.contains_point(p)]
     else:
         found: list[tuple[float, float]] = []
-        for sx in _grid(window.x_min, window.x_max, grid):
-            for sy in _grid(window.y_min, window.y_max, grid):
+        for sx in _grid(window.x_min, window.x_max, SEED_GRID):
+            for sy in _grid(window.y_min, window.y_max, SEED_GRID):
                 root = _refine_root(system, sx, sy)
                 if root is None:
                     continue
@@ -298,7 +296,7 @@ def trace_separatrix(
     in x as the window permits, shrunk when the curve leaves through the
     bottom edge first.
     """
-    _require_positive("theta", theta)
+    system = ArchSystem(theta)
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     if not window.contains(0.0, 0.0):
@@ -308,10 +306,12 @@ def trace_separatrix(
     extent_left = min(-window.x_min, vertical_cap)
     extent_right = min(window.x_max, vertical_cap)
 
+    height = system.separatrix_height
+
     def branch(extent: float, side: float) -> tuple[Point2, ...]:
-        # Every x is finite, as the window is; "+ 0.0" turns the origin's -0.0 into 0.0.
+        # "+ 0.0" turns the origin's -0.0 into 0.0.
         xs = [side * extent * (1.0 - i / resolution) for i in range(resolution + 1)]
-        return tuple([Point2(x, _arch_separatrix_y(theta, x) + 0.0) for x in xs])
+        return tuple([Point2(x, height(x) + 0.0) for x in xs])
 
     return branch(extent_left, -1.0), branch(extent_right, 1.0)
 
@@ -343,11 +343,8 @@ def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> flo
 
     def flank_slope(direction: str) -> float:
         cfg = IntegratorConfig(
-            method="rk45",
-            step=0.01,
             rel_tol=1e-12,
             abs_tol=1e-12 * apex,
-            max_steps=200_000,
             direction=direction,  # type: ignore[arg-type]
             stop_box=above,
         )
@@ -364,23 +361,17 @@ def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> flo
     )
 
 
-def classify_arch(
-    theta: float,
-    plain_max: float = 0.1,
-    strong_min: float = 2.0,
-    apex: float = 1.0,
-    fraction: float = 0.5,
-) -> ArchCategory:
-    """Arch category by stiffness thresholds, carrying the measured angle."""
+def classify_arch(theta: float, *, apex: float = 1.0, fraction: float = 0.5) -> ArchCategory:
+    """Arch category by stiffness, carrying the measured opening angle.
+
+    theta below PLAIN_MAX (0.1) is plain, below STRONG_MIN (2.0) tented, and
+    strong from there on; ``apex`` and ``fraction`` go to ``opening_angle``.
+    """
     _require_positive("theta", theta)
-    if not (0.0 < plain_max < strong_min):
-        raise ValueError(
-            f"thresholds must satisfy 0 < plain_max < strong_min, got {plain_max}, {strong_min}"
-        )
     angle = opening_angle(theta, apex=apex, fraction=fraction)
-    if theta < plain_max:
+    if theta < PLAIN_MAX:
         category = "plain"
-    elif theta < strong_min:
+    elif theta < STRONG_MIN:
         category = "tented"
     else:
         category = "strong"

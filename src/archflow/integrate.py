@@ -68,8 +68,8 @@ class IntegrationError(RuntimeError):
         self.partial_samples = partial_samples
 
 
-class StepUnderflowError(IntegrationError):
-    """Raised when error control pushes the step size below MIN_STEP."""
+class _StepUnderflow(Exception):
+    """Error control pushed the step size below MIN_STEP; ``integrate`` stops there."""
 
 
 class CrossingNotFound(LookupError):
@@ -273,9 +273,7 @@ def _advance_rk45(
         factor = max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2) if err < math.inf else GROW_MIN
         h *= factor
         if abs(h) < MIN_STEP:
-            raise StepUnderflowError(
-                f"step size underflow below {MIN_STEP} at ({x}, {y})", state=(x, y)
-            )
+            raise _StepUnderflow
 
 
 def _quartic_term(h: float, k: tuple[float, ...]) -> tuple[float, float]:
@@ -419,7 +417,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
                 nx, ny, h_taken, h_next, _err, k = _advance_rk45(
                     field_at, x, y, h_try, rel_tol, abs_tol, k1x, k1y
                 )
-        except StepUnderflowError:
+        except _StepUnderflow:
             reason = "step_underflow"
             break
         except IntegrationError as exc:

@@ -8,16 +8,15 @@ from .analysis import trace_separatrix
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
 from .systems import (
     ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_positive, _set,
-    arch_first_integral, arch_separatrix_height,
 )
 
-DEFAULT_STYLE: dict[str, tuple[str, float]] = {
+# Stroke (color, width) of each path role.
+_STYLE = {
     "separatrix": ("#cc0000", 2.4),
     "upper_sector": ("#1a7f1a", 1.2),
     "lower_sector": ("#8b5a2b", 1.2),
 }
-
-_ROLES = ("separatrix", "upper_sector", "lower_sector")
+_ROLES = tuple(_STYLE)
 
 
 class StyledPath(_Record):
@@ -58,7 +57,7 @@ class PortraitSpec(_Record):
 
     __slots__ = (
         "system", "window", "seeds_above", "seeds_below", "seed_inset",
-        "integrator", "arrowheads", "separatrix_resolution", "style",
+        "integrator", "arrowheads", "separatrix_resolution",
     )
 
     def __init__(
@@ -66,18 +65,13 @@ class PortraitSpec(_Record):
         seeds_above: int = 8, seeds_below: int = 4, seed_inset: float = 0.05,
         integrator: IntegratorConfig = IntegratorConfig(stop_time=10_000.0),
         arrowheads: bool = True, separatrix_resolution: int = 256,
-        style: dict[str, tuple[str, float]] = DEFAULT_STYLE,
     ) -> None:
-        style = dict(style)  # a copy, so the caller's later edits cannot undo the role check
         if seeds_above < 0 or seeds_below < 0:
             raise ValueError("seed counts must be >= 0")
         if not (0.0 <= seed_inset < 0.5):
             raise ValueError(f"seed_inset must lie in [0, 0.5), got {seed_inset!r}")
         if separatrix_resolution < 1:
             raise ValueError("separatrix_resolution must be >= 1")
-        for role in _ROLES:
-            if role not in style:
-                raise ValueError(f"style is missing role {role!r}")
         _set(self, "system", system)
         _set(self, "window", window)
         _set(self, "seeds_above", seeds_above)
@@ -86,7 +80,6 @@ class PortraitSpec(_Record):
         _set(self, "integrator", integrator)
         _set(self, "arrowheads", arrowheads)
         _set(self, "separatrix_resolution", separatrix_resolution)
-        _set(self, "style", style)
 
 
 def _spread(segments: list[tuple[Point2, Point2]], count: int, inset: float) -> list[Point2]:
@@ -117,7 +110,7 @@ def seed_points(spec: PortraitSpec) -> list[tuple[Point2, str]]:
     """
     w = spec.window
     theta = spec.system.theta
-    sep_left = arch_separatrix_height(theta, w.x_min)
+    sep_left = spec.system.separatrix_height(w.x_min)
 
     seeds: list[tuple[Point2, str]] = []
 
@@ -157,7 +150,7 @@ def build_portrait(spec: PortraitSpec) -> Scene:
     box = window.inflated(0.05)
 
     left, right = trace_separatrix(system.theta, box, spec.separatrix_resolution)
-    sep_color, sep_width = spec.style["separatrix"]
+    sep_color, sep_width = _STYLE["separatrix"]
     paths: list[StyledPath] = [
         StyledPath("separatrix", left, sep_color, sep_width),
         StyledPath("separatrix", tuple(reversed(right)), sep_color, sep_width),
@@ -175,7 +168,7 @@ def build_portrait(spec: PortraitSpec) -> Scene:
                 partial_samples=exc.partial_samples,
             ) from exc
         pts = backward.points[::-1] + forward.points[1:]
-        color, width = spec.style[role]
+        color, width = _STYLE[role]
         paths.append(StyledPath(role, pts, color, width))
 
     metadata = {
@@ -261,9 +254,9 @@ def _arrow_glyph(path: StyledPath, to_px) -> str | None:
 
 def export_trajectory_csv(trajectory: Trajectory, theta: float) -> str:
     """CSV text with header t,x,y,H and one row per sample, 17 digits."""
-    _require_positive("theta", theta)
+    system = ArchSystem(theta)
     rows = ["t,x,y,H"]
     for t, p in trajectory.samples:
-        hv = arch_first_integral(theta, p)
+        hv = system.first_integral(p)
         rows.append(f"{t:.17g},{p.x:.17g},{p.y:.17g},{hv:.17g}")
     return "\n".join(rows) + "\n"

@@ -225,33 +225,19 @@ class ArchSystem(VectorField2D, _Record):
         return (Point2(0.0, 0.0),)
 
     def first_integral(self, p: Point2) -> float:
-        return arch_first_integral(self.theta, p)
+        """Conserved quantity H(x, y) = theta*x^2/2 + y^3/3 at p."""
+        return 0.5 * self.theta * p.x * p.x + p.y ** 3 / 3.0
 
     def separatrix_height(self, x: float) -> float:
-        return arch_separatrix_height(self.theta, x)
-
-
-def arch_first_integral(theta: float, p: Point2) -> float:
-    """Conserved quantity H(x, y) = theta*x^2/2 + y^3/3 of the arch field."""
-    _require_positive("theta", theta)
-    return 0.5 * theta * p.x * p.x + p.y ** 3 / 3.0
+        """Height y = -(3*theta*x^2/2)^(1/3) of the zero level set of H at x."""
+        if not math.isfinite(x):
+            _require_finite("x", x)
+        return -_cbrt(1.5 * self.theta * x * x)
 
 
 def _cbrt(v: float) -> float:
     """Real cube root preserving sign (math.cbrt arrives in 3.11)."""
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
-
-
-def arch_separatrix_height(theta: float, x: float) -> float:
-    """Height y = -(3*theta*x^2/2)^(1/3) of the zero level set of H at x."""
-    _require_positive("theta", theta)
-    _require_finite("x", x)
-    return _arch_separatrix_y(theta, x)
-
-
-def _arch_separatrix_y(theta: float, x: float) -> float:
-    """``arch_separatrix_height`` without its checks, for callers that made them."""
-    return -_cbrt(1.5 * theta * x * x)
 
 
 def _arch_separatrix_reach(theta: float, y: float) -> float:

@@ -17,7 +17,6 @@ from archflow import (
     Point2,
     PortraitSpec,
     Window,
-    arch_first_integral,
     build_portrait,
     classify_arch,
     find_equilibria,
@@ -80,9 +79,9 @@ def test_first_integral_conserved_along_random_trajectories():
                 start = Point2(rng.uniform(-3, 3), rng.uniform(-3, 3))
                 trajectory = integrate(system, start, cfg)
                 assert trajectory.stop_reason == "box_exit"
-                h0 = arch_first_integral(theta, start)
+                h0 = system.first_integral(start)
                 drift = max(
-                    abs(arch_first_integral(theta, p) - h0)
+                    abs(system.first_integral(p) - h0)
                     for p in trajectory.points
                 )
                 assert drift <= 1e-8
@@ -113,11 +112,12 @@ def test_separatrix_matches_closed_form_and_feeds_the_origin():
     with report("separatrix correctness"):
         window = Window(-4.0, 4.0, -4.0, 4.0)
         for theta in PRESET_THETAS.values():
+            system = ArchSystem(theta)
             left, right = trace_separatrix(theta, window, resolution=99)
             assert len(left) == 100 and len(right) == 100
             for branch in (left, right):
                 for p in branch:
-                    assert abs(arch_first_integral(theta, p)) <= 1e-10
+                    assert abs(system.first_integral(p)) <= 1e-10
                     expected = -((1.5 * theta * p.x * p.x) ** (1.0 / 3.0))
                     assert abs(p.y - expected) <= 1e-10
             start = Point2(-2.0, -((1.5 * theta * 4.0) ** (1.0 / 3.0)))
@@ -163,14 +163,15 @@ def test_category_presets():
 def test_portrait_structure_and_byte_stability():
     with report("portrait fidelity"):
         for name, theta in PRESET_THETAS.items():
-            scene = build_portrait(PortraitSpec(system=ArchSystem(theta)))
+            system = ArchSystem(theta)
+            scene = build_portrait(PortraitSpec(system=system))
             roles = [p.role for p in scene.paths]
             assert roles == (
                 ["separatrix"] * 2 + ["upper_sector"] * 8 + ["lower_sector"] * 4
             )
             for path in scene.paths:
                 for p in path.points:
-                    h = arch_first_integral(theta, p)
+                    h = system.first_integral(p)
                     if path.role == "separatrix":
                         assert abs(h) <= 1e-10
                     elif path.role == "upper_sector":

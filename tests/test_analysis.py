@@ -13,8 +13,6 @@ from archflow import (
     Mat2,
     Point2,
     Window,
-    arch_first_integral,
-    arch_separatrix_height,
     classify_arch,
     classify_linear,
     crossing,
@@ -200,11 +198,6 @@ def test_grid_matches_numpy_linspace_bit_for_bit():
             assert all(g == float(w) for g, w in zip(got, want))
 
 
-def test_find_equilibria_grid_validation():
-    with pytest.raises(ValueError):
-        find_equilibria(ArchSystem(0.5), Window(-1.0, 1.0, -1.0, 1.0), grid=1)
-
-
 def test_sector_census_cusp_at_multiple_radii():
     s = ArchSystem(0.5)
     for radius in (0.1, 0.5, 2.0):
@@ -240,7 +233,7 @@ def test_sector_signs_match_trajectory_side():
     s = ArchSystem(0.5)
     for x0 in np.linspace(-5.0, 5.0, 12):
         for y0 in np.linspace(-5.0, 5.0, 12):
-            h0 = arch_first_integral(0.5, Point2(float(x0), float(y0)))
+            h0 = s.first_integral(Point2(float(x0), float(y0)))
             if abs(h0) <= 1e-6:
                 continue
             if x0 < 0:
@@ -271,9 +264,10 @@ def test_trace_separatrix_shape_and_values():
 
 def test_trace_separatrix_level_set_residual():
     for theta in (0.001, 0.5, 5.0):
+        system = ArchSystem(theta)
         left, right = trace_separatrix(theta, Window(-4.0, 4.0, -4.0, 4.0), resolution=100)
         for p in left + right:
-            assert abs(arch_first_integral(theta, p)) <= 1e-10
+            assert abs(system.first_integral(p)) <= 1e-10
 
 
 def test_trace_separatrix_clips_to_bottom_edge():
@@ -292,7 +286,8 @@ def test_trace_separatrix_clips_to_bottom_edge():
 def test_trace_separatrix_vertices_are_the_separatrix_height(theta, exit_edge):
     # The curve meets x = 4 at edge_y; a bottom below that lets both branches
     # leave through the sides, one above it clips them at the bottom edge.
-    edge_y = arch_separatrix_height(theta, 4.0)
+    system = ArchSystem(theta)
+    edge_y = system.separatrix_height(4.0)
     window = Window(-3.0, 4.0, 2.0 * edge_y if exit_edge == "side" else 0.5 * edge_y, 1.0)
     left, right = trace_separatrix(theta, window, resolution=64)
     if exit_edge == "side":
@@ -302,7 +297,7 @@ def test_trace_separatrix_vertices_are_the_separatrix_height(theta, exit_edge):
         assert right[0].y == pytest.approx(window.y_min, rel=1e-12)
     for p in left + right:
         # Bit for bit; the vertex at the origin is stored as +0.0.
-        assert p.y.hex() == (arch_separatrix_height(theta, p.x) + 0.0).hex()
+        assert p.y.hex() == (system.separatrix_height(p.x) + 0.0).hex()
 
 
 def test_trace_separatrix_validation():
@@ -398,10 +393,9 @@ def test_classify_arch_thresholds():
     # boundary values belong to the upper class
     assert classify_arch(0.1).category == "tented"
     assert classify_arch(2.0).category == "strong"
-    custom = classify_arch(0.5, plain_max=0.6, strong_min=1.0)
-    assert custom.category == "plain"
-    with pytest.raises(ValueError):
-        classify_arch(0.5, plain_max=2.0, strong_min=1.0)
+    # apex and fraction are keyword-only, so no positional call can mean something else
+    with pytest.raises(TypeError):
+        classify_arch(0.5, 1.0)
 
 
 def test_classify_arch_carries_angle():

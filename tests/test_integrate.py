@@ -11,10 +11,8 @@ from archflow import (
     IntegrationError,
     IntegratorConfig,
     Point2,
-    StepUnderflowError,
     Trajectory,
     Window,
-    arch_first_integral,
     crossing,
     integrate,
 )
@@ -73,7 +71,7 @@ def test_rk4_step_single_step_frozen():
     p = _one_rk4_step(Point2(0.0, 1.0), 0.01)
     assert p.x == pytest.approx(0.009999833334895835, abs=1e-14)
     assert p.y == pytest.approx(0.9999750002083321, abs=1e-14)
-    drift = abs(arch_first_integral(0.5, p) - 1.0 / 3.0)
+    drift = abs(ArchSystem(0.5).first_integral(p) - 1.0 / 3.0)
     assert drift <= 1e-10
 
 
@@ -97,7 +95,7 @@ def test_rk45_step_result_fields():
     (_, _), (t1, p1), (t2, _) = integrate(ArchSystem(5.0), Point2(0.0, 1.0), cfg).samples
     assert 0.0 < t1 <= 0.1
     assert 0.2 * t1 <= t2 - t1 <= 5.0 * t1
-    drift = abs(arch_first_integral(5.0, p1) - 1.0 / 3.0)
+    drift = abs(ArchSystem(5.0).first_integral(p1) - 1.0 / 3.0)
     assert drift <= 1e-9
 
 
@@ -201,8 +199,8 @@ def test_x_is_nondecreasing_forward():
 def test_conservation_along_trajectory():
     s = ArchSystem(0.5)
     t = integrate(s, Point2(0.0, 1.0), IntegratorConfig(stop_box=BOX))
-    h0 = arch_first_integral(0.5, t.points[0])
-    drift = max(abs(arch_first_integral(0.5, p) - h0) for p in t.points)
+    h0 = s.first_integral(t.points[0])
+    drift = max(abs(s.first_integral(p) - h0) for p in t.points)
     assert drift <= 1e-8
 
 
@@ -219,7 +217,7 @@ def test_divergence_raises_with_partial_samples():
     with pytest.raises(IntegrationError) as info:
         integrate(s, Point2(0.0, 3.0), cfg)
     err = info.value
-    assert not isinstance(err, StepUnderflowError)
+    assert type(err) is IntegrationError
     assert err.partial_samples is not None and len(err.partial_samples) >= 1
     assert err.state is not None
 
@@ -269,9 +267,7 @@ def test_crossing_on_backward_trajectory():
     p = crossing(s, t, "vertical", 0.0)
     assert p.x == pytest.approx(0.0, abs=1e-9)
     # same level set as the forward run from (0,1): H = 1/3
-    assert arch_first_integral(0.5, Point2(1.0, 0.5)) == pytest.approx(
-        arch_first_integral(0.5, p), abs=1e-8
-    )
+    assert s.first_integral(Point2(1.0, 0.5)) == pytest.approx(s.first_integral(p), abs=1e-8)
 
 
 def test_crossing_not_found():
@@ -293,8 +289,8 @@ def test_seeded_random_conservation_short_runs():
     for _ in range(10):
         start = Point2(*rng.uniform(-1.5, 1.5, size=2))
         t = integrate(s, start, IntegratorConfig(stop_time=0.5))
-        h0 = arch_first_integral(1.3, start)
-        assert max(abs(arch_first_integral(1.3, p) - h0) for p in t.points) <= 1e-9
+        h0 = s.first_integral(start)
+        assert max(abs(s.first_integral(p) - h0) for p in t.points) <= 1e-9
 
 
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
@@ -310,11 +306,12 @@ def test_box_exits_lie_on_the_exact_orbit(rel_tol):
     for _ in range(200):
         theta = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
         start = Point2(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
-        h0 = arch_first_integral(theta, start)
+        system = ArchSystem(theta)
+        h0 = system.first_integral(start)
         for direction in ("forward", "backward"):
             cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol, stop_box=BOX,
                                    direction=direction)
-            traj = integrate(ArchSystem(theta), start, cfg)
+            traj = integrate(system, start, cfg)
             assert traj.stop_reason == "box_exit"
             p = traj.final_point
             beyond = {
@@ -333,6 +330,55 @@ def test_box_exits_lie_on_the_exact_orbit(rel_tol):
             else:
                 x = math.copysign(math.sqrt(2.0 * (h0 - p.y**3 / 3.0) / theta), p.x)
                 assert abs(p.x - x) <= 10.0 * rel_tol * scale / (theta * abs(x))
+
+
+def _beta(a, b):
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+@pytest.mark.parametrize("theta", [10.0**k for k in range(-9, 10)])
+def test_forward_run_ends_at_the_closed_form_escape_time(theta):
+    # Along x = 0 the field gives y'' = -theta*y^2, so the orbit through
+    # (0, apex) reaches infinity at T* = sqrt(3/(2*theta*apex)) *
+    # (B(1/3, 1/2) + B(1/3, 1/6)) / 3. No box and a horizon of 10*T* leave
+    # only the escape to end the run; only its time is pinned here.
+    apex = 1.0
+    beta_sum = _beta(1.0 / 3.0, 0.5) + _beta(1.0 / 3.0, 1.0 / 6.0)
+    escape = math.sqrt(3.0 / (2.0 * theta * apex)) * beta_sum / 3.0
+    config = IntegratorConfig(stop_time=10.0 * escape)
+    traj = integrate(ArchSystem(theta), Point2(0.0, apex), config)
+    assert abs(traj.final_time - escape) <= 1e-9 * escape
+
+
+def test_runs_agree_with_their_scaled_images_at_theta_one():
+    # The field is quasi-homogeneous: x = a*X, y = b*Y, t = c*T with
+    # a = sqrt(b^3/theta) and c = 1/sqrt(theta*b) map the flow at theta onto
+    # theta = 1. With b = 1, a = c = theta^(-1/2); start, box, horizon and
+    # initial step map through those scales, and abs_tol through the smaller
+    # of a and b.
+    rng = random.Random(12)
+    reference = ArchSystem(1.0)
+    for _ in range(200):
+        theta = math.exp(rng.uniform(math.log(1e-9), math.log(1e9)))
+        a = c = theta**-0.5
+        start = Point2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        method = rng.choice(("rk4", "rk45"))
+        direction = rng.choice(("forward", "backward"))
+        horizon = rng.uniform(0.5, 5.0)
+        image = integrate(reference, start, IntegratorConfig(
+            method=method, step=0.01, abs_tol=1e-10, direction=direction,
+            stop_box=BOX, stop_time=horizon,
+        ))
+        run = integrate(ArchSystem(theta), Point2(a * start.x, start.y), IntegratorConfig(
+            method=method, step=0.01 * c, abs_tol=1e-10 * min(a, 1.0), direction=direction,
+            stop_box=Window(a * BOX.x_min, a * BOX.x_max, BOX.y_min, BOX.y_max),
+            stop_time=horizon * c,
+        ))
+        assert run.stop_reason == image.stop_reason
+        end, image_end = run.final_point, image.final_point
+        assert abs(end.x / a - image_end.x) <= 1e-8 * BOX.x_max
+        assert abs(end.y - image_end.y) <= 1e-8 * BOX.y_max
+        assert abs(run.final_time / c - image.final_time) <= 1e-8 * abs(image.final_time)
 
 
 def _arch_rhs(theta, sign):
@@ -408,7 +454,7 @@ def test_crossing_on_coarse_rk4_trajectory():
     value = traj.samples[8][1].x - 5e-5
     p = crossing(s, traj, "vertical", value)
     assert p.x == pytest.approx(value, abs=1e-9)
-    h0 = arch_first_integral(0.5, traj.samples[7][1])
+    h0 = s.first_integral(traj.samples[7][1])
     y_level = -((3.0 * (0.25 * value**2 - h0)) ** (1.0 / 3.0))
     assert p.y == pytest.approx(y_level, abs=1e-9)
 
@@ -425,6 +471,6 @@ def test_crossing_accuracy_scales_with_the_coordinates(apex):
     p = crossing(s, traj, "horizontal", value)
     left = next(p0 for (_, p0), (_, p1) in zip(traj.samples, traj.samples[1:])
                 if (p0.y > value) != (p1.y > value))
-    x_level = math.sqrt(2.0 * (arch_first_integral(1.0, left) - value**3 / 3.0))
+    x_level = math.sqrt(2.0 * (s.first_integral(left) - value**3 / 3.0))
     assert p.y == pytest.approx(value, rel=1e-12, abs=0.0)
     assert p.x == pytest.approx(x_level, rel=1e-12, abs=0.0)

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from archflow import (
-    DEFAULT_STYLE,
     ArchSystem,
     IntegratorConfig,
     Point2,
@@ -11,8 +10,6 @@ from archflow import (
     Scene,
     StyledPath,
     Window,
-    arch_first_integral,
-    arch_separatrix_height,
     build_portrait,
     export_trajectory_csv,
     integrate,
@@ -44,17 +41,20 @@ def test_portrait_spec_validation():
         PortraitSpec(system=system, seed_inset=0.5)
     with pytest.raises(ValueError):
         PortraitSpec(system=system, separatrix_resolution=0)
-    with pytest.raises(ValueError):
-        PortraitSpec(system=system, style={"separatrix": ("#cc0000", 2.4)})
 
 
-def test_portrait_spec_keeps_its_own_copy_of_the_style():
-    style = dict(DEFAULT_STYLE)
-    spec = PortraitSpec(system=ArchSystem(0.5), style=style, seeds_above=1, seeds_below=1)
-    del style["separatrix"]
-    assert spec.style is not style and spec.style == DEFAULT_STYLE
-    scene = build_portrait(spec)
-    assert [path.role for path in scene.paths][:2] == ["separatrix", "separatrix"]
+def test_portrait_palette_is_fixed():
+    # The spec holds no palette, so nothing reachable from it can drop a role.
+    spec = PortraitSpec(system=ArchSystem(0.5), seeds_above=1, seeds_below=1)
+    assert not hasattr(spec, "style")
+    with pytest.raises(TypeError):
+        PortraitSpec(system=ArchSystem(0.5), style={})
+    strokes = {(path.role, path.color, path.width) for path in build_portrait(spec).paths}
+    assert strokes == {
+        ("separatrix", "#cc0000", 2.4),
+        ("upper_sector", "#1a7f1a", 1.2),
+        ("lower_sector", "#8b5a2b", 1.2),
+    }
 
 
 def test_seed_points_counts_and_sides():
@@ -65,9 +65,9 @@ def test_seed_points_counts_and_sides():
         lowers = [p for p, role in seeds if role == "lower_sector"]
         assert len(uppers) == 8 and len(lowers) == 4
         for p in uppers:
-            assert arch_first_integral(theta, p) > 0.0
+            assert spec.system.first_integral(p) > 0.0
         for p in lowers:
-            assert arch_first_integral(theta, p) < 0.0
+            assert spec.system.first_integral(p) < 0.0
 
 
 def test_seed_points_edge_placement():
@@ -75,7 +75,7 @@ def test_seed_points_edge_placement():
     seeds = seed_points(PortraitSpec(system=ArchSystem(0.5)))
     lowers = [p for p, role in seeds if role == "lower_sector"]
     assert all(p.x == -4.0 for p in lowers)
-    assert all(-4.0 < p.y < arch_separatrix_height(0.5, -4.0) for p in lowers)
+    assert all(-4.0 < p.y < ArchSystem(0.5).separatrix_height(-4.0) for p in lowers)
     # strong stiffness: the separatrix leaves through the bottom, so the
     # lower seeds move to the bottom edge between its two crossings
     seeds = seed_points(PortraitSpec(system=ArchSystem(5.0)))
@@ -117,10 +117,11 @@ def test_build_portrait_containment():
 
 def test_build_portrait_sign_coherence():
     for theta in PRESETS:
-        scene = build_portrait(PortraitSpec(system=ArchSystem(theta)))
+        system = ArchSystem(theta)
+        scene = build_portrait(PortraitSpec(system=system))
         for path in scene.paths:
             for p in path.points:
-                h = arch_first_integral(theta, p)
+                h = system.first_integral(p)
                 if path.role == "separatrix":
                     assert abs(h) <= 1e-10
                 elif path.role == "upper_sector":
@@ -211,7 +212,7 @@ def test_export_trajectory_csv_round_trip():
         assert float(st) == time
         assert float(sx) == p.x
         assert float(sy) == p.y
-        assert float(sh) == arch_first_integral(0.5, p)
+        assert float(sh) == s.first_integral(p)
     with pytest.raises(ValueError):
         export_trajectory_csv(t, -0.5)
 

@@ -9,7 +9,6 @@ PUBLIC = [
     "ArchSystem",
     "CallableField",
     "CrossingNotFound",
-    "DEFAULT_STYLE",
     "EigenPair",
     "Equilibrium",
     "IntegrationError",
@@ -19,14 +18,11 @@ PUBLIC = [
     "PortraitSpec",
     "Scene",
     "SectorCensus",
-    "StepUnderflowError",
     "StyledPath",
     "Trajectory",
     "VectorField2D",
     "Window",
     "__version__",
-    "arch_first_integral",
-    "arch_separatrix_height",
     "build_portrait",
     "classify_arch",
     "classify_linear",
@@ -43,7 +39,16 @@ PUBLIC = [
     "trace_separatrix",
 ]
 
-RETIRED = ["StepResult", "Vec2", "rk4_step", "rk45_step"]
+RETIRED = [
+    "DEFAULT_STYLE",
+    "StepResult",
+    "StepUnderflowError",
+    "Vec2",
+    "arch_first_integral",
+    "arch_separatrix_height",
+    "rk4_step",
+    "rk45_step",
+]
 
 
 def test_public_names_are_pinned_and_resolve():
@@ -53,7 +58,8 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_retired_names_are_gone():
-    modules = [archflow] + [importlib.import_module(f"archflow.{m}") for m in ("integrate", "systems")]
+    homes = ("integrate", "portrait", "systems")
+    modules = [archflow] + [importlib.import_module(f"archflow.{m}") for m in homes]
     for name in RETIRED:
         for module in modules:
             assert not hasattr(module, name)

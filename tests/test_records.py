@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from archflow import (
-    DEFAULT_STYLE,
     ArchCategory,
     ArchSystem,
     EigenPair,
@@ -41,8 +40,6 @@ M = Mat2(0.0, 2.0, -0.5, 0.0)
 E = EigenPair("complex_conjugate", (1j, -1j))
 SYSTEM = ArchSystem(0.5)
 PATH = StyledPath("separatrix", (P, Q), "#cc0000", 2.4)
-STYLE = {"separatrix": ("#000000", 1.0), "upper_sector": ("#111111", 0.5),
-         "lower_sector": ("#222222", 0.5)}
 
 P_REPR = "Point2(x=1.0, y=2.0)"
 Q_REPR = "Point2(x=3.0, y=4.0)"
@@ -111,12 +108,12 @@ RECORDS = [
     (
         PortraitSpec,
         "system window seeds_above seeds_below seed_inset integrator arrowheads "
-        "separatrix_resolution style",
-        (SYSTEM, W, 3, 2, 0.1, CONFIG, False, 64, STYLE),
+        "separatrix_resolution",
+        (SYSTEM, W, 3, 2, 0.1, CONFIG, False, 64),
         f"PortraitSpec(system=ArchSystem(theta=0.5), window={W_REPR}, seeds_above=3, "
         f"seeds_below=2, seed_inset=0.1, integrator={CONFIG_REPR}, arrowheads=False, "
-        f"separatrix_resolution=64, style={STYLE!r})",
-        False,
+        "separatrix_resolution=64)",
+        True,
     ),
     (ArchSystem, "theta", (0.5,), "ArchSystem(theta=0.5)", True),
 ]
@@ -198,7 +195,6 @@ def test_portrait_spec_defaults():
     assert (spec.seeds_above, spec.seeds_below, spec.seed_inset) == (8, 4, 0.05)
     assert spec.integrator == IntegratorConfig(stop_time=10_000.0)
     assert (spec.arrowheads, spec.separatrix_resolution) == (True, 256)
-    assert spec.style == DEFAULT_STYLE and spec.style is not DEFAULT_STYLE
 
 
 def test_scene_metadata_defaults_to_a_fresh_dict():
@@ -221,8 +217,6 @@ def test_styled_path_keeps_its_own_points():
     assert path.points == (P, Q)
     assert hash(path) == hash(PATH)
 
-
-STYLE_WITHOUT_LOWER = {k: v for k, v in DEFAULT_STYLE.items() if k != "lower_sector"}
 
 INVALID = [
     (lambda: Point2(math.nan, 0.0), "Point2 coordinates must be finite, got nan"),
@@ -258,8 +252,6 @@ INVALID = [
     (lambda: PortraitSpec(SYSTEM, seeds_below=-1), "seed counts must be >= 0"),
     (lambda: PortraitSpec(SYSTEM, seed_inset=0.5), "seed_inset must lie in [0, 0.5), got 0.5"),
     (lambda: PortraitSpec(SYSTEM, separatrix_resolution=0), "separatrix_resolution must be >= 1"),
-    (lambda: PortraitSpec(SYSTEM, style={}), "style is missing role 'separatrix'"),
-    (lambda: PortraitSpec(SYSTEM, style=STYLE_WITHOUT_LOWER), "style is missing role 'lower_sector'"),
     # Rows whose message repeats an earlier one carry their own test id, as a
     # third entry, so the ids of the rows above stay as they are.
     (lambda: Point2(1.0, math.nan), "Point2 coordinates must be finite, got nan", "nan in y"),

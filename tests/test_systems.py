@@ -10,8 +10,6 @@ from archflow import (
     Point2,
     VectorField2D,
     Window,
-    arch_first_integral,
-    arch_separatrix_height,
     numeric_jacobian,
 )
 from archflow.systems import _arch_separatrix_reach
@@ -119,59 +117,57 @@ def test_arch_system_has_no_instance_dict_and_other_fields_keep_theirs():
 
 
 def test_first_integral_values():
-    assert arch_first_integral(0.5, Point2(0.0, 1.0)) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert arch_first_integral(0.5, Point2(1.0, 1.0)) == pytest.approx(7.0 / 12.0, abs=1e-15)
-    assert arch_first_integral(2.0, Point2(1.0, -1.0)) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        arch_first_integral(0.0, Point2(0.0, 0.0))
+    assert ArchSystem(0.5).first_integral(Point2(0.0, 1.0)) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert ArchSystem(0.5).first_integral(Point2(1.0, 1.0)) == pytest.approx(7.0 / 12.0, abs=1e-15)
+    assert ArchSystem(2.0).first_integral(Point2(1.0, -1.0)) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_first_integral_constant_along_exact_level_set():
     # points generated from the level equation y^3 = 3H - 1.5*theta*x^2
     theta, big_h = 0.7, 0.4
+    system = ArchSystem(theta)
     for x in np.linspace(-1.0, 1.0, 11):
         y = math.copysign(abs(3.0 * big_h - 1.5 * theta * x * x) ** (1.0 / 3.0),
                           3.0 * big_h - 1.5 * theta * x * x)
-        assert arch_first_integral(theta, Point2(float(x), y)) == pytest.approx(big_h, abs=1e-13)
+        assert system.first_integral(Point2(float(x), y)) == pytest.approx(big_h, abs=1e-13)
 
 
 def test_separatrix_height_frozen_values():
     # independent bisection solve of y^3/3 = -theta*x^2/2 gave -0.9085602964160697
-    assert arch_separatrix_height(0.5, 1.0) == pytest.approx(-0.9085602964160697, abs=1e-12)
-    assert arch_separatrix_height(5.0, 2.0) == pytest.approx(-3.1072325059538586, abs=1e-12)
-    assert arch_separatrix_height(0.5, -1.0) == arch_separatrix_height(0.5, 1.0)
-    assert arch_separatrix_height(3.0, 0.0) == 0.0
+    assert ArchSystem(0.5).separatrix_height(1.0) == pytest.approx(-0.9085602964160697, abs=1e-12)
+    assert ArchSystem(5.0).separatrix_height(2.0) == pytest.approx(-3.1072325059538586, abs=1e-12)
+    assert ArchSystem(0.5).separatrix_height(-1.0) == ArchSystem(0.5).separatrix_height(1.0)
+    assert ArchSystem(3.0).separatrix_height(0.0) == 0.0
 
 
 def test_separatrix_height_zeroes_first_integral():
     worst = 0.0
     for theta in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
+        system = ArchSystem(theta)
         for x in np.linspace(-10.0, 10.0, 81):
-            y = arch_separatrix_height(theta, float(x))
-            worst = max(worst, abs(arch_first_integral(theta, Point2(float(x), y))))
+            y = system.separatrix_height(float(x))
+            worst = max(worst, abs(system.first_integral(Point2(float(x), y))))
     assert worst <= 1e-10
 
 
 def test_separatrix_reach_inverts_separatrix_height():
     for theta in (1e-3, 0.5, 5.0, 1e3):
+        system = ArchSystem(theta)
         for y in (-10.0, -1.0, -1e-3):
             reach = _arch_separatrix_reach(theta, y)
-            assert arch_separatrix_height(theta, reach) == pytest.approx(y, rel=1e-12)
-            assert arch_separatrix_height(theta, -reach) == pytest.approx(y, rel=1e-12)
+            assert system.separatrix_height(reach) == pytest.approx(y, rel=1e-12)
+            assert system.separatrix_height(-reach) == pytest.approx(y, rel=1e-12)
         assert _arch_separatrix_reach(theta, 0.0) == 0.0
         assert _arch_separatrix_reach(theta, 2.0) == 0.0
 
 
 def test_separatrix_height_rejects_bad_input():
-    with pytest.raises(ValueError):
-        arch_separatrix_height(-0.5, 1.0)
-    with pytest.raises(ValueError):
-        arch_separatrix_height(0.5, math.nan)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            ArchSystem(0.5).separatrix_height(x)
 
 
 def test_arch_convenience_methods():
     s = ArchSystem(0.5)
-    assert s.first_integral(Point2(1.0, 1.0)) == arch_first_integral(0.5, Point2(1.0, 1.0))
-    assert s.separatrix_height(1.0) == arch_separatrix_height(0.5, 1.0)
     assert s.analytic_equilibria() == (Point2(0.0, 0.0),)
     assert repr(s) == "ArchSystem(theta=0.5)"
