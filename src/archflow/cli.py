@@ -395,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IntegrationError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:  # a float power past the double range, e.g. H far out
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

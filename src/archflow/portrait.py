@@ -7,7 +7,7 @@ import math
 from .analysis import trace_separatrix
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
 from .systems import (
-    ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_positive, _set,
+    ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _set,
 )
 
 # Stroke (color, width) of each path role.
@@ -16,40 +16,39 @@ _STYLE = {
     "upper_sector": ("#1a7f1a", 1.2),
     "lower_sector": ("#8b5a2b", 1.2),
 }
-_ROLES = tuple(_STYLE)
 
 
 class StyledPath(_Record):
-    """A flow-ordered polyline with its stroke styling."""
+    """A flow-ordered polyline; its role sets its stroke."""
 
-    __slots__ = ("role", "points", "color", "width")
+    __slots__ = ("role", "points")
 
-    def __init__(self, role: str, points: tuple[Point2, ...], color: str, width: float) -> None:
-        if role not in _ROLES:
+    def __init__(self, role: str, points: tuple[Point2, ...]) -> None:
+        if role not in _STYLE:
             raise ValueError(f"unknown path role {role!r}")
         points = tuple(points)  # a caller's list must not change the record later
         if len(points) < 2:
             raise ValueError("a styled path needs at least 2 points")
-        if not color:
-            raise ValueError("color must be a nonempty string")
-        _require_positive("width", width)
         _set(self, "role", role)
         _set(self, "points", points)
-        _set(self, "color", color)
-        _set(self, "width", width)
+
+    @property
+    def color(self) -> str:
+        return _STYLE[self.role][0]
+
+    @property
+    def width(self) -> float:
+        return _STYLE[self.role][1]
 
 
 class Scene(_Record):
-    """Everything a renderer needs: window, styled paths, metadata strings."""
+    """Everything a renderer needs: the spec it was built from and its styled paths."""
 
-    __slots__ = ("window", "paths", "metadata")
+    __slots__ = ("spec", "paths")
 
-    def __init__(
-        self, window: Window, paths: tuple[StyledPath, ...], metadata: dict[str, str] | None = None
-    ) -> None:
-        _set(self, "window", window)
-        _set(self, "paths", paths)
-        _set(self, "metadata", {} if metadata is None else metadata)
+    def __init__(self, spec: PortraitSpec, paths: tuple[StyledPath, ...]) -> None:
+        _set(self, "spec", spec)
+        _set(self, "paths", tuple(paths))
 
 
 class PortraitSpec(_Record):
@@ -146,18 +145,12 @@ def build_portrait(spec: PortraitSpec) -> Scene:
     seed. Raises IntegrationError naming the seed if one diverges.
     """
     system = spec.system
-    window = spec.window
-    box = window.inflated(0.05)
+    box = spec.window.inflated(0.05)
 
     left, right = trace_separatrix(system.theta, box, spec.separatrix_resolution)
-    sep_color, sep_width = _STYLE["separatrix"]
-    paths: list[StyledPath] = [
-        StyledPath("separatrix", left, sep_color, sep_width),
-        StyledPath("separatrix", tuple(reversed(right)), sep_color, sep_width),
-    ]
+    paths = [StyledPath("separatrix", left), StyledPath("separatrix", tuple(reversed(right)))]
 
-    cfg = spec.integrator
-    configs = [cfg._replace(stop_box=box, direction=d) for d in ("backward", "forward")]
+    configs = [spec.integrator._replace(stop_box=box, direction=d) for d in ("backward", "forward")]
     for index, (seed, role) in enumerate(seed_points(spec)):
         try:
             backward, forward = [integrate(system, seed, half) for half in configs]
@@ -167,35 +160,22 @@ def build_portrait(spec: PortraitSpec) -> Scene:
                 state=exc.state,
                 partial_samples=exc.partial_samples,
             ) from exc
-        pts = backward.points[::-1] + forward.points[1:]
-        color, width = _STYLE[role]
-        paths.append(StyledPath(role, pts, color, width))
-
-    metadata = {
-        "theta": repr(system.theta),
-        "window": f"[{window.x_min}, {window.x_max}] x [{window.y_min}, {window.y_max}]",
-        "seeds": f"{spec.seeds_above} upper / {spec.seeds_below} lower",
-        "integrator": f"{cfg.method} step={cfg.step} rel_tol={cfg.rel_tol} abs_tol={cfg.abs_tol}",
-        "arrowheads": "true" if spec.arrowheads else "false",
-    }
-    return Scene(window, tuple(paths), metadata)
-
-
-def _svg_escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        paths.append(StyledPath(role, backward.points[::-1] + forward.points[1:]))
+    return Scene(spec, paths)
 
 
 def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
     """Serialize a scene to a standalone SVG document.
 
     Purely a function of its inputs, so identical scenes give identical
-    bytes. One polyline per path; arrowheads (when the scene asks for them)
+    bytes. One polyline per path; arrowheads (when the spec asks for them)
     are small triangles at each path's middle vertex, oriented by vertex
     order.
     """
     if width_px < 1 or height_px < 1:
         raise ValueError("pixel dimensions must be >= 1")
-    w = scene.window
+    spec = scene.spec
+    w, cfg = spec.window, spec.integrator
     sx = width_px / w.width
     sy = height_px / w.height
 
@@ -208,22 +188,22 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width_px}" height="{height_px}" viewBox="0 0 {width_px} {height_px}">',
-    ]
-    if scene.metadata:
-        desc = "; ".join(f"{k}={v}" for k, v in scene.metadata.items())
-        lines.append(f"<desc>{_svg_escape(desc)}</desc>")
-    lines.append(
+        # Numbers and fixed words only, so the description needs no escaping.
+        f"<desc>theta={spec.system.theta!r}; "
+        f"window=[{w.x_min}, {w.x_max}] x [{w.y_min}, {w.y_max}]; "
+        f"seeds={spec.seeds_above} upper / {spec.seeds_below} lower; "
+        f"integrator={cfg.method} step={cfg.step} rel_tol={cfg.rel_tol} abs_tol={cfg.abs_tol}; "
+        f"arrowheads={'true' if spec.arrowheads else 'false'}</desc>",
         f'<rect x="0" y="0" width="{width_px}" height="{height_px}" '
-        f'fill="#ffffff" stroke="#333333" stroke-width="1"/>'
-    )
-    draw_arrows = scene.metadata.get("arrowheads") == "true"
+        f'fill="#ffffff" stroke="#333333" stroke-width="1"/>',
+    ]
     for path in scene.paths:
         pts = " ".join(["%.2f,%.2f" % ((p.x - left) * sx, (top - p.y) * sy) for p in path.points])
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{path.color}" '
             f'stroke-width="{path.width}"/>'
         )
-        if draw_arrows:
+        if spec.arrowheads:
             glyph = _arrow_glyph(path, to_px)
             if glyph is not None:
                 lines.append(glyph)

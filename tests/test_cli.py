@@ -4,6 +4,7 @@ Only ``--help`` starts a real ``python -m archflow`` child; the black-box
 subprocess checks live in ``test_acceptance.py``.
 """
 
+import cmath
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -281,3 +282,51 @@ def test_flank_without_box_exit_exits_1(run_cli):
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze", "--theta", "1", "--census-radius", "1e110"),
+    ("trace", "--theta", "1", "--start", "0,1e150", "--out", "t.csv"),
+    ("portrait", "--theta", "1", "--window=-1e200,1e200,-1e200,1e200", "--out", "p.svg"),
+], ids=["analyze", "trace", "portrait"])
+def test_numeric_overflow_exits_1(run_cli, tmp_path, monkeypatch, args):
+    # A float power leaves the double range: the census radius cubed, H at the
+    # start point, the separatrix reach across the window. A clean error, no traceback.
+    monkeypatch.chdir(tmp_path)
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: numeric overflow") and result.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _assert_printed_numbers_are_finite(stdout):
+    for token in stdout.split():
+        key, value = token.split("=", 1)
+        if key == "out":
+            continue
+        try:
+            number = complex(value[:-1] + "j") if value.endswith("i") else float(value)
+        except ValueError:
+            assert value.isidentifier(), token  # a word: a category, kind or stop reason
+            continue
+        assert cmath.isfinite(number), token
+
+
+EXTREME_THETAS = [f"1e{k}" for k in range(-9, 10)]
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "trace", "portrait", "sweep"])
+def test_every_subcommand_at_extreme_theta(run_cli, tmp_path, command):
+    for theta in EXTREME_THETAS:
+        args = {
+            "analyze": ("analyze", "--theta", theta),
+            "classify": ("classify", "--theta", theta),
+            "trace": ("trace", "--theta", theta, "--out", str(tmp_path / "t.csv")),
+            "portrait": ("portrait", "--theta", theta, "--seeds-above", "2", "--seeds-below", "1",
+                         "--out", str(tmp_path / "p.svg")),
+            "sweep": ("sweep", "--theta-from", theta, "--theta-to", theta, "--steps", "1"),
+        }[command]
+        result = run_cli(*args, "--format", "machine")
+        assert result.returncode in (0, 1, 2), (theta, result.stderr)
+        _assert_printed_numbers_are_finite(result.stdout)

@@ -381,6 +381,28 @@ def test_runs_agree_with_their_scaled_images_at_theta_one():
         assert abs(run.final_time / c - image.final_time) <= 1e-8 * abs(image.final_time)
 
 
+def test_relative_h_drift_stays_small_from_theta_1e_minus_9_to_1e9():
+    # The same scales as above, at the default rk45 tolerances: every sample
+    # keeps H to 1e-8 of the size of its two terms. (The fixed-step rk4 runs
+    # of the scaling test drift to about 1e-7, so they are not held to this.)
+    rng = random.Random(13)
+    for _ in range(200):
+        theta = math.exp(rng.uniform(math.log(1e-9), math.log(1e9)))
+        a = theta**-0.5
+        system = ArchSystem(theta)
+        start = Point2(rng.uniform(-3.0, 3.0) * a, rng.uniform(-3.0, 3.0))
+        h0 = system.first_integral(start)
+        for direction in ("forward", "backward"):
+            run = integrate(system, start, IntegratorConfig(
+                abs_tol=1e-10 * min(a, 1.0), direction=direction,
+                stop_box=Window(-4.0 * a, 4.0 * a, -4.0, 4.0),
+            ))
+            assert run.stop_reason == "box_exit"
+            for p in run.points:
+                scale = abs(theta * p.x * p.x / 2.0) + abs(p.y**3 / 3.0)
+                assert abs(system.first_integral(p) - h0) <= 1e-8 * scale
+
+
 def _arch_rhs(theta, sign):
     return lambda t, u: [sign * u[1] * u[1], -sign * theta * u[0]]
 

@@ -22,15 +22,11 @@ PRESETS = (0.001, 0.5, 5.0)
 
 def test_styled_path_validation():
     points = (Point2(0.0, 0.0), Point2(1.0, 1.0))
-    StyledPath("separatrix", points, "#cc0000", 2.4)
+    StyledPath("separatrix", points)
     with pytest.raises(ValueError):
-        StyledPath("separatrix", points[:1], "#cc0000", 2.4)
+        StyledPath("separatrix", points[:1])
     with pytest.raises(ValueError):
-        StyledPath("decoration", points, "#cc0000", 2.4)
-    with pytest.raises(ValueError):
-        StyledPath("separatrix", points, "", 2.4)
-    with pytest.raises(ValueError):
-        StyledPath("separatrix", points, "#cc0000", 0.0)
+        StyledPath("decoration", points)
 
 
 def test_portrait_spec_validation():
@@ -109,7 +105,7 @@ def test_build_portrait_structure():
 def test_build_portrait_containment():
     for theta in PRESETS:
         scene = build_portrait(PortraitSpec(system=ArchSystem(theta)))
-        box = scene.window.inflated(0.05)
+        box = scene.spec.window.inflated(0.05)
         for path in scene.paths:
             for p in path.points:
                 assert box.contains_point(p, pad=1e-6)
@@ -190,14 +186,19 @@ def test_render_svg_respects_size_and_arrows_flag():
         render_svg(build_portrait(spec), width_px=0)
 
 
-def test_render_svg_escapes_metadata():
-    scene = Scene(
-        window=Window(-1.0, 1.0, -1.0, 1.0),
-        paths=(),
-        metadata={"note": "a<b&c"},
-    )
+def test_scene_reads_window_description_and_arrows_from_its_spec():
+    spec = PortraitSpec(system=ArchSystem(0.5), seeds_above=1, seeds_below=1)
+    scene = build_portrait(spec)
+    assert scene.spec is spec
+    assert hash(scene) == hash(build_portrait(spec))
     svg = render_svg(scene)
-    assert "a&lt;b&amp;c" in svg
+    assert (
+        "<desc>theta=0.5; window=[-4.0, 4.0] x [-4.0, 4.0]; seeds=1 upper / 1 lower; "
+        "integrator=rk45 step=0.01 rel_tol=1e-10 abs_tol=1e-10; arrowheads=true</desc>"
+    ) in svg
+    assert svg.count('<path d="M') == len(scene.paths)
+    plain = render_svg(Scene(spec._replace(arrowheads=False), scene.paths))
+    assert '<path d="M' not in plain and "arrowheads=false</desc>" in plain
 
 
 def test_export_trajectory_csv_round_trip():

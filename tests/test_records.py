@@ -39,19 +39,25 @@ W = Window(-1.0, 1.0, -2.0, 2.0)
 M = Mat2(0.0, 2.0, -0.5, 0.0)
 E = EigenPair("complex_conjugate", (1j, -1j))
 SYSTEM = ArchSystem(0.5)
-PATH = StyledPath("separatrix", (P, Q), "#cc0000", 2.4)
+PATH = StyledPath("separatrix", (P, Q))
 
 P_REPR = "Point2(x=1.0, y=2.0)"
 Q_REPR = "Point2(x=3.0, y=4.0)"
 W_REPR = "Window(x_min=-1.0, x_max=1.0, y_min=-2.0, y_max=2.0)"
 M_REPR = "Mat2(a11=0.0, a12=2.0, a21=-0.5, a22=0.0)"
 E_REPR = "EigenPair(kind='complex_conjugate', values=(1j, (-0-1j)))"
-PATH_REPR = f"StyledPath(role='separatrix', points=({P_REPR}, {Q_REPR}), color='#cc0000', width=2.4)"
+PATH_REPR = f"StyledPath(role='separatrix', points=({P_REPR}, {Q_REPR}))"
 CONFIG = IntegratorConfig("rk4", 0.5, 1e-8, 1e-9, 50, "backward", W, 3.0, 0.1, P)
 CONFIG_REPR = (
     "IntegratorConfig(method='rk4', step=0.5, rel_tol=1e-08, abs_tol=1e-09, max_steps=50, "
     f"direction='backward', stop_box={W_REPR}, stop_time=3.0, equilibrium_radius=0.1, "
     f"equilibrium={P_REPR})"
+)
+SPEC = PortraitSpec(SYSTEM, W, 3, 2, 0.1, CONFIG, False, 64)
+SPEC_REPR = (
+    f"PortraitSpec(system=ArchSystem(theta=0.5), window={W_REPR}, seeds_above=3, "
+    f"seeds_below=2, seed_inset=0.1, integrator={CONFIG_REPR}, arrowheads=False, "
+    "separatrix_resolution=64)"
 )
 
 # (record, field names in order, positional values, repr, hashable)
@@ -97,22 +103,14 @@ RECORDS = [
         "ArchCategory(category='tented', opening_angle_deg=49.5)",
         True,
     ),
-    (StyledPath, "role points color width", ("separatrix", (P, Q), "#cc0000", 2.4), PATH_REPR, True),
-    (
-        Scene,
-        "window paths metadata",
-        (W, (PATH,), {"theta": "0.5"}),
-        f"Scene(window={W_REPR}, paths=({PATH_REPR},), metadata={{'theta': '0.5'}})",
-        False,
-    ),
+    (StyledPath, "role points", ("separatrix", (P, Q)), PATH_REPR, True),
+    (Scene, "spec paths", (SPEC, (PATH,)), f"Scene(spec={SPEC_REPR}, paths=({PATH_REPR},))", True),
     (
         PortraitSpec,
         "system window seeds_above seeds_below seed_inset integrator arrowheads "
         "separatrix_resolution",
         (SYSTEM, W, 3, 2, 0.1, CONFIG, False, 64),
-        f"PortraitSpec(system=ArchSystem(theta=0.5), window={W_REPR}, seeds_above=3, "
-        f"seeds_below=2, seed_inset=0.1, integrator={CONFIG_REPR}, arrowheads=False, "
-        "separatrix_resolution=64)",
+        SPEC_REPR,
         True,
     ),
     (ArchSystem, "theta", (0.5,), "ArchSystem(theta=0.5)", True),
@@ -197,11 +195,6 @@ def test_portrait_spec_defaults():
     assert (spec.arrowheads, spec.separatrix_resolution) == (True, 256)
 
 
-def test_scene_metadata_defaults_to_a_fresh_dict():
-    a, b = Scene(W, ()), Scene(W, ())
-    assert a.metadata == {} and a.metadata is not b.metadata
-
-
 def test_trajectory_keeps_its_own_samples():
     samples = [(0.0, P), (0.5, Q)]
     trajectory = Trajectory(samples, "box_exit")
@@ -212,10 +205,18 @@ def test_trajectory_keeps_its_own_samples():
 
 def test_styled_path_keeps_its_own_points():
     points = [P, Q]
-    path = StyledPath("separatrix", points, "#cc0000", 2.4)
+    path = StyledPath("separatrix", points)
     points.append(P)
     assert path.points == (P, Q)
     assert hash(path) == hash(PATH)
+
+
+def test_scene_keeps_its_own_paths():
+    paths = [PATH]
+    scene = Scene(SPEC, paths)
+    paths.append(PATH)
+    assert scene.paths == (PATH,)
+    assert hash(scene) == hash(Scene(SPEC, (PATH,)))
 
 
 INVALID = [
@@ -244,10 +245,8 @@ INVALID = [
     (lambda: Trajectory(((0.0, P), (0.0, Q)), "box_exit"), "sample times must be strictly monotone"),
     (lambda: Trajectory(((0.0, P), (1.0, Q), (0.5, P)), "box_exit"),
      "sample times must be strictly monotone"),
-    (lambda: StyledPath("decoration", (P, Q), "#cc0000", 2.4), "unknown path role 'decoration'"),
-    (lambda: StyledPath("separatrix", (P,), "#cc0000", 2.4), "a styled path needs at least 2 points"),
-    (lambda: StyledPath("separatrix", (P, Q), "", 2.4), "color must be a nonempty string"),
-    (lambda: StyledPath("separatrix", (P, Q), "#cc0000", 0.0), "width must be finite and > 0, got 0.0"),
+    (lambda: StyledPath("decoration", (P, Q)), "unknown path role 'decoration'"),
+    (lambda: StyledPath("separatrix", (P,)), "a styled path needs at least 2 points"),
     (lambda: PortraitSpec(SYSTEM, seeds_above=-1), "seed counts must be >= 0"),
     (lambda: PortraitSpec(SYSTEM, seeds_below=-1), "seed counts must be >= 0"),
     (lambda: PortraitSpec(SYSTEM, seed_inset=0.5), "seed_inset must lie in [0, 0.5), got 0.5"),
