@@ -211,6 +211,30 @@ def test_step_underflow_on_discontinuity():
     assert t.final_point.x == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_rk45_non_finite_field_at_start_raises(direction):
+    nan_at_start = CallableField(lambda x, y: (math.nan, 1.0))
+    start = Point2(0.25, -1.0)
+    cfg = IntegratorConfig(stop_time=1.0, direction=direction)
+    with pytest.raises(IntegrationError) as info:
+        integrate(nan_at_start, start, cfg)
+    assert (str(info.value), info.value.state, info.value.partial_samples) == (
+        "field is non-finite at (0.25, -1.0)", (0.25, -1.0), ((0.0, start),)
+    )
+
+
+def test_rk45_rejects_steps_into_a_non_finite_field_until_underflow():
+    # Every step that reaches x > 0.5 sees a NaN stage and is rejected, so no
+    # non-finite value is ever accepted or handed on as the next first stage.
+    nan_beyond = CallableField(lambda x, y: (1.0, math.nan if x > 0.5 else 0.0))
+    t = integrate(nan_beyond, Point2(0.0, 0.0), IntegratorConfig(stop_time=1.0))
+    assert t.stop_reason == "step_underflow"
+    assert len(t) == 33
+    assert all(math.isfinite(p.x) and math.isfinite(p.y) for p in t.points)
+    assert t.final_point.x == pytest.approx(0.5, abs=1e-9)
+    assert t.final_point.y == 0.0
+
+
 def test_divergence_raises_with_partial_samples():
     s = ArchSystem(5.0)
     cfg = IntegratorConfig(method="rk4", step=0.5, stop_time=1000.0)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -199,6 +201,30 @@ def test_scene_reads_window_description_and_arrows_from_its_spec():
     assert svg.count('<path d="M') == len(scene.paths)
     plain = render_svg(Scene(spec._replace(arrowheads=False), scene.paths))
     assert '<path d="M' not in plain and "arrowheads=false</desc>" in plain
+
+
+def test_render_svg_bytes_are_pinned():
+    # 24 specs drawn as the portrait-render benchmark draws them (theta
+    # log-uniform in 1e-3..10, a square window of half-width 4*s with s in
+    # 0.5..2, 4-16 seeds above and 2-8 below), one without arrowheads and one
+    # at 640x480: a change of integrator or renderer that moves any vertex
+    # by a hundredth of a pixel changes this digest.
+    rng = random.Random(20201014)
+    specs = []
+    for _ in range(24):
+        theta = 10.0 ** rng.uniform(-3.0, 1.0)
+        s = 4.0 * rng.uniform(0.5, 2.0)
+        specs.append(PortraitSpec(
+            system=ArchSystem(theta), window=Window(-s, s, -s, s),
+            seeds_above=rng.randint(4, 16), seeds_below=rng.randint(2, 8),
+        ))
+    svgs = [render_svg(build_portrait(spec)) for spec in specs]
+    svgs.append(render_svg(build_portrait(specs[0]._replace(arrowheads=False))))
+    svgs.append(render_svg(build_portrait(specs[1]), width_px=640, height_px=480))
+    digest = hashlib.sha256()
+    for svg in svgs:
+        digest.update(svg.encode())
+    assert digest.hexdigest() == "22ce7a04a7d1ef0264cc6c6947cb90ac28b735e04114ac6e9e2a5cb0d677bc6a"
 
 
 def test_export_trajectory_csv_round_trip():
