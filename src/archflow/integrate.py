@@ -10,9 +10,15 @@ amplifies per-step error roughly twentyfold near the frame edges, and the
 tighter aim keeps first-integral drift within the package's conservation
 promise at the default tolerances. The last stage of an accepted step is
 the field at its new point, so it serves as the next step's first stage
-(FSAL): six field evaluations per accepted step. A backward run takes
-signed steps h < 0 through the same code path, as DOPRI5 does; its times
-are negative, and the time horizon compares |t| with ``stop_time``.
+(FSAL): six field evaluations per accepted step.
+
+As in DOPRI5 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.5), the
+step is written out in ``integrate``'s own loop: the stages, the retry of a
+rejected step, the error norm and the step-size factor are locals there, and
+the stages are gathered for the continuous extension only when a step
+leaves the box. A backward run takes signed steps h < 0 through the same
+loop, as DOPRI5 does; its times are negative, and the time horizon compares
+|t| with ``stop_time``.
 
 Events are located inside the one step where they fire, on that step's
 continuous extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6): the
@@ -66,10 +72,6 @@ class IntegrationError(RuntimeError):
         super().__init__(message)
         self.state = state
         self.partial_samples = partial_samples
-
-
-class _StepUnderflow(Exception):
-    """Error control pushed the step size below MIN_STEP; ``integrate`` stops there."""
 
 
 class CrossingNotFound(LookupError):
@@ -205,77 +207,6 @@ def _rk4_xy(field_at: _FieldAt, x: float, y: float, h: float) -> tuple[float, fl
     return nx, ny
 
 
-def _advance_rk45(
-    field_at: _FieldAt,
-    x: float,
-    y: float,
-    h: float,
-    rel_tol: float,
-    abs_tol: float,
-    k1x: float,
-    k1y: float,
-) -> tuple[float, float, float, float, float, tuple[float, ...]]:
-    """One accepted Dormand-Prince step from (x, y) whose slope is k1.
-
-    Returns (x, y, h_taken, h_next, err, stages) with stages = (k1, k3, k4,
-    k5, k6, k7) flattened. k7 is the slope at the new point, so it is the
-    next step's k1 (first same as last).
-    """
-    if not (math.isfinite(k1x) and math.isfinite(k1y)):
-        raise IntegrationError(
-            f"field is non-finite at ({x}, {y})", state=(x, y)
-        )
-    while True:
-        k2x, k2y = field_at(x + h * _A21 * k1x, y + h * _A21 * k1y)
-        k3x, k3y = field_at(
-            x + h * (_A31 * k1x + _A32 * k2x), y + h * (_A31 * k1y + _A32 * k2y)
-        )
-        k4x, k4y = field_at(
-            x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
-            y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y),
-        )
-        k5x, k5y = field_at(
-            x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
-            y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
-        )
-        k6x, k6y = field_at(
-            x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
-            y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
-        )
-        nx = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-        ny = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-        k7x, k7y = field_at(nx, ny)
-        err_x = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-        err_y = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
-
-        finite = (
-            math.isfinite(nx)
-            and math.isfinite(ny)
-            and math.isfinite(err_x)
-            and math.isfinite(err_y)
-        )
-        if finite:
-            err = max(
-                abs(err_x) / (abs_tol + rel_tol * abs(nx)),
-                abs(err_y) / (abs_tol + rel_tol * abs(ny)),
-            )
-        else:
-            err = math.inf
-
-        if err <= 1.0:
-            if err == 0.0:
-                factor = GROW_MAX
-            else:
-                factor = min(GROW_MAX, max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2))
-            stages = (k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y)
-            return nx, ny, h, h * factor, err, stages
-
-        factor = max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2) if err < math.inf else GROW_MIN
-        h *= factor
-        if abs(h) < MIN_STEP:
-            raise _StepUnderflow
-
-
 def _quartic_term(h: float, k: tuple[float, ...]) -> tuple[float, float]:
     """The dopri5 quartic interpolation term of a step with stages ``k``."""
     k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y = k
@@ -396,8 +327,16 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     t = 0.0
     h = sign * config.step
     use_rk4 = config.method == "rk4"
+    isfinite = math.isfinite
     if not use_rk4:
         k1x, k1y = field_at(x, y)
+        # Checked once, when a first step will be tried: a later first stage
+        # is the last stage of an accepted step, whose error estimate it
+        # feeds, so a non-finite one is always rejected.
+        if not (isfinite(k1x) and isfinite(k1y)) and time_snap < (stop_time or inf):
+            raise IntegrationError(
+                f"field is non-finite at ({x}, {y})", state=(x, y), partial_samples=tuple(samples)
+            )
     reason = "max_steps"
 
     for _ in range(config.max_steps):
@@ -412,14 +351,58 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         try:
             if use_rk4:
                 nx, ny = _rk4_xy(field_at, x, y, h_try)
-                h_taken, h_next = h_try, h
+                h_next = h
             else:
-                nx, ny, h_taken, h_next, _err, k = _advance_rk45(
-                    field_at, x, y, h_try, rel_tol, abs_tol, k1x, k1y
-                )
-        except _StepUnderflow:
-            reason = "step_underflow"
-            break
+                # One DP5(4) step, retried with a smaller h until its scaled
+                # error is at most 1 or h falls below MIN_STEP.
+                while True:
+                    k2x, k2y = field_at(x + h_try * _A21 * k1x, y + h_try * _A21 * k1y)
+                    k3x, k3y = field_at(
+                        x + h_try * (_A31 * k1x + _A32 * k2x), y + h_try * (_A31 * k1y + _A32 * k2y)
+                    )
+                    k4x, k4y = field_at(
+                        x + h_try * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
+                        y + h_try * (_A41 * k1y + _A42 * k2y + _A43 * k3y),
+                    )
+                    k5x, k5y = field_at(
+                        x + h_try * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
+                        y + h_try * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
+                    )
+                    k6x, k6y = field_at(
+                        x + h_try * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
+                        y + h_try * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
+                    )
+                    nx = x + h_try * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
+                    ny = y + h_try * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
+                    k7x, k7y = field_at(nx, ny)
+                    err_x = h_try * (
+                        _E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x
+                    )
+                    err_y = h_try * (
+                        _E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y
+                    )
+                    if isfinite(nx) and isfinite(ny) and isfinite(err_x) and isfinite(err_y):
+                        # The larger scaled component, as max() picks it.
+                        err = abs(err_x) / (abs_tol + rel_tol * abs(nx))
+                        err_y = abs(err_y) / (abs_tol + rel_tol * abs(ny))
+                        if err_y > err:
+                            err = err_y
+                    else:
+                        err = inf
+                    if err <= 1.0:
+                        break
+                    h_try *= max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2) if err < inf else GROW_MIN
+                    if abs(h_try) < MIN_STEP:
+                        break
+                if err > 1.0:
+                    reason = "step_underflow"
+                    break
+                factor = SAFETY * (err / TARGET) ** -0.2 if err > 0.0 else GROW_MAX
+                if factor > GROW_MAX:
+                    factor = GROW_MAX
+                elif factor < GROW_MIN:
+                    factor = GROW_MIN
+                h_next = h_try * factor
         except IntegrationError as exc:
             raise IntegrationError(
                 str(exc), state=exc.state, partial_samples=tuple(samples)
@@ -429,16 +412,17 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
             if use_rk4:
                 k0, k_end, q = field_at(x, y), field_at(nx, ny), (0.0, 0.0)
             else:
-                k0, k_end, q = k[0:2], k[10:12], _quartic_term(h_taken, k)
-            s, ex, ey = _locate_box_exit(box, x, y, nx, ny, h_taken, k0, k_end, q)
-            t_exit = t + s * h_taken
+                k0, k_end = (k1x, k1y), (k7x, k7y)
+                q = _quartic_term(h_try, (k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y))
+            s, ex, ey = _locate_box_exit(box, x, y, nx, ny, h_try, k0, k_end, q)
+            t_exit = t + s * h_try
             if t_exit == t:
                 t_exit = math.nextafter(t, sign * math.inf)
             append((t_exit, Point2(ex, ey)))
             reason = "box_exit"
             break
 
-        t_new = t + h_taken
+        t_new = t + h_try
         if stop_time is not None and abs(abs(t_new) - stop_time) <= time_snap:
             t_new = sign * stop_time
         if t_new == t:
@@ -447,7 +431,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         append((t_new, Point2(nx, ny)))
         x, y, t, h = nx, ny, t_new, h_next
         if not use_rk4:
-            k1x, k1y = k[10], k[11]
+            k1x, k1y = k7x, k7y
 
         if eq_radius is not None and math.hypot(x - eq.x, y - eq.y) <= eq_radius:
             reason = "equilibrium_reached"

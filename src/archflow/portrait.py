@@ -198,7 +198,8 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
         f'fill="#ffffff" stroke="#333333" stroke-width="1"/>',
     ]
     for path in scene.paths:
-        pts = " ".join(["%.2f,%.2f" % ((p.x - left) * sx, (top - p.y) * sy) for p in path.points])
+        xy = tuple([c for p in path.points for c in ((p.x - left) * sx, (top - p.y) * sy)])
+        pts = ("%.2f,%.2f " * len(path.points))[:-1] % xy
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{path.color}" '
             f'stroke-width="{path.width}"/>'
