@@ -210,7 +210,10 @@ def find_equilibria(system: VectorField2D, window: Window) -> list[Equilibrium]:
 
     Systems that know their equilibria exactly report them directly; other
     fields are searched by Gauss-Newton refinement from a SEED_GRID x
-    SEED_GRID seed lattice spanning the window, deduplicated at 1e-6.
+    SEED_GRID seed lattice spanning the window, deduplicated at 1e-6. Such a
+    root is polished only to about 1e-7 at a double root, so its Jacobian
+    counts as singular, and the root as degenerate_nonhyperbolic, once
+    ``|det J| <= 1e-10 * ||J||_F^2``.
     """
     analytic = system.analytic_equilibria()
     if analytic is not None:
@@ -232,7 +235,12 @@ def find_equilibria(system: VectorField2D, window: Window) -> list[Equilibrium]:
     for p in points:
         jac = system.jacobian(p)
         pair = eigen_2x2(jac)
-        result.append(Equilibrium(p, jac, pair, classify_linear(pair)))
+        label = classify_linear(pair)
+        if analytic is None:
+            fro2 = jac.a11 * jac.a11 + jac.a12 * jac.a12 + jac.a21 * jac.a21 + jac.a22 * jac.a22
+            if abs(jac.det) <= 1e-10 * fro2:
+                label = "degenerate_nonhyperbolic"
+        result.append(Equilibrium(p, jac, pair, label))
     return result
 
 

@@ -119,6 +119,20 @@ def test_find_equilibria_merges_double_root():
         assert math.hypot(eqs[0].location.x, eqs[0].location.y) <= 1e-9
 
 
+@pytest.mark.parametrize("func, label", [
+    # The paper's cusp: the polished root sits about 1e-13 off the origin,
+    # where the numeric Jacobian's det/||J||_F^2 is about 7e-13, not 0.
+    (lambda x, y: (y * y, -0.5 * x), "degenerate_nonhyperbolic"),
+    (lambda x, y: (x, -y), "saddle"),
+    (lambda x, y: (-x, -2.0 * y), "stable_node"),
+], ids=["paper_cusp", "saddle", "stable_node"])
+def test_find_equilibria_generic_labels(func, label):
+    eqs = find_equilibria(CallableField(func), Window(-3.0, 3.0, -3.0, 3.0))
+    assert len(eqs) == 1
+    assert math.hypot(eqs[0].location.x, eqs[0].location.y) <= 1e-9
+    assert eqs[0].classification == label
+
+
 def _numpy_pinv(m):
     return np.linalg.pinv(np.array([[m.a11, m.a12], [m.a21, m.a22]]), rcond=1e-12)
 
