@@ -327,13 +327,12 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     t = 0.0
     h = sign * config.step
     use_rk4 = config.method == "rk4"
-    isfinite = math.isfinite
     if not use_rk4:
         k1x, k1y = field_at(x, y)
         # Checked once, when a first step will be tried: a later first stage
         # is the last stage of an accepted step, whose error estimate it
         # feeds, so a non-finite one is always rejected.
-        if not (isfinite(k1x) and isfinite(k1y)) and time_snap < (stop_time or inf):
+        if not (math.isfinite(k1x) and math.isfinite(k1y)) and time_snap < (stop_time or inf):
             raise IntegrationError(
                 f"field is non-finite at ({x}, {y})", state=(x, y), partial_samples=tuple(samples)
             )
@@ -381,7 +380,8 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
                     err_y = h_try * (
                         _E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y
                     )
-                    if isfinite(nx) and isfinite(ny) and isfinite(err_x) and isfinite(err_y):
+                    finite = math.isfinite(nx) and math.isfinite(ny)
+                    if finite and math.isfinite(err_x) and math.isfinite(err_y):
                         # The larger scaled component, as max() picks it.
                         err = abs(err_x) / (abs_tol + rel_tol * abs(nx))
                         err_y = abs(err_y) / (abs_tol + rel_tol * abs(ny))
@@ -391,7 +391,9 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
                         err = inf
                     if err <= 1.0:
                         break
-                    h_try *= max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2) if err < inf else GROW_MIN
+                    h_try *= (
+                        max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2) if err < inf else GROW_MIN
+                    )
                     if abs(h_try) < MIN_STEP:
                         break
                 if err > 1.0:
@@ -413,7 +415,9 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
                 k0, k_end, q = field_at(x, y), field_at(nx, ny), (0.0, 0.0)
             else:
                 k0, k_end = (k1x, k1y), (k7x, k7y)
-                q = _quartic_term(h_try, (k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y))
+                q = _quartic_term(
+                    h_try, (k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y)
+                )
             s, ex, ey = _locate_box_exit(box, x, y, nx, ny, h_try, k0, k_end, q)
             t_exit = t + s * h_try
             if t_exit == t:
