@@ -329,9 +329,9 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     use_rk4 = config.method == "rk4"
     if not use_rk4:
         k1x, k1y = field_at(x, y)
-        # Checked once, when a first step will be tried: a later first stage
-        # is the last stage of an accepted step, whose error estimate it
-        # feeds, so a non-finite one is always rejected.
+        # Checked once, and only when the horizon lets a first step start: a
+        # later first stage is the last stage of an accepted step, whose error
+        # estimate it feeds, so a non-finite one is always rejected.
         if not (math.isfinite(k1x) and math.isfinite(k1y)) and time_snap < (stop_time or inf):
             raise IntegrationError(
                 f"field is non-finite at ({x}, {y})", state=(x, y), partial_samples=tuple(samples)
