@@ -54,12 +54,6 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _to_method(text: str) -> str:
-    if text not in ("rk4", "rk45"):
-        raise ValueError(f"method must be rk4 or rk45, got {text!r}")
-    return text
-
-
 def _to_format(text: str) -> str:
     if text not in ("human", "machine"):
         raise ValueError(f"format must be human or machine, got {text!r}")
@@ -259,10 +253,12 @@ def _run_classify(o: dict) -> int:
 
 
 def _integrator(o: dict, **stops: Any) -> IntegratorConfig:
-    """The method/step/tol options as an integrator with the given stop conditions."""
-    return IntegratorConfig(
-        method=o["method"], step=o["step"], rel_tol=o["tol"], abs_tol=o["tol"], **stops
-    )
+    """The step/tol options as a DP5(4) integrator with the given stop conditions.
+
+    ``step`` is the first step of the adaptive run and ``tol`` both its
+    relative and its absolute tolerance.
+    """
+    return IntegratorConfig(step=o["step"], rel_tol=o["tol"], abs_tol=o["tol"], **stops)
 
 
 def _run_trace(o: dict) -> int:
@@ -337,7 +333,6 @@ _FORMAT = Option("format", _to_format, "human", help="human or machine")
 _WINDOW = Option("window", _to_window, Window(-4.0, 4.0, -4.0, 4.0), metavar="X0,X1,Y0,Y1")
 
 _INTEGRATOR = (
-    Option("method", _to_method, "rk45"),
     Option("step", float, 0.01, _POSITIVE),
     Option("tol", float, 1e-10, _POSITIVE),
 )

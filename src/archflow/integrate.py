@@ -1,6 +1,6 @@
-"""Trajectory integration: classical RK4 and adaptive Dormand-Prince 5(4).
+"""Trajectory integration by the adaptive Dormand-Prince 5(4) pair.
 
-The adaptive path follows the standard embedded-pair recipe: the fifth order
+The integrator follows the standard embedded-pair recipe: the fifth order
 solution propagates, the fourth order solution supplies the error estimate,
 and the step size is rescaled by ``0.9 * (err / TARGET)**(-1/5)`` clamped to
 [0.2, 5.0]. Steps are accepted whenever the scaled error is at most 1, but
@@ -21,10 +21,9 @@ loop, as DOPRI5 does; its times are negative, and the time horizon compares
 |t| with ``stop_time``.
 
 Events are located inside the one step where they fire, on that step's
-continuous extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6): the
-free fourth order dopri5 interpolant for DP5(4), the cubic Hermite through
-the end points and their slopes for RK4. A box exit is solved there by
-Illinois iteration, and ``crossing`` reuses the same locator by integrating
+continuous extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), the
+free fourth order dopri5 interpolant. A box exit is solved there by Illinois
+iteration, and ``crossing`` reuses the same locator by integrating
 once more with the half-plane beyond its line as the stop box.
 """
 
@@ -33,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Callable, Literal
+from typing import Literal
 
 from .systems import (
     Point2, VectorField2D, Window, _Record, _require_finite, _require_positive, _set,
@@ -53,14 +52,12 @@ GROW_MAX = 5.0
 MIN_STEP = 1e-12
 TARGET = 0.05
 
-_FieldAt = Callable[[float, float], tuple[float, float]]
-
 
 class IntegrationError(RuntimeError):
-    """Raised when the state diverges to non-finite values.
+    """Raised when the field is non-finite at the start of a run.
 
-    ``state`` holds the offending raw (x, y); ``partial_samples`` holds the
-    samples recorded before the failure when integration context exists.
+    ``state`` holds the start (x, y); ``partial_samples`` holds the one
+    sample recorded there, the start at time 0.
     """
 
     def __init__(
@@ -82,19 +79,16 @@ class IntegratorConfig(_Record):
     """Integration settings; at least one stop condition must be present."""
 
     __slots__ = (
-        "method", "step", "rel_tol", "abs_tol", "max_steps", "direction",
+        "step", "rel_tol", "abs_tol", "max_steps", "direction",
         "stop_box", "stop_time", "equilibrium_radius", "equilibrium",
     )
 
     def __init__(
-        self, method: Literal["rk4", "rk45"] = "rk45", step: float = 0.01,
-        rel_tol: float = 1e-10, abs_tol: float = 1e-10, max_steps: int = 200_000,
-        direction: Literal["forward", "backward"] = "forward", stop_box: Window | None = None,
-        stop_time: float | None = None, equilibrium_radius: float | None = None,
-        equilibrium: Point2 = Point2(0.0, 0.0),
+        self, step: float = 0.01, rel_tol: float = 1e-10, abs_tol: float = 1e-10,
+        max_steps: int = 200_000, direction: Literal["forward", "backward"] = "forward",
+        stop_box: Window | None = None, stop_time: float | None = None,
+        equilibrium_radius: float | None = None, equilibrium: Point2 = Point2(0.0, 0.0),
     ) -> None:
-        if method not in ("rk4", "rk45"):
-            raise ValueError(f"method must be 'rk4' or 'rk45', got {method!r}")
         _require_positive("step", step)
         _require_positive("rel_tol", rel_tol)
         _require_positive("abs_tol", abs_tol)
@@ -110,7 +104,6 @@ class IntegratorConfig(_Record):
             raise ValueError(
                 "at least one stop condition (stop_box, stop_time, equilibrium_radius) is required"
             )
-        _set(self, "method", method)
         _set(self, "step", step)
         _set(self, "rel_tol", rel_tol)
         _set(self, "abs_tol", abs_tol)
@@ -192,30 +185,6 @@ _D6 = -1453857185.0 / 822651844.0
 _D7 = 69997945.0 / 29380423.0
 
 
-def _rk4_xy(field_at: _FieldAt, x: float, y: float, h: float) -> tuple[float, float]:
-    k1x, k1y = field_at(x, y)
-    k2x, k2y = field_at(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-    k3x, k3y = field_at(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-    k4x, k4y = field_at(x + h * k3x, y + h * k3y)
-    sixth = h / 6.0
-    nx = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    ny = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    if not (math.isfinite(nx) and math.isfinite(ny)):
-        raise IntegrationError(
-            f"non-finite state after RK4 step from ({x}, {y})", state=(nx, ny)
-        )
-    return nx, ny
-
-
-def _quartic_term(h: float, k: tuple[float, ...]) -> tuple[float, float]:
-    """The dopri5 quartic interpolation term of a step with stages ``k``."""
-    k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y = k
-    return (
-        h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x + _D7 * k7x),
-        h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y + _D7 * k7y),
-    )
-
-
 def _locate_box_exit(
     box: Window,
     x: float,
@@ -223,25 +192,26 @@ def _locate_box_exit(
     nx: float,
     ny: float,
     h: float,
-    k0: tuple[float, float],
-    k1: tuple[float, float],
-    q: tuple[float, float],
+    k: tuple[float, ...],
 ) -> tuple[float, float, float]:
     """Where a step from (x, y) inside the box to (nx, ny) outside leaves it.
 
-    The step is replaced by its interpolant u(s) = u0 + s*(d + (1-s)*(a +
-    s*(b + (1-s)*q))) on the step fraction s: the cubic Hermite through both
-    end points with end slopes k0 and k1, plus the quartic term q that dopri5
-    supplies (zero for RK4). The event function, the distance to the nearest
-    box edge (negative outside), is solved by Illinois: regula falsi that
-    halves the end value kept twice in a row. It stops once the bracket
-    spans at most 1e-13 of the step, which is 1e-13*|h| of time. Returns (s,
-    x, y) at the bracket's outside end.
+    ``k`` holds the step's stages k1, k3, ..., k7 flattened to (k1x, k1y,
+    k3x, ...); k2 has no weight in the interpolant. The step is replaced by
+    its dopri5 continuous extension u(s) = u0 + s*(d + (1-s)*(a + s*(b +
+    (1-s)*q))) on the step fraction s: the cubic Hermite through both end
+    points with end slopes k1 and k7, plus the quartic term q. The event
+    function, the distance to the nearest box edge (negative outside), is
+    solved by Illinois: regula falsi that halves the end value kept twice in
+    a row. It stops once the bracket spans at most 1e-13 of the step, which
+    is 1e-13*|h| of time. Returns (s, x, y) at the bracket's outside end.
     """
+    k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y = k
     dx, dy = nx - x, ny - y
-    ax, ay = h * k0[0] - dx, h * k0[1] - dy
-    bx, by = dx - h * k1[0] - ax, dy - h * k1[1] - ay
-    qx, qy = q
+    ax, ay = h * k1x - dx, h * k1y - dy
+    bx, by = dx - h * k7x - ax, dy - h * k7y - ay
+    qx = h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x + _D7 * k7x)
+    qy = h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y + _D7 * k7y)
 
     def inside(px: float, py: float) -> float:
         return min(px - box.x_min, box.x_max - px, py - box.y_min, box.y_max - py)
@@ -284,7 +254,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     start : Point2
         Initial state, recorded at time 0.
     config : IntegratorConfig
-        Method, tolerances, direction and stop conditions.
+        Initial step, tolerances, direction and stop conditions.
 
     Returns
     -------
@@ -297,8 +267,8 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     Raises
     ------
     IntegrationError
-        If the state diverges to non-finite values; the samples recorded so
-        far ride along as ``partial_samples``.
+        If the field is non-finite at ``start`` and the run would take a
+        step; the start sample rides along as ``partial_samples``.
     """
     field_at = system.field_at
     sign = -1.0 if config.direction == "backward" else 1.0
@@ -326,16 +296,14 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
 
     t = 0.0
     h = sign * config.step
-    use_rk4 = config.method == "rk4"
-    if not use_rk4:
-        k1x, k1y = field_at(x, y)
-        # Checked once, and only when the horizon lets a first step start: a
-        # later first stage is the last stage of an accepted step, whose error
-        # estimate it feeds, so a non-finite one is always rejected.
-        if not (math.isfinite(k1x) and math.isfinite(k1y)) and time_snap < (stop_time or inf):
-            raise IntegrationError(
-                f"field is non-finite at ({x}, {y})", state=(x, y), partial_samples=tuple(samples)
-            )
+    k1x, k1y = field_at(x, y)
+    # Checked once, and only when the horizon lets a first step start: a later
+    # first stage is the last stage of an accepted step, whose error estimate
+    # it feeds, so a non-finite one is always rejected.
+    if not (math.isfinite(k1x) and math.isfinite(k1y)) and time_snap < (stop_time or inf):
+        raise IntegrationError(
+            f"field is non-finite at ({x}, {y})", state=(x, y), partial_samples=tuple(samples)
+        )
     reason = "max_steps"
 
     for _ in range(config.max_steps):
@@ -347,78 +315,63 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
                 break
             if abs(h_try) > rem:
                 h_try = sign * rem
-        try:
-            if use_rk4:
-                nx, ny = _rk4_xy(field_at, x, y, h_try)
-                h_next = h
+        # One DP5(4) step, retried with a smaller h until its scaled error is
+        # at most 1 or h falls below MIN_STEP.
+        while True:
+            k2x, k2y = field_at(x + h_try * _A21 * k1x, y + h_try * _A21 * k1y)
+            k3x, k3y = field_at(
+                x + h_try * (_A31 * k1x + _A32 * k2x), y + h_try * (_A31 * k1y + _A32 * k2y)
+            )
+            k4x, k4y = field_at(
+                x + h_try * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
+                y + h_try * (_A41 * k1y + _A42 * k2y + _A43 * k3y),
+            )
+            k5x, k5y = field_at(
+                x + h_try * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
+                y + h_try * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
+            )
+            k6x, k6y = field_at(
+                x + h_try * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
+                y + h_try * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
+            )
+            nx = x + h_try * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
+            ny = y + h_try * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
+            k7x, k7y = field_at(nx, ny)
+            err_x = h_try * (
+                _E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x
+            )
+            err_y = h_try * (
+                _E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y
+            )
+            finite = math.isfinite(nx) and math.isfinite(ny)
+            if finite and math.isfinite(err_x) and math.isfinite(err_y):
+                # The larger scaled component, as max() picks it.
+                err = abs(err_x) / (abs_tol + rel_tol * abs(nx))
+                err_y = abs(err_y) / (abs_tol + rel_tol * abs(ny))
+                if err_y > err:
+                    err = err_y
             else:
-                # One DP5(4) step, retried with a smaller h until its scaled
-                # error is at most 1 or h falls below MIN_STEP.
-                while True:
-                    k2x, k2y = field_at(x + h_try * _A21 * k1x, y + h_try * _A21 * k1y)
-                    k3x, k3y = field_at(
-                        x + h_try * (_A31 * k1x + _A32 * k2x), y + h_try * (_A31 * k1y + _A32 * k2y)
-                    )
-                    k4x, k4y = field_at(
-                        x + h_try * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
-                        y + h_try * (_A41 * k1y + _A42 * k2y + _A43 * k3y),
-                    )
-                    k5x, k5y = field_at(
-                        x + h_try * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
-                        y + h_try * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
-                    )
-                    k6x, k6y = field_at(
-                        x + h_try * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
-                        y + h_try * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
-                    )
-                    nx = x + h_try * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-                    ny = y + h_try * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-                    k7x, k7y = field_at(nx, ny)
-                    err_x = h_try * (
-                        _E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x
-                    )
-                    err_y = h_try * (
-                        _E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y
-                    )
-                    finite = math.isfinite(nx) and math.isfinite(ny)
-                    if finite and math.isfinite(err_x) and math.isfinite(err_y):
-                        # The larger scaled component, as max() picks it.
-                        err = abs(err_x) / (abs_tol + rel_tol * abs(nx))
-                        err_y = abs(err_y) / (abs_tol + rel_tol * abs(ny))
-                        if err_y > err:
-                            err = err_y
-                    else:
-                        err = inf
-                    if err <= 1.0:
-                        break
-                    h_try *= (
-                        max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2) if err < inf else GROW_MIN
-                    )
-                    if abs(h_try) < MIN_STEP:
-                        break
-                if err > 1.0:
-                    reason = "step_underflow"
-                    break
-                factor = SAFETY * (err / TARGET) ** -0.2 if err > 0.0 else GROW_MAX
-                if factor > GROW_MAX:
-                    factor = GROW_MAX
-                elif factor < GROW_MIN:
-                    factor = GROW_MIN
-                h_next = h_try * factor
-        except IntegrationError as exc:
-            raise IntegrationError(
-                str(exc), state=exc.state, partial_samples=tuple(samples)
-            ) from exc
+                err = inf
+            if err <= 1.0:
+                break
+            h_try *= (
+                max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2) if err < inf else GROW_MIN
+            )
+            if abs(h_try) < MIN_STEP:
+                break
+        if err > 1.0:
+            reason = "step_underflow"
+            break
+        factor = SAFETY * (err / TARGET) ** -0.2 if err > 0.0 else GROW_MAX
+        if factor > GROW_MAX:
+            factor = GROW_MAX
+        elif factor < GROW_MIN:
+            factor = GROW_MIN
+        h_next = h_try * factor
 
         if not (x_min <= nx <= x_max and y_min <= ny <= y_max):
-            if use_rk4:
-                k0, k_end, q = field_at(x, y), field_at(nx, ny), (0.0, 0.0)
-            else:
-                k0, k_end = (k1x, k1y), (k7x, k7y)
-                q = _quartic_term(
-                    h_try, (k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y)
-                )
-            s, ex, ey = _locate_box_exit(box, x, y, nx, ny, h_try, k0, k_end, q)
+            k = (k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y)
+            s, ex, ey = _locate_box_exit(box, x, y, nx, ny, h_try, k)
             t_exit = t + s * h_try
             if t_exit == t:
                 t_exit = math.nextafter(t, sign * math.inf)
@@ -434,8 +387,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
             break
         append((t_new, Point2(nx, ny)))
         x, y, t, h = nx, ny, t_new, h_next
-        if not use_rk4:
-            k1x, k1y = k7x, k7y
+        k1x, k1y = k7x, k7y
 
         if eq_radius is not None and math.hypot(x - eq.x, y - eq.y) <= eq_radius:
             reason = "equilibrium_reached"
@@ -495,7 +447,6 @@ def crossing(
     side = (value, big) if coord(p0) > value else (-big, value)
     duration = abs(t1 - t0)
     cfg = IntegratorConfig(
-        method="rk45",
         step=duration,
         rel_tol=1e-13,
         abs_tol=1e-13 * max(abs(p0.x), abs(p0.y), abs(p1.x), abs(p1.y)),

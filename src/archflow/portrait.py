@@ -192,7 +192,7 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
         f"<desc>theta={spec.system.theta!r}; "
         f"window=[{w.x_min}, {w.x_max}] x [{w.y_min}, {w.y_max}]; "
         f"seeds={spec.seeds_above} upper / {spec.seeds_below} lower; "
-        f"integrator={cfg.method} step={cfg.step} rel_tol={cfg.rel_tol} abs_tol={cfg.abs_tol}; "
+        f"integrator=rk45 step={cfg.step} rel_tol={cfg.rel_tol} abs_tol={cfg.abs_tol}; "
         f"arrowheads={'true' if spec.arrowheads else 'false'}</desc>",
         f'<rect x="0" y="0" width="{width_px}" height="{height_px}" '
         f'fill="#ffffff" stroke="#333333" stroke-width="1"/>',

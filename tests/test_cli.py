@@ -115,16 +115,6 @@ def test_trace_box_stop(run_cli, tmp_path, monkeypatch):
     assert parse_machine(result.stdout)["stop_reason"] == "box_exit"
 
 
-def test_trace_rk4_sample_count(run_cli, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    result = run_cli(
-        "trace", "--theta", "0.5", "--method", "rk4", "--step", "0.1",
-        "--tmax", "1", "--out", "run.csv", "--format", "machine",
-    )
-    assert result.returncode == 0
-    assert parse_machine(result.stdout)["samples"] == "11"
-
-
 def test_portrait_writes_svg(run_cli, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     result = run_cli(
@@ -224,6 +214,8 @@ def test_missing_config_file(run_cli):
         ("analyze", "--theta", "1", "--census-samples", "4"),
         ("portrait", "--theta", "1", "--inset", "0.9"),
         ("sweep", "--steps", "0"),
+        ("trace", "--theta", "1", "--method", "rk4"),  # the method knob is retired
+        ("portrait", "--theta", "1", "--method=rk45"),
     ],
 )
 def test_usage_errors_exit_2(run_cli, args):

@@ -19,7 +19,6 @@ KINDS = {
     "float": ("float", "could not convert string to float: 'x'"),
     "window": ("_to_window", "window needs four numbers x0,x1,y0,y1, got 'x'"),
     "point": ("_to_point", "point needs two numbers x,y, got 'x'"),
-    "method": ("_to_method", "method must be rk4 or rk45, got 'x'"),
     "format": ("_to_format", "format must be human or machine, got 'x'"),
     "bool": (None, "expected a boolean, got 'x'"),  # a flag without a value
 }
@@ -31,7 +30,6 @@ OPTIONS = [
     ("analyze", "census_samples", "int", "12", 12, 360),
     ("trace", "start", "point", "0.5,-1", Point2(0.5, -1.0), Point2(0.0, 1.0)),
     ("trace", "tmax", "float", "3", 3.0, 10.0),
-    ("trace", "method", "method", "rk4", "rk4", "rk45"),
     ("trace", "step", "float", "0.05", 0.05, 0.01),
     ("trace", "tol", "float", "1e-8", 1e-8, 1e-10),
     ("trace", "window", "window", "-1,1,-1,1", Window(-1, 1, -1, 1), None),
@@ -40,7 +38,6 @@ OPTIONS = [
     ("portrait", "seeds_above", "int", "3", 3, 8),
     ("portrait", "seeds_below", "int", "0", 0, 4),
     ("portrait", "inset", "float", "0.1", 0.1, 0.05),
-    ("portrait", "method", "method", "rk4", "rk4", "rk45"),
     ("portrait", "step", "float", "0.02", 0.02, 0.01),
     ("portrait", "tol", "float", "1e-9", 1e-9, 1e-10),
     ("portrait", "width", "int", "640", 640, 800),
@@ -200,6 +197,7 @@ def test_boundary_value_accepted(row):
         (["classify"], "theta = x", "config theta: could not convert string to float: 'x'"),
         (["sweep"], "theta = 1", "unknown config key 'theta' for sweep"),
         (["classify"], "apex", "config line 1: expected key=value, got 'apex'"),
+        (["trace", "--theta=1"], "method = rk45", "unknown config key 'method' for trace"),
     ],
 )
 def test_error_order_and_theta_messages(tmp_path, capsys, argv, config, message):

@@ -30,8 +30,6 @@ def test_config_requires_a_stop_condition():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IntegratorConfig(method="euler", stop_time=1.0)
-    with pytest.raises(ValueError):
         IntegratorConfig(step=0.0, stop_time=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=-1e-10, stop_time=1.0)
@@ -59,36 +57,28 @@ def test_trajectory_validation():
     assert backward.times == (0.0, -1.0)
 
 
-def _one_rk4_step(start, h):
-    cfg = IntegratorConfig(method="rk4", step=abs(h), stop_time=abs(h),
+def _one_step(start, h):
+    cfg = IntegratorConfig(step=abs(h), stop_time=abs(h),
                            direction="forward" if h > 0 else "backward")
     t = integrate(ArchSystem(0.5), start, cfg)
     assert (t.stop_reason, t.times) == ("time_horizon", (0.0, h))
     return t.final_point
 
 
-def test_rk4_step_single_step_frozen():
-    p = _one_rk4_step(Point2(0.0, 1.0), 0.01)
-    assert p.x == pytest.approx(0.009999833334895835, abs=1e-14)
-    assert p.y == pytest.approx(0.9999750002083321, abs=1e-14)
-    drift = abs(ArchSystem(0.5).first_integral(p) - 1.0 / 3.0)
-    assert drift <= 1e-10
-
-
-def test_rk4_step_rejects_zero_h():
+def test_step_rejects_zero_and_non_finite_values():
     for step in (0.0, -0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="step must be finite and > 0"):
-            IntegratorConfig(method="rk4", step=step, stop_time=1.0)
+            IntegratorConfig(step=step, stop_time=1.0)
 
 
-def test_rk4_step_negative_h_reverses():
-    forward = _one_rk4_step(Point2(0.0, 1.0), 0.01)
-    back = _one_rk4_step(forward, -0.01)
+def test_backward_step_reverses_a_forward_step():
+    forward = _one_step(Point2(0.0, 1.0), 0.01)
+    back = _one_step(forward, -0.01)
     assert back.x == pytest.approx(0.0, abs=1e-12)
     assert back.y == pytest.approx(1.0, abs=1e-12)
 
 
-def test_rk45_step_result_fields():
+def test_first_accepted_step_obeys_the_controller():
     # The first accepted step of a run: at most the initial step, a next
     # step within the controller's [0.2, 5] clamp, and H kept.
     cfg = IntegratorConfig(step=0.1, max_steps=2, stop_time=1.0)
@@ -99,7 +89,7 @@ def test_rk45_step_result_fields():
     assert drift <= 1e-9
 
 
-def test_rk45_step_rejects_bad_args():
+def test_config_messages_name_the_bad_step_and_tolerance():
     with pytest.raises(ValueError, match="step must be finite and > 0, got -0.1"):
         IntegratorConfig(step=-0.1, stop_time=1.0)
     with pytest.raises(ValueError, match="rel_tol must be finite and > 0, got 0.0"):
@@ -113,15 +103,6 @@ def test_time_horizon_lands_exactly():
     assert t.final_time == 1.0
     assert t.times[0] == 0.0
     assert all(b > a for a, b in zip(t.times, t.times[1:]))
-
-
-def test_rk4_fixed_step_times():
-    s = ArchSystem(0.5)
-    t = integrate(s, Point2(0.0, 1.0), IntegratorConfig(method="rk4", step=0.1, stop_time=1.0))
-    assert t.stop_reason == "time_horizon"
-    assert len(t) == 11
-    assert t.times[3] == pytest.approx(0.3, abs=1e-12)
-    assert t.final_time == 1.0
 
 
 def test_box_exit_lands_just_outside():
@@ -233,29 +214,6 @@ def test_rk45_rejects_steps_into_a_non_finite_field_until_underflow():
     assert all(math.isfinite(p.x) and math.isfinite(p.y) for p in t.points)
     assert t.final_point.x == pytest.approx(0.5, abs=1e-9)
     assert t.final_point.y == 0.0
-
-
-def test_divergence_raises_with_partial_samples():
-    s = ArchSystem(5.0)
-    cfg = IntegratorConfig(method="rk4", step=0.5, stop_time=1000.0)
-    with pytest.raises(IntegrationError) as info:
-        integrate(s, Point2(0.0, 3.0), cfg)
-    err = info.value
-    assert type(err) is IntegrationError
-    assert err.partial_samples is not None and len(err.partial_samples) >= 1
-    assert err.state is not None
-
-
-def test_rk4_non_finite_step_error_is_the_same_from_both_entry_points():
-    overflow = CallableField(lambda x, y: (1e308, 0.0))
-    start = Point2(0.0, 1.0)
-    message = "non-finite state after RK4 step from (0.0, 1.0)"
-    cfg = IntegratorConfig(method="rk4", step=10.0, stop_time=100.0)
-    with pytest.raises(IntegrationError) as info:
-        integrate(overflow, start, cfg)
-    assert (str(info.value), info.value.state, info.value.partial_samples) == (
-        message, (math.inf, 1.0), ((0.0, start),)
-    )
 
 
 def test_crossing_exact_sample_returned_as_is():
@@ -386,15 +344,14 @@ def test_runs_agree_with_their_scaled_images_at_theta_one():
         theta = math.exp(rng.uniform(math.log(1e-9), math.log(1e9)))
         a = c = theta**-0.5
         start = Point2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-        method = rng.choice(("rk4", "rk45"))
         direction = rng.choice(("forward", "backward"))
         horizon = rng.uniform(0.5, 5.0)
         image = integrate(reference, start, IntegratorConfig(
-            method=method, step=0.01, abs_tol=1e-10, direction=direction,
+            step=0.01, abs_tol=1e-10, direction=direction,
             stop_box=BOX, stop_time=horizon,
         ))
         run = integrate(ArchSystem(theta), Point2(a * start.x, start.y), IntegratorConfig(
-            method=method, step=0.01 * c, abs_tol=1e-10 * min(a, 1.0), direction=direction,
+            step=0.01 * c, abs_tol=1e-10 * min(a, 1.0), direction=direction,
             stop_box=Window(a * BOX.x_min, a * BOX.x_max, BOX.y_min, BOX.y_max),
             stop_time=horizon * c,
         ))
@@ -406,9 +363,8 @@ def test_runs_agree_with_their_scaled_images_at_theta_one():
 
 
 def test_relative_h_drift_stays_small_from_theta_1e_minus_9_to_1e9():
-    # The same scales as above, at the default rk45 tolerances: every sample
-    # keeps H to 1e-8 of the size of its two terms. (The fixed-step rk4 runs
-    # of the scaling test drift to about 1e-7, so they are not held to this.)
+    # The same scales as above, at the default tolerances: every sample keeps
+    # H to 1e-8 of the size of its two terms.
     rng = random.Random(13)
     for _ in range(200):
         theta = math.exp(rng.uniform(math.log(1e-9), math.log(1e9)))
@@ -491,13 +447,20 @@ def test_crossing_lies_on_the_level_set(theta, direction, value):
     assert p.x == pytest.approx(x_level if direction == "forward" else -x_level, abs=1e-9)
 
 
-def test_crossing_on_coarse_rk4_trajectory():
-    # At step 0.5 the RK4 samples run up to 2e-4 ahead of the flow in x, so
-    # the line just short of sample 8 is bracketed by samples 7 and 8 while
-    # the flow from sample 7 only reaches it after the bracket's duration.
+def test_crossing_beyond_a_bracket_that_runs_ahead_of_the_flow():
+    # Each sample sits 2e-4 ahead in x of where the flow from the one before
+    # it is 0.5 later, as a coarse fixed-step run's samples can, so the line
+    # just short of sample 8 is bracketed by samples 7 and 8 while the flow
+    # from sample 7 only reaches it after the bracket's duration.
     s = ArchSystem(0.5)
-    traj = integrate(s, Point2(0.0, 1.0), IntegratorConfig(method="rk4", step=0.5, stop_box=BOX))
+    cfg = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-13, stop_time=0.5)
+    samples = [(0.0, Point2(0.0, 1.0))]
+    for i in range(1, 9):
+        p = integrate(s, samples[-1][1], cfg).final_point
+        samples.append((0.5 * i, Point2(p.x + 2e-4, p.y)))
+    traj = Trajectory(samples, "time_horizon")
     value = traj.samples[8][1].x - 5e-5
+    assert integrate(s, traj.samples[7][1], cfg).final_point.x < value
     p = crossing(s, traj, "vertical", value)
     assert p.x == pytest.approx(value, abs=1e-9)
     h0 = s.first_integral(traj.samples[7][1])
