@@ -92,10 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="archflow",
         description="Analyze, trace, and draw the planar arch ridge-flow system.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key=value file; flags override it")
         _add_flag(p, _FORMAT)

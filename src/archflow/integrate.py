@@ -42,7 +42,6 @@ STOP_REASONS = (
     "time_horizon",
     "box_exit",
     "max_steps",
-    "equilibrium_reached",
     "step_underflow",
 )
 
@@ -54,21 +53,7 @@ TARGET = 0.05
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the field is non-finite at the start of a run.
-
-    ``state`` holds the start (x, y); ``partial_samples`` holds the one
-    sample recorded there, the start at time 0.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        state: tuple[float, float] | None = None,
-        partial_samples: tuple[tuple[float, Point2], ...] | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.state = state
-        self.partial_samples = partial_samples
+    """Raised when the field is non-finite at the start of a run."""
 
 
 class CrossingNotFound(LookupError):
@@ -76,18 +61,14 @@ class CrossingNotFound(LookupError):
 
 
 class IntegratorConfig(_Record):
-    """Integration settings; at least one stop condition must be present."""
+    """Integration settings; ``stop_box`` or ``stop_time`` must be present."""
 
-    __slots__ = (
-        "step", "rel_tol", "abs_tol", "max_steps", "direction",
-        "stop_box", "stop_time", "equilibrium_radius", "equilibrium",
-    )
+    __slots__ = ("step", "rel_tol", "abs_tol", "max_steps", "direction", "stop_box", "stop_time")
 
     def __init__(
         self, step: float = 0.01, rel_tol: float = 1e-10, abs_tol: float = 1e-10,
         max_steps: int = 200_000, direction: Literal["forward", "backward"] = "forward",
         stop_box: Window | None = None, stop_time: float | None = None,
-        equilibrium_radius: float | None = None, equilibrium: Point2 = Point2(0.0, 0.0),
     ) -> None:
         _require_positive("step", step)
         _require_positive("rel_tol", rel_tol)
@@ -98,12 +79,8 @@ class IntegratorConfig(_Record):
             raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
         if stop_time is not None:
             _require_positive("stop_time", stop_time)
-        if equilibrium_radius is not None:
-            _require_positive("equilibrium_radius", equilibrium_radius)
-        if stop_box is None and stop_time is None and equilibrium_radius is None:
-            raise ValueError(
-                "at least one stop condition (stop_box, stop_time, equilibrium_radius) is required"
-            )
+        if stop_box is None and stop_time is None:
+            raise ValueError("at least one stop condition (stop_box, stop_time) is required")
         _set(self, "step", step)
         _set(self, "rel_tol", rel_tol)
         _set(self, "abs_tol", abs_tol)
@@ -111,8 +88,6 @@ class IntegratorConfig(_Record):
         _set(self, "direction", direction)
         _set(self, "stop_box", stop_box)
         _set(self, "stop_time", stop_time)
-        _set(self, "equilibrium_radius", equilibrium_radius)
-        _set(self, "equilibrium", equilibrium)
 
 
 class Trajectory(_Record):
@@ -268,13 +243,11 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     ------
     IntegrationError
         If the field is non-finite at ``start`` and the run would take a
-        step; the start sample rides along as ``partial_samples``.
+        step.
     """
     field_at = system.field_at
     sign = -1.0 if config.direction == "backward" else 1.0
     box = config.stop_box
-    eq = config.equilibrium
-    eq_radius = config.equilibrium_radius
     stop_time = config.stop_time
     time_snap = 1e-12 * max(1.0, abs(stop_time)) if stop_time is not None else 0.0
 
@@ -291,8 +264,6 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
 
     if not (x_min <= x <= x_max and y_min <= y <= y_max):
         return Trajectory(tuple(samples), "box_exit")
-    if eq_radius is not None and math.hypot(x - eq.x, y - eq.y) <= eq_radius:
-        return Trajectory(tuple(samples), "equilibrium_reached")
 
     t = 0.0
     h = sign * config.step
@@ -301,9 +272,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     # first stage is the last stage of an accepted step, whose error estimate
     # it feeds, so a non-finite one is always rejected.
     if not (math.isfinite(k1x) and math.isfinite(k1y)) and time_snap < (stop_time or inf):
-        raise IntegrationError(
-            f"field is non-finite at ({x}, {y})", state=(x, y), partial_samples=tuple(samples)
-        )
+        raise IntegrationError(f"field is non-finite at ({x}, {y})")
     reason = "max_steps"
 
     for _ in range(config.max_steps):
@@ -389,9 +358,6 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         x, y, t, h = nx, ny, t_new, h_next
         k1x, k1y = k7x, k7y
 
-        if eq_radius is not None and math.hypot(x - eq.x, y - eq.y) <= eq_radius:
-            reason = "equilibrium_reached"
-            break
         if stop_time is not None and abs(t) >= stop_time:
             reason = "time_horizon"
             break

@@ -156,9 +156,7 @@ def build_portrait(spec: PortraitSpec) -> Scene:
             backward, forward = [integrate(system, seed, half) for half in configs]
         except IntegrationError as exc:
             raise IntegrationError(
-                f"seed {index} ({role}) at ({seed.x}, {seed.y}) diverged: {exc}",
-                state=exc.state,
-                partial_samples=exc.partial_samples,
+                f"seed {index} ({role}) at ({seed.x}, {seed.y}) diverged: {exc}"
             ) from exc
         paths.append(StyledPath(role, backward.points[::-1] + forward.points[1:]))
     return Scene(spec, paths)

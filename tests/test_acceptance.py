@@ -124,19 +124,22 @@ def test_separatrix_matches_closed_form_and_feeds_the_origin():
                     assert abs(system.first_integral(p)) <= 1e-10
                     expected = -((1.5 * theta * p.x * p.x) ** (1.0 / 3.0))
                     assert abs(p.y - expected) <= 1e-10
+            # On the left branch dx/dt = y^2 = c*|x|^(4/3), so |x|^(-1/3) grows
+            # as |x0|^(-1/3) + c*t/3: the flow feeds the origin but never
+            # reaches it. Run until the closed form puts |x| at r.
+            c = (1.5 * theta) ** (2.0 / 3.0)
             start = Point2(-2.0, -((1.5 * theta * 4.0) ** (1.0 / 3.0)))
-            trajectory = integrate(
-                ArchSystem(theta),
-                start,
-                IntegratorConfig(
-                    rel_tol=1e-12,
-                    abs_tol=1e-12,
-                    stop_box=window,
-                    equilibrium_radius=1e-3,
-                ),
-            )
-            assert trajectory.stop_reason == "equilibrium_reached"
-            assert trajectory.final_point.distance_to(Point2(0.0, 0.0)) <= 1e-3
+            for r in (1e-1, 1e-2, 1e-3):
+                stop_time = 3.0 * (r ** (-1.0 / 3.0) - 2.0 ** (-1.0 / 3.0)) / c
+                trajectory = integrate(
+                    system,
+                    start,
+                    IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, stop_time=stop_time),
+                )
+                assert trajectory.stop_reason == "time_horizon"
+                t, end = trajectory.samples[-1]
+                x_closed_form = -((2.0 ** (-1.0 / 3.0) + c * t / 3.0) ** -3.0)
+                assert abs(end.x - x_closed_form) <= 1e-10
 
 
 def closed_form_angle(theta, apex=1.0, fraction=0.5):

@@ -216,6 +216,10 @@ def test_missing_config_file(run_cli):
         ("sweep", "--steps", "0"),
         ("trace", "--theta", "1", "--method", "rk4"),  # the method knob is retired
         ("portrait", "--theta", "1", "--method=rk45"),
+        # flags are spelled in full: no prefix stands for a longer flag
+        ("trace", "--theta", "1", "--tm", "3"),
+        ("portrait", "--theta", "1", "--seeds-a", "3"),
+        ("classify", "--th", "1"),
     ],
 )
 def test_usage_errors_exit_2(run_cli, args):

@@ -47,11 +47,10 @@ W_REPR = "Window(x_min=-1.0, x_max=1.0, y_min=-2.0, y_max=2.0)"
 M_REPR = "Mat2(a11=0.0, a12=2.0, a21=-0.5, a22=0.0)"
 E_REPR = "EigenPair(kind='complex_conjugate', values=(1j, (-0-1j)))"
 PATH_REPR = f"StyledPath(role='separatrix', points=({P_REPR}, {Q_REPR}))"
-CONFIG = IntegratorConfig(0.5, 1e-8, 1e-9, 50, "backward", W, 3.0, 0.1, P)
+CONFIG = IntegratorConfig(0.5, 1e-8, 1e-9, 50, "backward", W, 3.0)
 CONFIG_REPR = (
     "IntegratorConfig(step=0.5, rel_tol=1e-08, abs_tol=1e-09, max_steps=50, "
-    f"direction='backward', stop_box={W_REPR}, stop_time=3.0, equilibrium_radius=0.1, "
-    f"equilibrium={P_REPR})"
+    f"direction='backward', stop_box={W_REPR}, stop_time=3.0)"
 )
 SPEC = PortraitSpec(SYSTEM, W, 3, 2, 0.1, CONFIG, False, 64)
 SPEC_REPR = (
@@ -67,9 +66,8 @@ RECORDS = [
     (Window, "x_min x_max y_min y_max", (-1.0, 1.0, -2.0, 2.0), W_REPR, True),
     (
         IntegratorConfig,
-        "step rel_tol abs_tol max_steps direction stop_box stop_time "
-        "equilibrium_radius equilibrium",
-        (0.5, 1e-8, 1e-9, 50, "backward", W, 3.0, 0.1, P),
+        "step rel_tol abs_tol max_steps direction stop_box stop_time",
+        (0.5, 1e-8, 1e-9, 50, "backward", W, 3.0),
         CONFIG_REPR,
         True,
     ),
@@ -183,10 +181,11 @@ def test_integrator_config_defaults():
     config = IntegratorConfig(stop_time=1.0)
     assert (config.step, config.rel_tol, config.abs_tol) == (0.01, 1e-10, 1e-10)
     assert (config.max_steps, config.direction) == (200_000, "forward")
-    assert (config.stop_box, config.stop_time, config.equilibrium_radius) == (None, 1.0, None)
-    assert config.equilibrium == Point2(0.0, 0.0)
+    assert (config.stop_box, config.stop_time) == (None, 1.0)
     with pytest.raises(TypeError, match="unexpected keyword argument 'method'"):
         IntegratorConfig(method="rk45", stop_time=1.0)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'equilibrium_radius'"):
+        IntegratorConfig(equilibrium_radius=0.1, stop_time=1.0)
 
 
 def test_portrait_spec_defaults():
@@ -236,11 +235,10 @@ INVALID = [
     (lambda: IntegratorConfig(direction="sideways", stop_time=1.0),
      "direction must be 'forward' or 'backward', got 'sideways'"),
     (lambda: IntegratorConfig(stop_time=0.0), "stop_time must be finite and > 0, got 0.0"),
-    (lambda: IntegratorConfig(stop_time=1.0, equilibrium_radius=math.inf),
-     "equilibrium_radius must be finite and > 0, got inf"),
-    (lambda: IntegratorConfig(),
-     "at least one stop condition (stop_box, stop_time, equilibrium_radius) is required"),
+    (lambda: IntegratorConfig(), "at least one stop condition (stop_box, stop_time) is required"),
     (lambda: Trajectory(((0.0, P),), "done"), "unknown stop_reason 'done'"),
+    (lambda: Trajectory(((0.0, P),), "equilibrium_reached"),
+     "unknown stop_reason 'equilibrium_reached'"),
     (lambda: Trajectory((), "box_exit"), "a trajectory needs at least one sample"),
     (lambda: Trajectory(((math.nan, P),), "box_exit"), "sample time must be finite, got nan"),
     (lambda: Trajectory(((0.0, P), (0.0, Q)), "box_exit"), "sample times must be strictly monotone"),
