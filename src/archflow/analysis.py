@@ -14,6 +14,7 @@ from .systems import (
     Window,
     _Record,
     _arch_separatrix_reach,
+    _require_integer,
     _require_positive,
     _set,
 )
@@ -263,6 +264,7 @@ def sector_census(
     """
     center = equilibrium.location if isinstance(equilibrium, Equilibrium) else equilibrium
     _require_positive("radius", radius)
+    _require_integer("samples", samples)
     if samples < 8:
         raise ValueError(f"samples must be >= 8, got {samples}")
     integral = getattr(system, "first_integral", None)
@@ -305,6 +307,7 @@ def trace_separatrix(
     bottom edge first.
     """
     system = ArchSystem(theta)
+    _require_integer("resolution", resolution)
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     if not window.contains(0.0, 0.0):

@@ -35,7 +35,8 @@ import sys
 from typing import Literal
 
 from .systems import (
-    Point2, VectorField2D, Window, _Record, _require_finite, _require_positive, _set,
+    Point2, VectorField2D, Window, _Record, _require_finite, _require_integer,
+    _require_positive, _set,
 )
 
 STOP_REASONS = (
@@ -73,6 +74,7 @@ class IntegratorConfig(_Record):
         _require_positive("step", step)
         _require_positive("rel_tol", rel_tol)
         _require_positive("abs_tol", abs_tol)
+        _require_integer("max_steps", max_steps)
         if max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {max_steps}")
         if direction not in ("forward", "backward"):

@@ -7,7 +7,7 @@ import math
 from .analysis import trace_separatrix
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
 from .systems import (
-    ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _set,
+    ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_integer, _set,
 )
 
 # Stroke (color, width) of each path role.
@@ -65,6 +65,9 @@ class PortraitSpec(_Record):
         integrator: IntegratorConfig = IntegratorConfig(stop_time=10_000.0),
         arrowheads: bool = True, separatrix_resolution: int = 256,
     ) -> None:
+        _require_integer("seeds_above", seeds_above)
+        _require_integer("seeds_below", seeds_below)
+        _require_integer("separatrix_resolution", separatrix_resolution)
         if seeds_above < 0 or seeds_below < 0:
             raise ValueError("seed counts must be >= 0")
         if not (0.0 <= seed_inset < 0.5):

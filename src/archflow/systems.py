@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from typing import Callable
 
@@ -18,6 +19,14 @@ def _require_finite(label: str, *values: float) -> None:
 def _require_positive(label: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{label} must be finite and > 0, got {value!r}")
+
+
+def _require_integer(label: str, value: object) -> None:
+    """Accept any integer type (numpy's too) but no float, not even a whole one."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{label} must be an integer, got {value!r}") from None
 
 
 class _Record:

@@ -236,6 +236,8 @@ def test_sector_census_validation():
         sector_census(s, Point2(0.0, 0.0), radius=0.0)
     with pytest.raises(ValueError):
         sector_census(s, Point2(0.0, 0.0), samples=4)
+    with pytest.raises(TypeError, match=r"^samples must be an integer, got 8.5$"):
+        sector_census(s, Point2(0.0, 0.0), samples=8.5)
     with pytest.raises(TypeError):
         sector_census(CallableField(lambda x, y: (x, y)), Point2(0.0, 0.0))
 
@@ -319,6 +321,8 @@ def test_trace_separatrix_validation():
         trace_separatrix(0.5, Window(1.0, 2.0, -1.0, 1.0))
     with pytest.raises(ValueError):
         trace_separatrix(0.5, Window(-1.0, 1.0, -1.0, 1.0), resolution=0)
+    with pytest.raises(TypeError, match=r"^resolution must be an integer, got 2.5$"):
+        trace_separatrix(0.5, Window(-1.0, 1.0, -1.0, 1.0), 2.5)
     with pytest.raises(ValueError):
         trace_separatrix(-1.0, Window(-1.0, 1.0, -1.0, 1.0))
 

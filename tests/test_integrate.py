@@ -16,6 +16,7 @@ from archflow import (
     crossing,
     integrate,
 )
+from orbit_time import apex_escape_time, escape_time, orbit_time
 
 BOX = Window(-4.0, 4.0, -4.0, 4.0)
 
@@ -292,22 +293,67 @@ def test_box_exits_lie_on_the_exact_orbit(rel_tol):
                 assert abs(p.x - x) <= 10.0 * rel_tol * scale / (theta * abs(x))
 
 
-def _beta(a, b):
-    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-
-
 @pytest.mark.parametrize("theta", [10.0**k for k in range(-9, 10)])
 def test_forward_run_ends_at_the_closed_form_escape_time(theta):
-    # Along x = 0 the field gives y'' = -theta*y^2, so the orbit through
-    # (0, apex) reaches infinity at T* = sqrt(3/(2*theta*apex)) *
-    # (B(1/3, 1/2) + B(1/3, 1/6)) / 3. No box and a horizon of 10*T* leave
-    # only the escape to end the run; only its time is pinned here.
-    apex = 1.0
-    beta_sum = _beta(1.0 / 3.0, 0.5) + _beta(1.0 / 3.0, 1.0 / 6.0)
-    escape = math.sqrt(3.0 / (2.0 * theta * apex)) * beta_sum / 3.0
+    # The orbit through (0, 1) reaches infinity at the closed-form time T*. No
+    # box and a horizon of 10*T* leave only the escape to end the run; only its
+    # time is pinned here.
+    escape = apex_escape_time(theta, 1.0)
     config = IntegratorConfig(stop_time=10.0 * escape)
-    traj = integrate(ArchSystem(theta), Point2(0.0, apex), config)
+    traj = integrate(ArchSystem(theta), Point2(0.0, 1.0), config)
     assert abs(traj.final_time - escape) <= 1e-9 * escape
+
+
+def _seeded_starts(seed, count):
+    """(theta, start): theta log-uniform in 1e-3..1e3, starts in [-3, 3]^2."""
+    rng = random.Random(seed)
+    return [
+        (math.exp(rng.uniform(math.log(1e-3), math.log(1e3))),
+         (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)))
+        for _ in range(count)
+    ]
+
+
+RUN_TIME_CASES = [
+    pytest.param([(theta, start, direction) for theta, start in _seeded_starts(18, 100)
+                  for direction in ("forward", "backward")], id="seeded"),
+] + [
+    pytest.param([(theta, (0.5, 1.0), direction)], id=f"{direction}-{theta}")
+    for direction in ("forward", "backward") for theta in (0.001, 0.5, 5.0)
+]
+
+
+@pytest.mark.parametrize("runs", RUN_TIME_CASES)
+def test_run_times_match_the_orbit_graph(runs):
+    # A box exit, and the end of a time_horizon run to half the exit time, each
+    # lie at the time the orbit graph gives for the way from the start to them.
+    # With the exit just outside the box and on the start's level of H, that
+    # pins the exit point too.
+    for theta, start, direction in runs:
+        system = ArchSystem(theta)
+        config = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, stop_box=BOX,
+                                  direction=direction)
+        exit_run = integrate(system, Point2(*start), config)
+        assert exit_run.stop_reason == "box_exit"
+        end = exit_run.final_point
+        assert BOX.contains_point(end, pad=1e-12 * BOX.width) and not BOX.contains_point(end)
+        scale = abs(0.5 * theta * end.x * end.x) + abs(end.y**3 / 3.0)
+        h0 = system.first_integral(Point2(*start))
+        assert abs(system.first_integral(end) - h0) <= 1e-10 * scale
+        half = config._replace(stop_box=None, stop_time=abs(exit_run.final_time) / 2.0)
+        half_run = integrate(system, Point2(*start), half)
+        assert half_run.stop_reason == "time_horizon"
+        for t, p in (exit_run.samples[-1], half_run.samples[-1]):
+            assert abs(abs(t) - orbit_time(theta, start, (p.x, p.y))) <= 1e-10 * abs(t)
+
+
+def test_escapes_from_seeded_starts_match_the_orbit_graph():
+    # Every forward run reaches x = +inf in finite time, from any start.
+    for theta, start in _seeded_starts(19, 20):
+        escape = escape_time(theta, start)
+        config = IntegratorConfig(stop_time=10.0 * escape)
+        traj = integrate(ArchSystem(theta), Point2(*start), config)
+        assert abs(traj.final_time - escape) <= 1e-9 * escape
 
 
 def test_runs_agree_with_their_scaled_images_at_theta_one():
@@ -361,65 +407,22 @@ def test_relative_h_drift_stays_small_from_theta_1e_minus_9_to_1e9():
                 assert abs(system.first_integral(p) - h0) <= 1e-8 * scale
 
 
-def _arch_rhs(theta, sign):
-    return lambda t, u: [sign * u[1] * u[1], -sign * theta * u[0]]
+LEVEL_SET_CASES = [
+    pytest.param((0.0, 1.0), theta, direction, value, id=f"{value}-{direction}-{theta}")
+    for value in (0.5, -1.0) for direction in ("forward", "backward") for theta in (0.5, 5.0, 1e3)
+] + [
+    pytest.param((0.5, 1.0), theta, direction, value,
+                 id=f"off-axis-{value}-{direction}-{theta}")
+    for value in (0.5, 0.0) for direction in ("forward", "backward") for theta in (0.5, 5.0)
+]
 
 
-@pytest.mark.parametrize("theta", [0.001, 0.5, 5.0])
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_box_exit_matches_scipy_event(theta, direction):
-    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-    sign = 1.0 if direction == "forward" else -1.0
-    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, stop_box=BOX, direction=direction)
-    t_exit, p = integrate(ArchSystem(theta), Point2(0.5, 1.0), cfg).samples[-1]
-
-    edges = [
-        lambda t, u: u[0] - BOX.x_min,
-        lambda t, u: BOX.x_max - u[0],
-        lambda t, u: u[1] - BOX.y_min,
-        lambda t, u: BOX.y_max - u[1],
-    ]
-    for edge in edges:
-        edge.terminal, edge.direction = True, -1.0
-    sol = solve_ivp(_arch_rhs(theta, sign), (0.0, 100.0), [0.5, 1.0], method="DOP853",
-                    rtol=1e-13, atol=1e-13, events=edges, dense_output=True)
-    t_ref = min(ts[0] for ts in sol.t_events if len(ts))
-    x_ref, y_ref = sol.sol(t_ref)
-    assert sign * t_exit == pytest.approx(t_ref, abs=1e-9)
-    assert p.x == pytest.approx(x_ref, abs=1e-9)
-    assert p.y == pytest.approx(y_ref, abs=1e-9)
-    assert not BOX.contains_point(p)
-
-
-@pytest.mark.parametrize("theta", [0.5, 5.0])
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-@pytest.mark.parametrize("value", [0.5, 0.0])
-def test_crossing_matches_scipy_event(theta, direction, value):
-    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-    sign = 1.0 if direction == "forward" else -1.0
-    s = ArchSystem(theta)
-    traj = integrate(s, Point2(0.5, 1.0), IntegratorConfig(stop_box=BOX, direction=direction))
-    p = crossing(s, traj, "horizontal", value)
-
-    def line(t, u):
-        return u[1] - value
-
-    line.terminal = True
-    sol = solve_ivp(_arch_rhs(theta, sign), (0.0, 100.0), [0.5, 1.0], method="DOP853",
-                    rtol=1e-13, atol=1e-13, events=line, dense_output=True)
-    x_ref, y_ref = sol.y_events[0][0]
-    assert p.x == pytest.approx(x_ref, abs=1e-9)
-    assert p.y == pytest.approx(value, abs=1e-9)
-
-
-@pytest.mark.parametrize("theta", [0.5, 5.0, 1e3])
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-@pytest.mark.parametrize("value", [0.5, -1.0])
-def test_crossing_lies_on_the_level_set(theta, direction, value):
+@pytest.mark.parametrize("start, theta, direction, value", LEVEL_SET_CASES)
+def test_crossing_lies_on_the_level_set(start, theta, direction, value):
     s = ArchSystem(theta)
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, stop_box=BOX, direction=direction)
-    p = crossing(s, integrate(s, Point2(0.0, 1.0), cfg), "horizontal", value)
-    h0 = 1.0 / 3.0
+    p = crossing(s, integrate(s, Point2(*start), cfg), "horizontal", value)
+    h0 = s.first_integral(Point2(*start))
     x_level = math.sqrt(2.0 * (h0 - value**3 / 3.0) / theta)
     assert p.y == pytest.approx(value, abs=1e-9)
     assert p.x == pytest.approx(x_level if direction == "forward" else -x_level, abs=1e-9)

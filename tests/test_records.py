@@ -232,6 +232,9 @@ INVALID = [
     (lambda: IntegratorConfig(rel_tol=-1.0, stop_time=1.0), "rel_tol must be finite and > 0, got -1.0"),
     (lambda: IntegratorConfig(abs_tol=math.nan, stop_time=1.0), "abs_tol must be finite and > 0, got nan"),
     (lambda: IntegratorConfig(max_steps=0, stop_time=1.0), "max_steps must be >= 1, got 0"),
+    (lambda: IntegratorConfig(max_steps=2.5, stop_time=1.0), "max_steps must be an integer, got 2.5"),
+    (lambda: IntegratorConfig(max_steps=math.nan, stop_time=1.0),
+     "max_steps must be an integer, got nan"),
     (lambda: IntegratorConfig(direction="sideways", stop_time=1.0),
      "direction must be 'forward' or 'backward', got 'sideways'"),
     (lambda: IntegratorConfig(stop_time=0.0), "stop_time must be finite and > 0, got 0.0"),
@@ -250,6 +253,10 @@ INVALID = [
     (lambda: PortraitSpec(SYSTEM, seeds_below=-1), "seed counts must be >= 0"),
     (lambda: PortraitSpec(SYSTEM, seed_inset=0.5), "seed_inset must lie in [0, 0.5), got 0.5"),
     (lambda: PortraitSpec(SYSTEM, separatrix_resolution=0), "separatrix_resolution must be >= 1"),
+    (lambda: PortraitSpec(SYSTEM, seeds_above=2.5), "seeds_above must be an integer, got 2.5"),
+    (lambda: PortraitSpec(SYSTEM, seeds_below=2.5), "seeds_below must be an integer, got 2.5"),
+    (lambda: PortraitSpec(SYSTEM, separatrix_resolution=2.5),
+     "separatrix_resolution must be an integer, got 2.5"),
     # Rows whose message repeats an earlier one carry their own test id, as a
     # third entry, so the ids of the rows above stay as they are.
     (lambda: Point2(1.0, math.nan), "Point2 coordinates must be finite, got nan", "nan in y"),
@@ -264,7 +271,9 @@ INVALID = [
     "build, message", [row[:2] for row in INVALID], ids=[row[-1] for row in INVALID]
 )
 def test_validation_messages(build, message):
-    with pytest.raises(ValueError) as excinfo:
+    # A count field given a non-integer raises TypeError; every other row, ValueError.
+    error = TypeError if "must be an integer" in message else ValueError
+    with pytest.raises(error) as excinfo:
         build()
     assert str(excinfo.value) == message
 
