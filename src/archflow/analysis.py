@@ -261,6 +261,11 @@ def sector_census(
     parabolic sectors, which is faithful here: the level sets of the arch
     integral through any probe circle are unbounded, so every same-sign arc
     really is hyperbolic.
+
+    The samples sit at ``samples`` equal angles, so an arc narrower than
+    ``2*pi/samples`` can be missed. The arch field's negative arc narrows like
+    ``sqrt(radius/theta)``; 360 samples catch it because one lies on the
+    negative y axis.
     """
     center = equilibrium.location if isinstance(equilibrium, Equilibrium) else equilibrium
     _require_positive("radius", radius)

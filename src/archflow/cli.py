@@ -200,9 +200,7 @@ def _run_analyze(o: dict) -> int:
         print("\n".join(out))
         return 0
     eq = equilibria[0]
-    census = sector_census(
-        system, eq.location, radius=o["census_radius"], samples=o["census_samples"]
-    )
+    census = sector_census(system, eq.location)
     j = eq.jacobian
     l1, l2 = eq.eigen.values
     if machine:
@@ -253,19 +251,17 @@ def _run_classify(o: dict) -> int:
     return 0
 
 
-def _integrator(o: dict, **stops: Any) -> IntegratorConfig:
-    """The step/tol options as a DP5(4) integrator with the given stop conditions.
-
-    ``step`` is the first step of the adaptive run and ``tol`` both its
-    relative and its absolute tolerance.
-    """
-    return IntegratorConfig(step=o["step"], rel_tol=o["tol"], abs_tol=o["tol"], **stops)
-
-
 def _run_trace(o: dict) -> int:
-    stop_box = o["window"].inflated(0.05) if o["window"] is not None else None
-    cfg = _integrator(o, stop_time=o["tmax"], stop_box=stop_box)
-    trajectory = integrate(ArchSystem(o["theta"]), o["start"], cfg)
+    window, start, tol = o["window"], o["start"], o["tol"]
+    if window is None:
+        stop_box, scale = None, max(abs(start.x), abs(start.y))
+    else:
+        stop_box, scale = window.inflated(0.05), max(window.width, window.height) / 2.0
+    # Below unit scale the absolute floor shrinks with the coordinates, so small
+    # runs keep a unit-scale run's accuracy; a scale of 0 keeps tol.
+    abs_tol = tol * min(1.0, scale) or tol
+    cfg = IntegratorConfig(rel_tol=tol, abs_tol=abs_tol, stop_time=o["tmax"], stop_box=stop_box)
+    trajectory = integrate(ArchSystem(o["theta"]), start, cfg)
     Path(o["out"]).write_text(export_trajectory_csv(trajectory, o["theta"]))
     if o["format"] == "machine":
         print(f"out={o['out']}")
@@ -286,7 +282,7 @@ def _run_portrait(o: dict) -> int:
         seeds_above=o["seeds_above"],
         seeds_below=o["seeds_below"],
         seed_inset=o["inset"],
-        integrator=_integrator(o, stop_time=10_000.0),
+        tol=o["tol"],
         arrowheads=o["arrows"],
         separatrix_resolution=o["resolution"],
     )
@@ -333,10 +329,7 @@ _FORMAT = Option("format", _to_format, "human", help="human or machine")
 
 _WINDOW = Option("window", _to_window, Window(-4.0, 4.0, -4.0, 4.0), metavar="X0,X1,Y0,Y1")
 
-_INTEGRATOR = (
-    Option("step", float, 0.01, _POSITIVE),
-    Option("tol", float, 1e-10, _POSITIVE),
-)
+_TOL = Option("tol", float, 1e-10, _POSITIVE)
 
 _APEX_FRACTION = (
     Option("apex", float, 1.0, _POSITIVE),
@@ -346,15 +339,11 @@ _APEX_FRACTION = (
 # One entry per subcommand; each option row is the only declaration of its
 # flag, config key, default and range check.
 COMMANDS: dict[str, Command] = {
-    "analyze": Command("equilibrium, eigenvalues, sector census", True, (
-        _WINDOW,
-        Option("census_radius", float, 0.5, _POSITIVE),
-        Option("census_samples", int, 360, _at_least(8)),
-    ), _run_analyze),
+    "analyze": Command("equilibrium, eigenvalues, sector census", True, (_WINDOW,), _run_analyze),
     "trace": Command("integrate one trajectory to CSV", True, (
         Option("start", _to_point, Point2(0.0, 1.0), metavar="X,Y"),
         Option("tmax", float, 10.0, _POSITIVE),
-        *_INTEGRATOR,
+        _TOL,
         _WINDOW._replace(default=None, help="optional stop box (inflated 5 percent)"),
         Option("out", str, "trace.csv"),
     ), _run_trace),
@@ -363,7 +352,7 @@ COMMANDS: dict[str, Command] = {
         Option("seeds_above", int, 8, _at_least(0)),
         Option("seeds_below", int, 4, _at_least(0)),
         Option("inset", float, 0.05, (lambda v: 0.0 <= v < 0.5, "must lie in [0, 0.5)")),
-        *_INTEGRATOR,
+        _TOL,
         Option("width", int, 800, _at_least(1)),
         Option("height", int, 800, _at_least(1)),
         Option("arrows", _to_bool, True),

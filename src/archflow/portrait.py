@@ -7,7 +7,8 @@ import math
 from .analysis import trace_separatrix
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
 from .systems import (
-    ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_integer, _set,
+    ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_integer,
+    _require_positive, _set,
 )
 
 # Stroke (color, width) of each path role.
@@ -52,22 +53,22 @@ class Scene(_Record):
 
 
 class PortraitSpec(_Record):
-    """Settings for one phase portrait."""
+    """Settings for one phase portrait; each seed's run takes ``tol`` as rel_tol and abs_tol."""
 
     __slots__ = (
         "system", "window", "seeds_above", "seeds_below", "seed_inset",
-        "integrator", "arrowheads", "separatrix_resolution",
+        "tol", "arrowheads", "separatrix_resolution",
     )
 
     def __init__(
         self, system: ArchSystem, window: Window = Window(-4.0, 4.0, -4.0, 4.0),
         seeds_above: int = 8, seeds_below: int = 4, seed_inset: float = 0.05,
-        integrator: IntegratorConfig = IntegratorConfig(stop_time=10_000.0),
-        arrowheads: bool = True, separatrix_resolution: int = 256,
+        tol: float = 1e-10, arrowheads: bool = True, separatrix_resolution: int = 256,
     ) -> None:
         _require_integer("seeds_above", seeds_above)
         _require_integer("seeds_below", seeds_below)
         _require_integer("separatrix_resolution", separatrix_resolution)
+        _require_positive("tol", tol)
         if seeds_above < 0 or seeds_below < 0:
             raise ValueError("seed counts must be >= 0")
         if not (0.0 <= seed_inset < 0.5):
@@ -79,7 +80,7 @@ class PortraitSpec(_Record):
         _set(self, "seeds_above", seeds_above)
         _set(self, "seeds_below", seeds_below)
         _set(self, "seed_inset", seed_inset)
-        _set(self, "integrator", integrator)
+        _set(self, "tol", tol)
         _set(self, "arrowheads", arrowheads)
         _set(self, "separatrix_resolution", separatrix_resolution)
 
@@ -153,7 +154,9 @@ def build_portrait(spec: PortraitSpec) -> Scene:
     left, right = trace_separatrix(system.theta, box, spec.separatrix_resolution)
     paths = [StyledPath("separatrix", left), StyledPath("separatrix", tuple(reversed(right)))]
 
-    configs = [spec.integrator._replace(stop_box=box, direction=d) for d in ("backward", "forward")]
+    # The box ends a run; the horizon bounds only a run that never leaves it.
+    configs = [IntegratorConfig(rel_tol=spec.tol, abs_tol=spec.tol, direction=d, stop_box=box,
+                                stop_time=10_000.0) for d in ("backward", "forward")]
     for index, (seed, role) in enumerate(seed_points(spec)):
         try:
             backward, forward = [integrate(system, seed, half) for half in configs]
@@ -176,14 +179,11 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
     if width_px < 1 or height_px < 1:
         raise ValueError("pixel dimensions must be >= 1")
     spec = scene.spec
-    w, cfg = spec.window, spec.integrator
+    w = spec.window
     sx = width_px / w.width
     sy = height_px / w.height
 
     left, top = w.x_min, w.y_max
-
-    def to_px(p: Point2) -> tuple[float, float]:
-        return (p.x - left) * sx, (top - p.y) * sy
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -193,7 +193,7 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
         f"<desc>theta={spec.system.theta!r}; "
         f"window=[{w.x_min}, {w.x_max}] x [{w.y_min}, {w.y_max}]; "
         f"seeds={spec.seeds_above} upper / {spec.seeds_below} lower; "
-        f"integrator=rk45 step={cfg.step} rel_tol={cfg.rel_tol} abs_tol={cfg.abs_tol}; "
+        f"integrator=rk45 step=0.01 rel_tol={spec.tol} abs_tol={spec.tol}; "
         f"arrowheads={'true' if spec.arrowheads else 'false'}</desc>",
         f'<rect x="0" y="0" width="{width_px}" height="{height_px}" '
         f'fill="#ffffff" stroke="#333333" stroke-width="1"/>',
@@ -206,24 +206,24 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
             f'stroke-width="{path.width}"/>'
         )
         if spec.arrowheads:
-            glyph = _arrow_glyph(path, to_px)
+            glyph = _arrow_glyph(path, xy)
             if glyph is not None:
                 lines.append(glyph)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def _arrow_glyph(path: StyledPath, to_px) -> str | None:
+def _arrow_glyph(path: StyledPath, xy: tuple[float, ...]) -> str | None:
     mid = len(path.points) // 2
-    ax, ay = to_px(path.points[mid - 1])
-    bx, by = to_px(path.points[min(mid + 1, len(path.points) - 1)])
+    ax, ay, mx, my = xy[2 * mid - 2:2 * mid + 2]
+    b = 2 * min(mid + 1, len(path.points) - 1)
+    bx, by = xy[b], xy[b + 1]
     dx, dy = bx - ax, by - ay
     norm = math.hypot(dx, dy)
     if norm == 0.0:
         return None
     ux, uy = dx / norm, dy / norm
     px, py = -uy, ux
-    mx, my = to_px(path.points[mid])
     size = 4.0 + path.width
     tip = (mx + 1.6 * size * ux, my + 1.6 * size * uy)
     base1 = (mx - 0.4 * size * ux + 0.8 * size * px, my - 0.4 * size * uy + 0.8 * size * py)

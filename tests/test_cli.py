@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from archflow.cli import main
+from orbit_time import apex_escape_time, orbit_time
 
 
 @pytest.fixture
@@ -220,6 +221,11 @@ def test_missing_config_file(run_cli):
         ("trace", "--theta", "1", "--tm", "3"),
         ("portrait", "--theta", "1", "--seeds-a", "3"),
         ("classify", "--th", "1"),
+        # the first-step and census settings are retired
+        ("trace", "--theta", "1", "--step", "0.1"),
+        ("portrait", "--theta", "1", "--step=0.02"),
+        ("analyze", "--theta", "1", "--census-samples", "8"),
+        ("analyze", "--theta", "1", "--census-radius", "0.5"),
     ],
 )
 def test_usage_errors_exit_2(run_cli, args):
@@ -281,13 +287,12 @@ def test_flank_without_box_exit_exits_1(run_cli):
 
 
 @pytest.mark.parametrize("args", [
-    ("analyze", "--theta", "1", "--census-radius", "1e110"),
     ("trace", "--theta", "1", "--start", "0,1e150", "--out", "t.csv"),
     ("portrait", "--theta", "1", "--window=-1e200,1e200,-1e200,1e200", "--out", "p.svg"),
-], ids=["analyze", "trace", "portrait"])
+], ids=["trace", "portrait"])
 def test_numeric_overflow_exits_1(run_cli, tmp_path, monkeypatch, args):
-    # A float power leaves the double range: the census radius cubed, H at the
-    # start point, the separatrix reach across the window. A clean error, no traceback.
+    # A float power leaves the double range: H at the start point, the
+    # separatrix reach across the window. A clean error, no traceback.
     monkeypatch.chdir(tmp_path)
     result = run_cli(*args)
     assert result.returncode == 1
@@ -326,3 +331,35 @@ def test_every_subcommand_at_extreme_theta(run_cli, tmp_path, command):
         result = run_cli(*args, "--format", "machine")
         assert result.returncode in (0, 1, 2), (theta, result.stderr)
         _assert_printed_numbers_are_finite(result.stdout)
+        if command == "analyze":
+            # the default census finds the cusp's two sectors at every theta
+            got = parse_machine(result.stdout)
+            assert (got["hyperbolic"], got["separatrices"], got["is_cusp"]) == ("2", "2", "true")
+
+
+def test_trace_from_a_small_start_ends_at_the_escape_time(run_cli, tmp_path):
+    # From (0, 1e-3) every coordinate sits below unit scale, where an absolute
+    # tolerance equal to --tol would govern the error; trace scales it by the
+    # start, so the run still ends at the closed-form escape time.
+    out = tmp_path / "t.csv"
+    for k in range(-2, 10):
+        theta = 10.0**k
+        escape = apex_escape_time(theta, 1e-3)
+        result = run_cli("trace", "--theta", repr(theta), "--start", "0,0.001",
+                         "--tmax", repr(10.0 * escape), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        end = float(out.read_text().splitlines()[-1].split(",")[0])
+        assert abs(end - escape) <= 1e-10 * escape, (theta, end, escape)
+
+
+def test_trace_in_a_small_window_exits_at_the_orbit_graph_time(run_cli, tmp_path):
+    # With --window the scale is the window's half side: the box exit from
+    # (0, 1e-3) in a box of half side 2e-3 lies at the orbit graph's time.
+    out = tmp_path / "t.csv"
+    for k in range(-2, 10):
+        theta = 10.0**k
+        result = run_cli("trace", "--theta", repr(theta), "--start", "0,0.001", "--tmax", "1e12",
+                         "--window=-0.002,0.002,-0.002,0.002", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        t, x, y, _ = map(float, out.read_text().splitlines()[-1].split(","))
+        assert abs(t - orbit_time(theta, (0.0, 0.001), (x, y))) <= 1e-9 * t, theta

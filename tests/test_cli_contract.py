@@ -26,11 +26,8 @@ KINDS = {
 # (command, key, kind, text, parsed value, default)
 OPTIONS = [
     ("analyze", "window", "window", "-1,1,-2,2", Window(-1, 1, -2, 2), DEFAULT_WINDOW),
-    ("analyze", "census_radius", "float", "0.25", 0.25, 0.5),
-    ("analyze", "census_samples", "int", "12", 12, 360),
     ("trace", "start", "point", "0.5,-1", Point2(0.5, -1.0), Point2(0.0, 1.0)),
     ("trace", "tmax", "float", "3", 3.0, 10.0),
-    ("trace", "step", "float", "0.05", 0.05, 0.01),
     ("trace", "tol", "float", "1e-8", 1e-8, 1e-10),
     ("trace", "window", "window", "-1,1,-1,1", Window(-1, 1, -1, 1), None),
     ("trace", "out", "str", "run.csv", "run.csv", "trace.csv"),
@@ -38,7 +35,6 @@ OPTIONS = [
     ("portrait", "seeds_above", "int", "3", 3, 8),
     ("portrait", "seeds_below", "int", "0", 0, 4),
     ("portrait", "inset", "float", "0.1", 0.1, 0.05),
-    ("portrait", "step", "float", "0.02", 0.02, 0.01),
     ("portrait", "tol", "float", "1e-9", 1e-9, 1e-10),
     ("portrait", "width", "int", "640", 640, 800),
     ("portrait", "height", "int", "480", 480, 800),
@@ -63,13 +59,8 @@ BASE["sweep"] = []
 
 # (command, key, rejected boundary text, message after "usage error: ")
 REJECTED = [
-    ("analyze", "census_radius", "0", "census_radius must be finite and > 0, got 0.0"),
-    ("analyze", "census_radius", "inf", "census_radius must be finite and > 0, got inf"),
-    ("analyze", "census_samples", "7", "census_samples must be >= 8, got 7"),
     ("trace", "tmax", "0", "tmax must be finite and > 0, got 0.0"),
-    ("trace", "step", "0", "step must be finite and > 0, got 0.0"),
     ("trace", "tol", "0", "tol must be finite and > 0, got 0.0"),
-    ("portrait", "step", "-0.01", "step must be finite and > 0, got -0.01"),
     ("portrait", "tol", "nan", "tol must be finite and > 0, got nan"),
     ("portrait", "seeds_above", "-1", "seeds_above must be >= 0, got -1"),
     ("portrait", "seeds_below", "-1", "seeds_below must be >= 0, got -1"),
@@ -90,7 +81,6 @@ REJECTED = [
 
 # (command, key, accepted boundary text)
 ACCEPTED = [
-    ("analyze", "census_samples", "8"),
     ("portrait", "seeds_above", "0"),
     ("portrait", "inset", "0"),
     ("portrait", "width", "1"),
@@ -198,6 +188,9 @@ def test_boundary_value_accepted(row):
         (["sweep"], "theta = 1", "unknown config key 'theta' for sweep"),
         (["classify"], "apex", "config line 1: expected key=value, got 'apex'"),
         (["trace", "--theta=1"], "method = rk45", "unknown config key 'method' for trace"),
+        (["trace", "--theta=1"], "step = 0.01", "unknown config key 'step' for trace"),
+        (["analyze", "--theta=1"], "census_radius = 0.5",
+         "unknown config key 'census_radius' for analyze"),
     ],
 )
 def test_error_order_and_theta_messages(tmp_path, capsys, argv, config, message):

@@ -52,10 +52,10 @@ CONFIG_REPR = (
     "IntegratorConfig(step=0.5, rel_tol=1e-08, abs_tol=1e-09, max_steps=50, "
     f"direction='backward', stop_box={W_REPR}, stop_time=3.0)"
 )
-SPEC = PortraitSpec(SYSTEM, W, 3, 2, 0.1, CONFIG, False, 64)
+SPEC = PortraitSpec(SYSTEM, W, 3, 2, 0.1, 1e-08, False, 64)
 SPEC_REPR = (
     f"PortraitSpec(system=ArchSystem(theta=0.5), window={W_REPR}, seeds_above=3, "
-    f"seeds_below=2, seed_inset=0.1, integrator={CONFIG_REPR}, arrowheads=False, "
+    "seeds_below=2, seed_inset=0.1, tol=1e-08, arrowheads=False, "
     "separatrix_resolution=64)"
 )
 
@@ -105,9 +105,8 @@ RECORDS = [
     (Scene, "spec paths", (SPEC, (PATH,)), f"Scene(spec={SPEC_REPR}, paths=({PATH_REPR},))", True),
     (
         PortraitSpec,
-        "system window seeds_above seeds_below seed_inset integrator arrowheads "
-        "separatrix_resolution",
-        (SYSTEM, W, 3, 2, 0.1, CONFIG, False, 64),
+        "system window seeds_above seeds_below seed_inset tol arrowheads separatrix_resolution",
+        (SYSTEM, W, 3, 2, 0.1, 1e-08, False, 64),
         SPEC_REPR,
         True,
     ),
@@ -192,8 +191,10 @@ def test_portrait_spec_defaults():
     spec = PortraitSpec(system=SYSTEM)
     assert spec.window == Window(-4.0, 4.0, -4.0, 4.0)
     assert (spec.seeds_above, spec.seeds_below, spec.seed_inset) == (8, 4, 0.05)
-    assert spec.integrator == IntegratorConfig(stop_time=10_000.0)
+    assert spec.tol == 1e-10
     assert (spec.arrowheads, spec.separatrix_resolution) == (True, 256)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'integrator'"):
+        PortraitSpec(SYSTEM, integrator=IntegratorConfig(stop_time=1.0))
 
 
 def test_trajectory_keeps_its_own_samples():
@@ -257,6 +258,7 @@ INVALID = [
     (lambda: PortraitSpec(SYSTEM, seeds_below=2.5), "seeds_below must be an integer, got 2.5"),
     (lambda: PortraitSpec(SYSTEM, separatrix_resolution=2.5),
      "separatrix_resolution must be an integer, got 2.5"),
+    (lambda: PortraitSpec(SYSTEM, tol=0.0), "tol must be finite and > 0, got 0.0"),
     # Rows whose message repeats an earlier one carry their own test id, as a
     # third entry, so the ids of the rows above stay as they are.
     (lambda: Point2(1.0, math.nan), "Point2 coordinates must be finite, got nan", "nan in y"),
