@@ -161,19 +161,37 @@ def _pinv_2x2(m: Mat2) -> tuple[float, float, float, float]:
     return a / k, c / k, b / k, d / k
 
 
-def _refine_root(system: VectorField2D, px: float, py: float) -> tuple[float, float] | None:
+def _cell(px: float, py: float) -> tuple[float, float]:
+    """The 1e-6 grid cell of (px, py): a root's 3 x 3 cells cover its dedup radius."""
+    return round(px * 1e6, 0), round(py * 1e6, 0)
+
+
+def _refine_root(
+    system: VectorField2D, px: float, py: float, known: set[tuple[float, float]]
+) -> tuple[float, float] | None:
     """Damped Gauss-Newton root polish; ``_pinv_2x2`` tolerates singular Jacobians.
 
     Iteration stops once the Gauss-Newton step falls to 1e-14 of the point's
     scale, not on a small residual: at a multiple root the residual is tiny
     long before the point is, and a residual stop would leave seeds from
     either side a few 1e-7 apart.
+
+    ``known`` holds the cells (``_cell``) around each root polished so far and
+    those a polish toward it passed through. A seed whose iterate enters one
+    gives None at once, since from there it would polish to a root already
+    found, slowly so at a multiple root; the cells it passed join ``known``.
     """
     fx, fy = system.field_at(px, py)
     if not (math.isfinite(fx) and math.isfinite(fy)):
         return None
     cost = fx * fx + fy * fy
+    path = []
     for _ in range(80):
+        cell = _cell(px, py)
+        if cell in known:
+            known.update(path)
+            return None
+        path.append(cell)
         i11, i12, i21, i22 = _pinv_2x2(system.jacobian(Point2(px, py)))
         dx = -(i11 * fx + i12 * fy)
         dy = -(i21 * fx + i22 * fy)
@@ -196,6 +214,9 @@ def _refine_root(system: VectorField2D, px: float, py: float) -> tuple[float, fl
         if not improved:
             break
     if max(abs(fx), abs(fy)) <= 1e-10:
+        cx, cy = _cell(px, py)
+        known.update(path)
+        known.update((cx + i, cy + j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0))
         return px, py
     return None
 
@@ -221,9 +242,10 @@ def find_equilibria(system: VectorField2D, window: Window) -> list[Equilibrium]:
         points = [p for p in analytic if window.contains_point(p)]
     else:
         found: list[tuple[float, float]] = []
+        known: set[tuple[float, float]] = set()
         for sx in _grid(window.x_min, window.x_max, SEED_GRID):
             for sy in _grid(window.y_min, window.y_max, SEED_GRID):
-                root = _refine_root(system, sx, sy)
+                root = _refine_root(system, sx, sy, known)
                 if root is None:
                     continue
                 if not window.contains(root[0], root[1]):
@@ -245,6 +267,9 @@ def find_equilibria(system: VectorField2D, window: Window) -> list[Equilibrium]:
     return result
 
 
+_QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))  # (cos, sin) of k*pi/2
+
+
 def sector_census(
     system: VectorField2D,
     equilibrium: Point2 | Equilibrium,
@@ -264,8 +289,9 @@ def sector_census(
 
     The samples sit at ``samples`` equal angles, so an arc narrower than
     ``2*pi/samples`` can be missed. The arch field's negative arc narrows like
-    ``sqrt(radius/theta)``; 360 samples catch it because one lies on the
-    negative y axis.
+    ``sqrt(radius/theta)`` around the negative y axis. A sample at a whole
+    quarter turn lies exactly on its axis, so a count divisible by 4, such as
+    the default 360, catches that arc at any theta.
     """
     center = equilibrium.location if isinstance(equilibrium, Equilibrium) else equilibrium
     _require_positive("radius", radius)
@@ -281,8 +307,13 @@ def sector_census(
     band = 1e-3 * radius**3
     labels: list[int] = []
     for k in range(samples):
-        phi = 2.0 * math.pi * k / samples
-        p = Point2(center.x + radius * math.cos(phi), center.y + radius * math.sin(phi))
+        quarter, rest = divmod(4 * k, samples)
+        if rest:
+            phi = 2.0 * math.pi * k / samples
+            c, s = math.cos(phi), math.sin(phi)
+        else:  # cos and sin of a rounded multiple of pi/2 miss their exact 0
+            c, s = _QUARTER_TURNS[quarter]
+        p = Point2(center.x + radius * c, center.y + radius * s)
         hv = integral(p) - h0
         if abs(hv) <= band:
             labels.append(0)
@@ -322,12 +353,13 @@ def trace_separatrix(
     extent_left = min(-window.x_min, vertical_cap)
     extent_right = min(window.x_max, vertical_cap)
 
-    height = system.separatrix_height
+    theta = system.theta
 
     def branch(extent: float, side: float) -> tuple[Point2, ...]:
+        # separatrix_height inline: its cube root's argument is never negative.
         # "+ 0.0" turns the origin's -0.0 into 0.0.
         xs = [side * extent * (1.0 - i / resolution) for i in range(resolution + 1)]
-        return tuple([Point2(x, height(x) + 0.0) for x in xs])
+        return tuple([Point2(x, -(1.5 * theta * x * x) ** (1.0 / 3.0) + 0.0) for x in xs])
 
     return branch(extent_left, -1.0), branch(extent_right, 1.0)
 

@@ -35,7 +35,7 @@ import sys
 from typing import Literal
 
 from .systems import (
-    Point2, VectorField2D, Window, _Record, _require_finite, _require_integer,
+    ArchSystem, Point2, VectorField2D, Window, _Record, _require_finite, _require_integer,
     _require_positive, _set,
 )
 
@@ -51,6 +51,8 @@ GROW_MIN = 0.2
 GROW_MAX = 5.0
 MIN_STEP = 1e-12
 TARGET = 0.05
+
+_ARCH_FIELD_AT = ArchSystem.field_at  # as defined, before anything patches it
 
 
 class IntegrationError(RuntimeError):
@@ -93,9 +95,13 @@ class IntegratorConfig(_Record):
 
 
 class Trajectory(_Record):
-    """Recorded (time, point) samples with the reason integration stopped."""
+    """Recorded (time, point) samples with the reason integration stopped.
 
-    __slots__ = ("samples", "stop_reason")
+    The times and coordinates are also kept as three float lists. A record
+    from ``integrate`` holds only those, and builds ``samples`` on first read.
+    """
+
+    __slots__ = ("samples", "stop_reason", "_t", "_x", "_y")
 
     def __init__(self, samples: tuple[tuple[float, Point2], ...], stop_reason: str) -> None:
         if stop_reason not in STOP_REASONS:
@@ -111,10 +117,34 @@ class Trajectory(_Record):
             raise ValueError("sample times must be strictly monotone")
         _set(self, "samples", samples)
         _set(self, "stop_reason", stop_reason)
+        _set(self, "_t", ts)
+        _set(self, "_x", [p.x for _, p in samples])
+        _set(self, "_y", [p.y for _, p in samples])
+
+    @classmethod
+    def _flat(
+        cls, ts: list[float], xs: list[float], ys: list[float], stop_reason: str
+    ) -> Trajectory:
+        """A record over ``integrate``'s own lists, which it has already checked."""
+        self = object.__new__(cls)
+        _set(self, "stop_reason", stop_reason)
+        _set(self, "_t", ts)
+        _set(self, "_x", xs)
+        _set(self, "_y", ys)
+        return self
+
+    def __getattr__(self, name: str) -> object:
+        # Called only for an unset slot; of a record's slots only ``samples``
+        # is ever left unset.
+        if name != "samples":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        samples = tuple(zip(self._t, map(Point2, self._x, self._y)))
+        _set(self, "samples", samples)
+        return samples
 
     @property
     def times(self) -> tuple[float, ...]:
-        return tuple([t for t, _ in self.samples])
+        return tuple(self._t)
 
     @property
     def points(self) -> tuple[Point2, ...]:
@@ -122,14 +152,14 @@ class Trajectory(_Record):
 
     @property
     def final_time(self) -> float:
-        return self.samples[-1][0]
+        return self._t[-1]
 
     @property
     def final_point(self) -> Point2:
         return self.samples[-1][1]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._t)
 
 
 # Dormand-Prince 5(4) tableau.
@@ -247,6 +277,11 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         If the field is non-finite at ``start`` and the run would take a
         step.
     """
+    # The arch field's stages are computed inline, as (y*y, (-theta)*x), which
+    # has the bits of ArchSystem.field_at. Every other field is called; so is
+    # a subclass's override or a patched method, which may count the calls.
+    arch = type(system).field_at is _ARCH_FIELD_AT
+    mth = -system.theta if arch else 0.0
     field_at = system.field_at
     sign = -1.0 if config.direction == "backward" else 1.0
     box = config.stop_box
@@ -260,16 +295,19 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
     )
     rel_tol, abs_tol = config.rel_tol, config.abs_tol
 
-    samples: list[tuple[float, Point2]] = [(0.0, start)]
-    append = samples.append
     x, y = start.x, start.y
+    ts, xs, ys = [0.0], [x], [y]
+    t_append, x_append, y_append = ts.append, xs.append, ys.append
 
     if not (x_min <= x <= x_max and y_min <= y <= y_max):
-        return Trajectory(tuple(samples), "box_exit")
+        return Trajectory._flat(ts, xs, ys, "box_exit")
 
     t = 0.0
     h = sign * config.step
-    k1x, k1y = field_at(x, y)
+    if arch:
+        k1x, k1y = y * y, mth * x
+    else:
+        k1x, k1y = field_at(x, y)
     # Checked once, and only when the horizon lets a first step start: a later
     # first stage is the last stage of an accepted step, whose error estimate
     # it feeds, so a non-finite one is always rejected.
@@ -287,27 +325,44 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
             if abs(h_try) > rem:
                 h_try = sign * rem
         # One DP5(4) step, retried with a smaller h until its scaled error is
-        # at most 1 or h falls below MIN_STEP.
+        # at most 1 or h falls below MIN_STEP. (sx, sy) is each stage's point.
         while True:
-            k2x, k2y = field_at(x + h_try * _A21 * k1x, y + h_try * _A21 * k1y)
-            k3x, k3y = field_at(
-                x + h_try * (_A31 * k1x + _A32 * k2x), y + h_try * (_A31 * k1y + _A32 * k2y)
-            )
-            k4x, k4y = field_at(
-                x + h_try * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
-                y + h_try * (_A41 * k1y + _A42 * k2y + _A43 * k3y),
-            )
-            k5x, k5y = field_at(
-                x + h_try * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
-                y + h_try * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
-            )
-            k6x, k6y = field_at(
-                x + h_try * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
-                y + h_try * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
-            )
+            sx = x + h_try * _A21 * k1x
+            sy = y + h_try * _A21 * k1y
+            if arch:
+                k2x, k2y = sy * sy, mth * sx
+            else:
+                k2x, k2y = field_at(sx, sy)
+            sx = x + h_try * (_A31 * k1x + _A32 * k2x)
+            sy = y + h_try * (_A31 * k1y + _A32 * k2y)
+            if arch:
+                k3x, k3y = sy * sy, mth * sx
+            else:
+                k3x, k3y = field_at(sx, sy)
+            sx = x + h_try * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
+            sy = y + h_try * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
+            if arch:
+                k4x, k4y = sy * sy, mth * sx
+            else:
+                k4x, k4y = field_at(sx, sy)
+            sx = x + h_try * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
+            sy = y + h_try * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
+            if arch:
+                k5x, k5y = sy * sy, mth * sx
+            else:
+                k5x, k5y = field_at(sx, sy)
+            sx = x + h_try * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
+            sy = y + h_try * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y)
+            if arch:
+                k6x, k6y = sy * sy, mth * sx
+            else:
+                k6x, k6y = field_at(sx, sy)
             nx = x + h_try * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
             ny = y + h_try * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-            k7x, k7y = field_at(nx, ny)
+            if arch:
+                k7x, k7y = ny * ny, mth * nx
+            else:
+                k7x, k7y = field_at(nx, ny)
             err_x = h_try * (
                 _E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x
             )
@@ -343,10 +398,14 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         if not (x_min <= nx <= x_max and y_min <= ny <= y_max):
             k = (k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y)
             s, ex, ey = _locate_box_exit(box, x, y, nx, ny, h_try, k)
+            if not (math.isfinite(ex) and math.isfinite(ey)):
+                _require_finite("Point2 coordinates", ex, ey)
             t_exit = t + s * h_try
             if t_exit == t:
                 t_exit = math.nextafter(t, sign * math.inf)
-            append((t_exit, Point2(ex, ey)))
+            t_append(t_exit)
+            x_append(ex)
+            y_append(ey)
             reason = "box_exit"
             break
 
@@ -356,7 +415,10 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         if t_new == t:
             reason = "step_underflow"
             break
-        append((t_new, Point2(nx, ny)))
+        # The error norm is finite, so the accepted point is too.
+        t_append(t_new)
+        x_append(nx)
+        y_append(ny)
         x, y, t, h = nx, ny, t_new, h_next
         k1x, k1y = k7x, k7y
 
@@ -364,7 +426,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
             reason = "time_horizon"
             break
 
-    return Trajectory(tuple(samples), reason)
+    return Trajectory._flat(ts, xs, ys, reason)
 
 
 def crossing(

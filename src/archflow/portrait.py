@@ -20,9 +20,13 @@ _STYLE = {
 
 
 class StyledPath(_Record):
-    """A flow-ordered polyline; its role sets its stroke."""
+    """A flow-ordered polyline; its role sets its stroke.
 
-    __slots__ = ("role", "points")
+    The coordinates are also kept as two float lists. A path from
+    ``build_portrait`` holds only those, and builds ``points`` on first read.
+    """
+
+    __slots__ = ("role", "points", "_x", "_y")
 
     def __init__(self, role: str, points: tuple[Point2, ...]) -> None:
         if role not in _STYLE:
@@ -32,6 +36,28 @@ class StyledPath(_Record):
             raise ValueError("a styled path needs at least 2 points")
         _set(self, "role", role)
         _set(self, "points", points)
+        _set(self, "_x", [p.x for p in points])
+        _set(self, "_y", [p.y for p in points])
+
+    @classmethod
+    def _flat(cls, role: str, xs: list[float], ys: list[float]) -> StyledPath:
+        """A path over finite coordinates from ``integrate``."""
+        if len(xs) < 2:
+            raise ValueError("a styled path needs at least 2 points")
+        self = object.__new__(cls)
+        _set(self, "role", role)
+        _set(self, "_x", xs)
+        _set(self, "_y", ys)
+        return self
+
+    def __getattr__(self, name: str) -> object:
+        # Called only for an unset slot; of a path's slots only ``points`` is
+        # ever left unset.
+        if name != "points":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        points = tuple(map(Point2, self._x, self._y))
+        _set(self, "points", points)
+        return points
 
     @property
     def color(self) -> str:
@@ -164,7 +190,10 @@ def build_portrait(spec: PortraitSpec) -> Scene:
             raise IntegrationError(
                 f"seed {index} ({role}) at ({seed.x}, {seed.y}) diverged: {exc}"
             ) from exc
-        paths.append(StyledPath(role, backward.points[::-1] + forward.points[1:]))
+        # The halves share the seed; the backward half is reversed to flow order.
+        paths.append(StyledPath._flat(
+            role, backward._x[::-1] + forward._x[1:], backward._y[::-1] + forward._y[1:]
+        ))
     return Scene(spec, paths)
 
 
@@ -199,8 +228,12 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
         f'fill="#ffffff" stroke="#333333" stroke-width="1"/>',
     ]
     for path in scene.paths:
-        xy = tuple([c for p in path.points for c in ((p.x - left) * sx, (top - p.y) * sy)])
-        pts = ("%.2f,%.2f " * len(path.points))[:-1] % xy
+        n = len(path._x)
+        xy = [0.0] * (2 * n)
+        xy[0::2] = [(x - left) * sx for x in path._x]
+        xy[1::2] = [(top - y) * sy for y in path._y]
+        xy = tuple(xy)
+        pts = ("%.2f,%.2f " * n)[:-1] % xy
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{path.color}" '
             f'stroke-width="{path.width}"/>'
@@ -214,9 +247,10 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
 
 
 def _arrow_glyph(path: StyledPath, xy: tuple[float, ...]) -> str | None:
-    mid = len(path.points) // 2
+    n = len(xy) // 2
+    mid = n // 2
     ax, ay, mx, my = xy[2 * mid - 2:2 * mid + 2]
-    b = 2 * min(mid + 1, len(path.points) - 1)
+    b = 2 * min(mid + 1, n - 1)
     bx, by = xy[b], xy[b + 1]
     dx, dy = bx - ax, by - ay
     norm = math.hypot(dx, dy)

@@ -30,22 +30,29 @@ def _require_integer(label: str, value: object) -> None:
 
 
 class _Record:
-    """Immutable record whose fields are its ``__slots__``, in order.
+    """Immutable record whose fields are its public ``__slots__``, in order.
 
     A record's ``__init__`` validates its arguments and stores each one with
     ``_set`` or a slot's own setter; ``repr``, equality within the type,
-    hashing, copying, pickling and ``_replace`` all follow the slots. Frozen dataclasses would give the
-    same behaviour, but importing ``dataclasses`` and generating each class's
-    methods at import was the largest part of archflow's cold import time.
+    hashing, copying, pickling and ``_replace`` all follow the fields. A slot
+    named with a leading underscore is private storage, not a field. Frozen
+    dataclasses would give the same behaviour, but importing ``dataclasses``
+    and generating each class's methods at import was the largest part of
+    archflow's cold import time.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other: object) -> bool:
@@ -67,7 +74,7 @@ class _Record:
 
     def _replace(self, **changes):
         """A new record with the named fields changed, validated like any other."""
-        return type(self)(**{**dict(zip(self.__slots__, self._values())), **changes})
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
 
 class Point2(_Record):
@@ -85,7 +92,8 @@ class Point2(_Record):
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-# A Point2 is built for every sample; its slots' own setters skip _set's lookup.
+# A Point2 is built for every sample a caller reads; its slots' own setters skip
+# _set's lookup.
 _set_x, _set_y = Point2.x.__set__, Point2.y.__set__
 
 
@@ -159,8 +167,10 @@ class VectorField2D(ABC):
 
     Subclasses implement ``field_at`` on raw floats, so integrator inner
     loops work on plain floats; ``jacobian`` and ``analytic_equilibria`` take
-    and give records. Each field value is still a tuple and each recorded
-    sample a ``Point2``.
+    and give records. ``integrate`` evaluates ``ArchSystem``'s own field
+    inline in its stages and calls ``field_at`` for every other field. It
+    records samples as plain floats; a ``Point2`` is built for each only when
+    a caller reads them.
     """
 
     __slots__ = ()

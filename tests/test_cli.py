@@ -337,6 +337,16 @@ def test_every_subcommand_at_extreme_theta(run_cli, tmp_path, command):
             assert (got["hyperbolic"], got["separatrices"], got["is_cusp"]) == ("2", "2", "true")
 
 
+@pytest.mark.parametrize("theta", ["1e31", "1e100", "1e300"])
+def test_analyze_finds_the_cusp_beyond_the_tested_theta_range(run_cli, theta):
+    # The negative arc narrows like sqrt(r/theta); only the census sample
+    # exactly on the negative y axis still lands in it.
+    result = run_cli("analyze", "--theta", theta, "--format", "machine")
+    assert result.returncode == 0, result.stderr
+    got = parse_machine(result.stdout)
+    assert (got["hyperbolic"], got["separatrices"], got["is_cusp"]) == ("2", "2", "true")
+
+
 def test_trace_from_a_small_start_ends_at_the_escape_time(run_cli, tmp_path):
     # From (0, 1e-3) every coordinate sits below unit scale, where an absolute
     # tolerance equal to --tol would govern the error; trace scales it by the

@@ -244,6 +244,66 @@ def test_crossing_not_found():
         crossing(s, forged, "horizontal", 0.0)
 
 
+def _inline_and_called_runs(seed, count):
+    """(ArchSystem run, the same field as a CallableField run, call count) per seeded case."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        theta = 10.0 ** rng.uniform(-3.0, 2.0)
+        start = Point2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        cfg = IntegratorConfig(
+            rel_tol=rng.choice((1e-8, 1e-10, 1e-12)),
+            abs_tol=rng.choice((1e-8, 1e-10, 1e-12)),
+            direction=rng.choice(("forward", "backward")),
+            stop_box=rng.choice((BOX, Window(-1.0, 3.0, -2.0, 1.5))),
+            stop_time=rng.uniform(0.05, 3.0),
+        )
+        calls = 0
+
+        def field(x, y, theta=theta):
+            nonlocal calls
+            calls += 1
+            return y * y, -theta * x
+
+        called = integrate(CallableField(field), start, cfg)
+        yield theta, start, cfg, integrate(ArchSystem(theta), start, cfg), called, calls
+
+
+def test_inline_arch_stages_match_the_called_field_bit_for_bit():
+    reasons = set()
+    for *_, inline, called, _ in _inline_and_called_runs(20, 120):
+        assert inline.stop_reason == called.stop_reason
+        assert repr(inline.samples) == repr(called.samples)
+        reasons.add(inline.stop_reason)
+    assert {"box_exit", "time_horizon"} <= reasons
+
+
+def test_an_overridden_or_patched_arch_field_is_called_as_often_as_the_generic_one(monkeypatch):
+    counted = []
+
+    class Overridden(ArchSystem):
+        def field_at(self, x, y):
+            counted.append(None)
+            return super().field_at(x, y)
+
+    original = ArchSystem.field_at
+
+    def patched(self, x, y):
+        counted.append(None)
+        return original(self, x, y)
+
+    for theta, start, cfg, inline, _, calls in _inline_and_called_runs(21, 20):
+        counted.clear()
+        run = integrate(Overridden(theta), start, cfg)
+        assert len(counted) == calls
+        assert repr(run.samples) == repr(inline.samples)
+        with monkeypatch.context() as patch:
+            patch.setattr(ArchSystem, "field_at", patched)
+            counted.clear()
+            run = integrate(ArchSystem(theta), start, cfg)
+        assert len(counted) == calls
+        assert repr(run.samples) == repr(inline.samples)
+
+
 def test_seeded_random_conservation_short_runs():
     rng = np.random.default_rng(7)
     s = ArchSystem(1.3)

@@ -29,6 +29,8 @@ from archflow import (
     StyledPath,
     Trajectory,
     Window,
+    build_portrait,
+    integrate,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -219,6 +221,49 @@ def test_scene_keeps_its_own_paths():
     paths.append(PATH)
     assert scene.paths == (PATH,)
     assert hash(scene) == hash(Scene(SPEC, (PATH,)))
+
+
+def _lazy_and_built_records():
+    """Factories of records that build samples or points on first read, and their
+    twins built through the public constructors from the same floats; each factory
+    call gives a record nothing has read yet."""
+    start, config = Point2(0.2, 1.0), IntegratorConfig(stop_box=W, direction="backward")
+    trajectory = lambda: integrate(SYSTEM, start, config)  # noqa: E731
+    run = trajectory()
+    samples = tuple((t, Point2(x, y)) for t, x, y in zip(run._t, run._x, run._y))
+    spec = PortraitSpec(SYSTEM, seeds_above=2, seeds_below=1)
+    path = lambda: build_portrait(spec).paths[2]  # noqa: E731
+    flat = path()
+    return [
+        (trajectory, Trajectory(samples, run.stop_reason), "samples",
+         {"stop_reason": "time_horizon"}),
+        (path, StyledPath(flat.role, tuple(map(Point2, flat._x, flat._y))), "points",
+         {"role": "lower_sector"}),
+    ]
+
+
+@pytest.mark.parametrize("lazy, built, first, change", _lazy_and_built_records(),
+                         ids=["Trajectory", "StyledPath"])
+def test_lazily_built_records_match_caller_built_ones(lazy, built, first, change):
+    # The slot of the field built on first read is still unset.
+    with pytest.raises(AttributeError):
+        getattr(type(built), first).__get__(lazy())
+    assert lazy() == built and built == lazy()
+    assert hash(lazy()) == hash(built)
+    assert repr(lazy()) == repr(built)
+    for clone in (copy.copy(lazy()), copy.deepcopy(lazy()), pickle.loads(pickle.dumps(lazy()))):
+        assert type(clone) is type(built) and clone == built and repr(clone) == repr(built)
+    assert len(getattr(lazy(), first)) == len(getattr(built, first))
+    if isinstance(built, Trajectory):
+        assert len(lazy()) == len(built)
+        assert lazy().times == built.times and lazy().points == built.points
+        assert lazy().final_point == built.final_point
+        assert lazy().final_time == built.final_time
+    assert lazy()._replace(**change) == built._replace(**change)
+    record = lazy()
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(built, first))
+    assert repr(record) == repr(built)
 
 
 INVALID = [
