@@ -20,6 +20,12 @@ leaves the box. A backward run takes signed steps h < 0 through the same
 loop, as DOPRI5 does; its times are negative, and the time horizon compares
 |t| with ``stop_time``.
 
+When the field is ``ArchSystem``'s own ``field_at``, each stage evaluates it
+inline as ``(y*y, (-theta)*x)``, with the same bits as the method; any other
+field, an override or a patched method included, is called once per stage.
+Accepted samples go into three float lists, and the ``Trajectory`` builds
+its ``Point2`` samples only when a caller reads them.
+
 Events are located inside the one step where they fire, on that step's
 continuous extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), the
 free fourth order dopri5 interpolant. A box exit is solved there by Illinois

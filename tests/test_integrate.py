@@ -245,7 +245,8 @@ def test_crossing_not_found():
 
 
 def _inline_and_called_runs(seed, count):
-    """(ArchSystem run, the same field as a CallableField run, call count) per seeded case."""
+    """Per seeded case: theta, start, config, the ArchSystem run, the run of the same
+    field as a CallableField, and that run's field call count."""
     rng = random.Random(seed)
     for _ in range(count):
         theta = 10.0 ** rng.uniform(-3.0, 2.0)
