@@ -14,6 +14,7 @@ from .systems import (
     Window,
     _Record,
     _arch_separatrix_reach,
+    _require_finite,
     _require_integer,
     _require_positive,
     _set,
@@ -332,6 +333,31 @@ def sector_census(
     return SectorCensus(hyperbolic, 0, 0, separatrices)
 
 
+def _separatrix_branches(
+    theta: float, window: Window, resolution: int
+) -> list[tuple[list[float], list[float]]]:
+    """``trace_separatrix``'s (left, right) branches as (xs, ys) float lists."""
+    theta = ArchSystem(theta).theta
+    _require_integer("resolution", resolution)
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    if not window.contains(0.0, 0.0):
+        raise ValueError("window must contain the origin")
+
+    vertical_cap = _arch_separatrix_reach(theta, window.y_min)
+    branches = []
+    for extent, side in ((min(-window.x_min, vertical_cap), -1.0),
+                         (min(window.x_max, vertical_cap), 1.0)):
+        # separatrix_height inline: its cube root's argument is never negative.
+        # "+ 0.0" turns the origin's -0.0 into 0.0.
+        xs = [side * extent * (1.0 - i / resolution) for i in range(resolution + 1)]
+        ys = [-(1.5 * theta * x * x) ** (1.0 / 3.0) + 0.0 for x in xs]
+        # |y| grows with |x|, so only the first vertex can overflow.
+        _require_finite("Point2 coordinates", ys[0])
+        branches.append((xs, ys))
+    return branches
+
+
 def trace_separatrix(
     theta: float, window: Window, resolution: int = 256
 ) -> tuple[tuple[Point2, ...], tuple[Point2, ...]]:
@@ -342,26 +368,8 @@ def trace_separatrix(
     in x as the window permits, shrunk when the curve leaves through the
     bottom edge first.
     """
-    system = ArchSystem(theta)
-    _require_integer("resolution", resolution)
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
-    if not window.contains(0.0, 0.0):
-        raise ValueError("window must contain the origin")
-
-    vertical_cap = _arch_separatrix_reach(theta, window.y_min)
-    extent_left = min(-window.x_min, vertical_cap)
-    extent_right = min(window.x_max, vertical_cap)
-
-    theta = system.theta
-
-    def branch(extent: float, side: float) -> tuple[Point2, ...]:
-        # separatrix_height inline: its cube root's argument is never negative.
-        # "+ 0.0" turns the origin's -0.0 into 0.0.
-        xs = [side * extent * (1.0 - i / resolution) for i in range(resolution + 1)]
-        return tuple([Point2(x, -(1.5 * theta * x * x) ** (1.0 / 3.0) + 0.0) for x in xs])
-
-    return branch(extent_left, -1.0), branch(extent_right, 1.0)
+    (lx, ly), (rx, ry) = _separatrix_branches(theta, window, resolution)
+    return tuple(map(Point2, lx, ly)), tuple(map(Point2, rx, ry))
 
 
 def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> float:
@@ -401,8 +409,10 @@ def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> flo
             raise CrossingNotFound(
                 f"{direction} flank stopped by {traj.stop_reason} above y = {y_target}"
             )
-        p = traj.final_point
-        return theta * abs(p.x) / (p.y * p.y)
+        # An exit on y = 0, which a fraction below about 1e-17 can give, is
+        # the limit of an infinite slope.
+        yy = traj._y[-1] * traj._y[-1]
+        return theta * abs(traj._x[-1]) / yy if yy else math.inf
 
     return 180.0 - math.degrees(math.atan(flank_slope("forward"))) - math.degrees(
         math.atan(flank_slope("backward"))

@@ -105,6 +105,8 @@ class Trajectory(_Record):
 
     The times and coordinates are also kept as three float lists. A record
     from ``integrate`` holds only those, and builds ``samples`` on first read.
+    ``times``, ``final_time``, ``final_point`` and ``len`` read the lists, so
+    only ``samples`` and ``points`` build a ``Point2`` per sample.
     """
 
     __slots__ = ("samples", "stop_reason", "_t", "_x", "_y")
@@ -162,7 +164,7 @@ class Trajectory(_Record):
 
     @property
     def final_point(self) -> Point2:
-        return self.samples[-1][1]
+        return Point2(self._x[-1], self._y[-1])
 
     def __len__(self) -> int:
         return len(self._t)

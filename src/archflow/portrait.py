@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .analysis import trace_separatrix
+from .analysis import _separatrix_branches
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
 from .systems import (
     ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_integer,
@@ -41,7 +41,7 @@ class StyledPath(_Record):
 
     @classmethod
     def _flat(cls, role: str, xs: list[float], ys: list[float]) -> StyledPath:
-        """A path over finite coordinates from ``integrate``."""
+        """A path over finite coordinates from ``integrate`` or the separatrix."""
         if len(xs) < 2:
             raise ValueError("a styled path needs at least 2 points")
         self = object.__new__(cls)
@@ -177,8 +177,11 @@ def build_portrait(spec: PortraitSpec) -> Scene:
     system = spec.system
     box = spec.window.inflated(0.05)
 
-    left, right = trace_separatrix(system.theta, box, spec.separatrix_resolution)
-    paths = [StyledPath("separatrix", left), StyledPath("separatrix", tuple(reversed(right)))]
+    (lx, ly), (rx, ry) = _separatrix_branches(system.theta, box, spec.separatrix_resolution)
+    paths = [
+        StyledPath._flat("separatrix", lx, ly),
+        StyledPath._flat("separatrix", rx[::-1], ry[::-1]),  # flow order: out of the origin
+    ]
 
     # The box ends a run; the horizon bounds only a run that never leaves it.
     configs = [IntegratorConfig(rel_tol=spec.tol, abs_tol=spec.tol, direction=d, stop_box=box,
@@ -269,10 +272,15 @@ def _arrow_glyph(path: StyledPath, xy: tuple[float, ...]) -> str | None:
 
 
 def export_trajectory_csv(trajectory: Trajectory, theta: float) -> str:
-    """CSV text with header t,x,y,H and one row per sample, 17 digits."""
-    system = ArchSystem(theta)
-    rows = ["t,x,y,H"]
-    for t, p in trajectory.samples:
-        hv = system.first_integral(p)
-        rows.append(f"{t:.17g},{p.x:.17g},{p.y:.17g},{hv:.17g}")
-    return "\n".join(rows) + "\n"
+    """CSV text with header t,x,y,H and one row per sample, 17 digits.
+
+    Rows are formatted from the trajectory's float lists, so no ``Point2``
+    is built. H is ``ArchSystem.first_integral``'s formula written inline,
+    which gives its bits.
+    """
+    theta = ArchSystem(theta).theta
+    rows = [
+        "%.17g,%.17g,%.17g,%.17g\n" % (t, x, y, 0.5 * theta * x * x + y**3 / 3.0)
+        for t, x, y in zip(trajectory._t, trajectory._x, trajectory._y)
+    ]
+    return "t,x,y,H\n" + "".join(rows)

@@ -166,6 +166,22 @@ def test_sweep_rows(run_cli):
     assert angles == sorted(angles, reverse=True)
 
 
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+def test_vanishing_fraction_prints_a_zero_angle(run_cli, command):
+    # The flank's exit lands on y == 0: an angle of 0, not a ZeroDivisionError.
+    if command == "classify":
+        theta = ("--theta", "0.5")
+    else:
+        theta = ("--theta-from", "0.25", "--theta-to", "0.5", "--steps", "2")
+    result = run_cli(command, *theta, "--fraction", "1e-20", "--format", "machine")
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.strip().split("\n")
+    assert len(lines) == (3 if command == "classify" else 2)
+    angles = [line for line in lines if "opening_angle_deg=" in line]
+    assert len(angles) == (1 if command == "classify" else 2)
+    assert all(line.endswith("opening_angle_deg=0.0000") for line in angles)
+
+
 def test_config_file_supplies_defaults(run_cli, tmp_path):
     cfg = tmp_path / "arch.cfg"
     cfg.write_text("# sample run\npreset = strong\nformat = machine\nfraction = 0.5\n")

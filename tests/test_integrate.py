@@ -55,6 +55,44 @@ def test_trajectory_validation():
     assert backward.times == (0.0, -1.0)
 
 
+def _final_point_run(reason, direction, rng):
+    """A seeded run of the arch field at theta 0.5 that stops for ``reason``."""
+    start = Point2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    if reason == "box_exit":
+        cfg = IntegratorConfig(stop_box=BOX, direction=direction)
+    elif reason == "time_horizon":
+        cfg = IntegratorConfig(stop_time=rng.uniform(0.05, 0.3), direction=direction)
+    elif reason == "max_steps":
+        cfg = IntegratorConfig(stop_box=BOX, max_steps=rng.randint(1, 5), direction=direction)
+    elif reason == "step_underflow":  # the finite-time escape from the apex
+        start = Point2(0.0, rng.uniform(0.5, 1.5))
+        cfg = IntegratorConfig(stop_time=1e3, direction=direction)
+    else:  # a start outside the box: one sample, stopped at once
+        start = Point2(rng.choice((-1.0, 1.0)) * rng.uniform(4.5, 6.0), rng.uniform(-2.0, 2.0))
+        cfg = IntegratorConfig(stop_box=BOX, direction=direction)
+        reason = "box_exit"
+    run = integrate(ArchSystem(0.5), start, cfg)
+    assert run.stop_reason == reason
+    return run
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize(
+    "reason", ["box_exit", "time_horizon", "max_steps", "step_underflow", "outside"]
+)
+def test_final_point_is_the_last_sample_without_building_samples(reason, direction):
+    rng = random.Random(f"final-point-{reason}-{direction}")
+    for _ in range(5):
+        run = _final_point_run(reason, direction, rng)
+        assert (len(run) == 1) == (reason == "outside")
+        end = run.final_point
+        # The samples slot is still unset: final_point read the float lists.
+        with pytest.raises(AttributeError):
+            Trajectory.samples.__get__(run)
+        last = run.samples[-1][1]
+        assert (end.x.hex(), end.y.hex()) == (last.x.hex(), last.y.hex())
+
+
 def _one_step(start, h):
     cfg = IntegratorConfig(step=abs(h), stop_time=abs(h),
                            direction="forward" if h > 0 else "backward")

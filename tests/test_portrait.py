@@ -11,12 +11,14 @@ from archflow import (
     PortraitSpec,
     Scene,
     StyledPath,
+    Trajectory,
     Window,
     build_portrait,
     export_trajectory_csv,
     integrate,
     render_svg,
     seed_points,
+    trace_separatrix,
 )
 
 PRESETS = (0.001, 0.5, 5.0)
@@ -244,9 +246,72 @@ def test_export_trajectory_csv_round_trip():
         export_trajectory_csv(t, -0.5)
 
 
+def _reference_csv(trajectory, theta):
+    """The export written through ``Trajectory.samples`` and ``first_integral``."""
+    system = ArchSystem(theta)
+    rows = ["t,x,y,H"]
+    for t, p in trajectory.samples:
+        rows.append(f"{t:.17g},{p.x:.17g},{p.y:.17g},{system.first_integral(p):.17g}")
+    return "\n".join(rows) + "\n"
+
+
+def _csv_runs():
+    rng = random.Random(21)
+    for kind in ("boxed", "horizon", "backward"):
+        for _ in range(4):
+            theta = 10.0 ** rng.uniform(-3.0, 1.0)
+            start = Point2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+            cfg = {
+                "boxed": IntegratorConfig(stop_box=Window(-4, 4, -4, 4)),
+                "horizon": IntegratorConfig(stop_time=rng.uniform(0.1, 0.5)),
+                "backward": IntegratorConfig(stop_box=Window(-4, 4, -4, 4), direction="backward"),
+            }[kind]
+            yield kind, theta, integrate(ArchSystem(theta), start, cfg)
+    # The default `trace --theta 0.5` run, with the CLI's settings.
+    default = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10, stop_time=10.0)
+    yield "default trace", 0.5, integrate(ArchSystem(0.5), Point2(0.0, 1.0), default)
+
+
+def test_export_trajectory_csv_matches_the_samples_reference():
+    runs = list(_csv_runs())
+    assert len(runs[-1][2]) == 5005
+    for kind, theta, run in runs:
+        text = export_trajectory_csv(run, theta)
+        # The export reads the float lists; no Point2 sample was built.
+        with pytest.raises(AttributeError):
+            Trajectory.samples.__get__(run)
+        assert text == _reference_csv(run, theta), kind
+
+
 def test_export_trajectory_csv_conserves_h_column():
     s = ArchSystem(0.5)
     t = integrate(s, Point2(0.5, 0.5), IntegratorConfig(stop_box=Window(-4, 4, -4, 4)))
     rows = export_trajectory_csv(t, 0.5).strip().split("\n")[1:]
     h_values = [float(r.split(",")[3]) for r in rows]
     assert max(abs(h - h_values[0]) for h in h_values) <= 1e-8
+
+
+@pytest.mark.parametrize("exit_edge", ["side", "bottom"])
+@pytest.mark.parametrize("theta", [float(f"1e{k}") for k in range(-9, 10)])
+def test_portrait_separatrix_paths_are_the_traced_separatrix(theta, exit_edge):
+    # The curve sinks to -depth at x = 4. A bottom at twice that lets both
+    # branches leave the inflated box through its sides; one at half of it
+    # clips both at the bottom edge.
+    depth = -ArchSystem(theta).separatrix_height(4.0)
+    bottom = -2.0 * depth if exit_edge == "side" else -0.5 * depth
+    window = Window(-3.0, 4.0, bottom, depth)
+    spec = PortraitSpec(ArchSystem(theta), window=window, seeds_above=0, seeds_below=0)
+    box = window.inflated(0.05)
+    left, right = trace_separatrix(theta, box, spec.separatrix_resolution)
+    if exit_edge == "side":
+        assert (left[0].x, right[0].x) == (box.x_min, box.x_max)
+    else:
+        assert box.x_min < left[0].x and right[0].x < box.x_max
+
+    def bits(points):
+        return [(p.x.hex(), p.y.hex()) for p in points]
+
+    first, second = build_portrait(spec).paths
+    assert (first.role, second.role) == ("separatrix", "separatrix")
+    assert bits(first.points) == bits(left)
+    assert bits(second.points) == bits(reversed(right))
