@@ -30,22 +30,13 @@ from .portrait import (
     render_svg,
     seed_points,
 )
-from .systems import (
-    ArchSystem,
-    CallableField,
-    Mat2,
-    Point2,
-    VectorField2D,
-    Window,
-    numeric_jacobian,
-)
+from .systems import ArchSystem, Mat2, Point2, Window
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArchCategory",
     "ArchSystem",
-    "CallableField",
     "CrossingNotFound",
     "EigenPair",
     "Equilibrium",
@@ -58,7 +49,6 @@ __all__ = [
     "SectorCensus",
     "StyledPath",
     "Trajectory",
-    "VectorField2D",
     "Window",
     "build_portrait",
     "classify_arch",
@@ -68,7 +58,6 @@ __all__ = [
     "export_trajectory_csv",
     "find_equilibria",
     "integrate",
-    "numeric_jacobian",
     "opening_angle",
     "render_svg",
     "sector_census",

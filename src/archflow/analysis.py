@@ -10,7 +10,6 @@ from .systems import (
     ArchSystem,
     Mat2,
     Point2,
-    VectorField2D,
     Window,
     _Record,
     _arch_separatrix_reach,
@@ -33,7 +32,6 @@ CLASSIFICATIONS = (
 ARCH_CATEGORIES = ("plain", "tented", "strong")
 PLAIN_MAX = 0.1  # classify_arch: theta below this is plain
 STRONG_MIN = 2.0  # classify_arch: theta at or above this is strong
-SEED_GRID = 20  # find_equilibria: seeds per window side on the generic path
 
 
 class EigenPair(_Record):
@@ -137,134 +135,18 @@ def classify_linear(pair: EigenPair) -> str:
     return "stable_node" if a < 0.0 else "unstable_node"
 
 
-def _pinv_2x2(m: Mat2) -> tuple[float, float, float, float]:
-    """Moore-Penrose pseudo-inverse of ``m``, row major.
-
-    As ``numpy.linalg.pinv(m, rcond=1e-12)``, a singular value at or below
-    1e-12 times the largest counts as zero. The singular values follow from
-    sigma1^2 + sigma2^2 = ||m||_F^2 and sigma1 * sigma2 = |det m|; the entries
-    are first scaled by their largest magnitude so no square overflows or
-    underflows. Full rank gives adj(m) / det, rank one m^T / ||m||_F^2, and
-    the zero matrix zero.
-    """
-    scale = max(abs(m.a11), abs(m.a12), abs(m.a21), abs(m.a22))
-    if scale == 0.0:
-        return 0.0, 0.0, 0.0, 0.0
-    a, b, c, d = m.a11 / scale, m.a12 / scale, m.a21 / scale, m.a22 / scale
-    fro2 = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    gap = (fro2 - 2.0 * abs(det)) * (fro2 + 2.0 * abs(det))
-    s1_sq = 0.5 * (fro2 + math.sqrt(max(gap, 0.0)))
-    if abs(det) > 1e-12 * s1_sq:  # sigma2 / sigma1 = |det| / sigma1^2
-        k = det * scale
-        return d / k, -b / k, -c / k, a / k
-    k = fro2 * scale
-    return a / k, c / k, b / k, d / k
-
-
-def _cell(px: float, py: float) -> tuple[float, float]:
-    """The 1e-6 grid cell of (px, py): a root's 3 x 3 cells cover its dedup radius."""
-    return round(px * 1e6, 0), round(py * 1e6, 0)
-
-
-def _refine_root(
-    system: VectorField2D, px: float, py: float, known: set[tuple[float, float]]
-) -> tuple[float, float] | None:
-    """Damped Gauss-Newton root polish; ``_pinv_2x2`` tolerates singular Jacobians.
-
-    Iteration stops once the Gauss-Newton step falls to 1e-14 of the point's
-    scale, not on a small residual: at a multiple root the residual is tiny
-    long before the point is, and a residual stop would leave seeds from
-    either side a few 1e-7 apart.
-
-    ``known`` holds the cells (``_cell``) around each root polished so far and
-    those a polish toward it passed through. A seed whose iterate enters one
-    gives None at once, since from there it would polish to a root already
-    found, slowly so at a multiple root; the cells it passed join ``known``.
-    """
-    fx, fy = system.field_at(px, py)
-    if not (math.isfinite(fx) and math.isfinite(fy)):
-        return None
-    cost = fx * fx + fy * fy
-    path = []
-    for _ in range(80):
-        cell = _cell(px, py)
-        if cell in known:
-            known.update(path)
-            return None
-        path.append(cell)
-        i11, i12, i21, i22 = _pinv_2x2(system.jacobian(Point2(px, py)))
-        dx = -(i11 * fx + i12 * fy)
-        dy = -(i21 * fx + i22 * fy)
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            break
-        if max(abs(dx), abs(dy)) <= 1e-14 * (1.0 + max(abs(px), abs(py))):
-            break
-        alpha = 1.0
-        improved = False
-        while alpha >= 1e-12:
-            qx, qy = px + alpha * dx, py + alpha * dy
-            gx, gy = system.field_at(qx, qy)
-            if math.isfinite(gx) and math.isfinite(gy):
-                cq = gx * gx + gy * gy
-                if cq < cost:
-                    px, py, fx, fy, cost = qx, qy, gx, gy, cq
-                    improved = True
-                    break
-            alpha *= 0.5
-        if not improved:
-            break
-    if max(abs(fx), abs(fy)) <= 1e-10:
-        cx, cy = _cell(px, py)
-        known.update(path)
-        known.update((cx + i, cy + j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0))
-        return px, py
-    return None
-
-
-def _grid(lo: float, hi: float, n: int) -> list[float]:
-    """``n >= 2`` evenly spaced values from lo to hi, as ``numpy.linspace`` gives them."""
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n - 1)] + [hi]
-
-
-def find_equilibria(system: VectorField2D, window: Window) -> list[Equilibrium]:
+def find_equilibria(system: ArchSystem, window: Window) -> list[Equilibrium]:
     """Equilibria of ``system`` inside ``window`` with their linear data.
 
-    Systems that know their equilibria exactly report them directly; other
-    fields are searched by Gauss-Newton refinement from a SEED_GRID x
-    SEED_GRID seed lattice spanning the window, deduplicated at 1e-6. Such a
-    root is polished only to about 1e-7 at a double root, so its Jacobian
-    counts as singular, and the root as degenerate_nonhyperbolic, once
-    ``|det J| <= 1e-10 * ||J||_F^2``.
+    One ``Equilibrium`` per point of ``system.analytic_equilibria()`` that
+    the window holds, labelled from the analytic Jacobian there.
     """
-    analytic = system.analytic_equilibria()
-    if analytic is not None:
-        points = [p for p in analytic if window.contains_point(p)]
-    else:
-        found: list[tuple[float, float]] = []
-        known: set[tuple[float, float]] = set()
-        for sx in _grid(window.x_min, window.x_max, SEED_GRID):
-            for sy in _grid(window.y_min, window.y_max, SEED_GRID):
-                root = _refine_root(system, sx, sy, known)
-                if root is None:
-                    continue
-                if not window.contains(root[0], root[1]):
-                    continue
-                if all(math.hypot(root[0] - fx, root[1] - fy) > 1e-6 for fx, fy in found):
-                    found.append(root)
-        points = [Point2(fx, fy) for fx, fy in sorted(found)]
-
     result = []
-    for p in points:
-        jac = system.jacobian(p)
-        pair = eigen_2x2(jac)
-        label = classify_linear(pair)
-        if analytic is None:
-            fro2 = jac.a11 * jac.a11 + jac.a12 * jac.a12 + jac.a21 * jac.a21 + jac.a22 * jac.a22
-            if abs(jac.det) <= 1e-10 * fro2:
-                label = "degenerate_nonhyperbolic"
-        result.append(Equilibrium(p, jac, pair, label))
+    for p in system.analytic_equilibria():
+        if window.contains_point(p):
+            jac = system.jacobian(p)
+            pair = eigen_2x2(jac)
+            result.append(Equilibrium(p, jac, pair, classify_linear(pair)))
     return result
 
 
@@ -272,7 +154,7 @@ _QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))  # (cos, sin
 
 
 def sector_census(
-    system: VectorField2D,
+    system: ArchSystem,
     equilibrium: Point2 | Equilibrium,
     radius: float = 0.5,
     samples: int = 360,

@@ -20,9 +20,9 @@ leaves the box. A backward run takes signed steps h < 0 through the same
 loop, as DOPRI5 does; its times are negative, and the time horizon compares
 |t| with ``stop_time``.
 
-When the field is ``ArchSystem``'s own ``field_at``, each stage evaluates it
-inline as ``(y*y, (-theta)*x)``, with the same bits as the method; any other
-field, an override or a patched method included, is called once per stage.
+When ``field_at`` is ``ArchSystem``'s own, each stage evaluates it inline as
+``(y*y, (-theta)*x)``, with the same bits as the method; a subclass's
+override or a patched method is called once per stage.
 Accepted samples go into three float lists, and the ``Trajectory`` builds
 its ``Point2`` samples only when a caller reads them.
 
@@ -41,7 +41,7 @@ import sys
 from typing import Literal
 
 from .systems import (
-    ArchSystem, Point2, VectorField2D, Window, _Record, _require_finite, _require_integer,
+    ArchSystem, Point2, Window, _Record, _require_finite, _require_integer,
     _require_positive, _set,
 )
 
@@ -259,12 +259,12 @@ def _locate_box_exit(
     return hi, nx, ny
 
 
-def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) -> Trajectory:
+def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Trajectory:
     """Integrate from ``start`` until a stop condition fires.
 
     Parameters
     ----------
-    system : VectorField2D
+    system : ArchSystem
         The field to flow along; a backward run steps with h < 0.
     start : Point2
         Initial state, recorded at time 0.
@@ -286,10 +286,10 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
         step.
     """
     # The arch field's stages are computed inline, as (y*y, (-theta)*x), which
-    # has the bits of ArchSystem.field_at. Every other field is called; so is
-    # a subclass's override or a patched method, which may count the calls.
+    # has the bits of ArchSystem.field_at. A subclass's override or a patched
+    # method is called instead, and may count the calls.
     arch = type(system).field_at is _ARCH_FIELD_AT
-    mth = -system.theta if arch else 0.0
+    mth = -system.theta
     field_at = system.field_at
     sign = -1.0 if config.direction == "backward" else 1.0
     box = config.stop_box
@@ -438,7 +438,7 @@ def integrate(system: VectorField2D, start: Point2, config: IntegratorConfig) ->
 
 
 def crossing(
-    system: VectorField2D,
+    system: ArchSystem,
     trajectory: Trajectory,
     axis: Literal["horizontal", "vertical"],
     value: float,

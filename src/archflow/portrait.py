@@ -172,7 +172,8 @@ def build_portrait(spec: PortraitSpec) -> Scene:
 
     Every path is flow ordered; each seed trajectory is integrated both ways
     inside the window inflated by 5 percent and the halves are joined at the
-    seed. Raises IntegrationError naming the seed if one diverges.
+    seed. Raises IntegrationError naming the seed if one diverges, and
+    ValueError naming it, with both stop reasons, if neither half advances.
     """
     system = spec.system
     box = spec.window.inflated(0.05)
@@ -193,6 +194,11 @@ def build_portrait(spec: PortraitSpec) -> Scene:
             raise IntegrationError(
                 f"seed {index} ({role}) at ({seed.x}, {seed.y}) diverged: {exc}"
             ) from exc
+        if len(backward) == len(forward) == 1:
+            raise ValueError(
+                f"seed {index} ({role}) at ({seed.x}, {seed.y}) did not advance: backward "
+                f"{backward.stop_reason}, forward {forward.stop_reason}"
+            )
         # The halves share the seed; the backward half is reversed to flow order.
         paths.append(StyledPath._flat(
             role, backward._x[::-1] + forward._x[1:], backward._y[::-1] + forward._y[1:]

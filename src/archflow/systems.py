@@ -1,11 +1,9 @@
-"""Planar vector fields and the arch ridge-flow system."""
+"""The arch ridge-flow system and the records it works in."""
 
 from __future__ import annotations
 
 import math
 import operator
-from abc import ABC, abstractmethod
-from typing import Callable
 
 _set = object.__setattr__  # how a record's __init__ stores a field
 
@@ -162,70 +160,7 @@ class Window(_Record):
         return Window(self.x_min - px, self.x_max + px, self.y_min - py, self.y_max + py)
 
 
-class VectorField2D(ABC):
-    """An autonomous planar vector field.
-
-    Subclasses implement ``field_at`` on raw floats, so integrator inner
-    loops work on plain floats; ``jacobian`` and ``analytic_equilibria`` take
-    and give records. ``integrate`` evaluates ``ArchSystem``'s own field
-    inline in its stages and calls ``field_at`` for every other field. It
-    records samples as plain floats; a ``Point2`` is built for each only when
-    a caller reads them.
-    """
-
-    __slots__ = ()
-
-    @abstractmethod
-    def field_at(self, x: float, y: float) -> tuple[float, float]:
-        """Field components (dx/dt, dy/dt) at (x, y)."""
-
-    def jacobian(self, p: Point2) -> Mat2:
-        """Jacobian at p; numeric central differences unless overridden."""
-        return numeric_jacobian(self, p)
-
-    def analytic_equilibria(self) -> tuple[Point2, ...] | None:
-        """Exact equilibria when the subclass knows them, else None."""
-        return None
-
-
-class CallableField(VectorField2D):
-    """Adapter wrapping a plain ``f(x, y) -> (dx, dy)`` callable."""
-
-    def __init__(
-        self,
-        func: Callable[[float, float], tuple[float, float]],
-        jac: Callable[[float, float], Mat2] | None = None,
-    ) -> None:
-        self._func = func
-        self._jac = jac
-
-    def field_at(self, x: float, y: float) -> tuple[float, float]:
-        dx, dy = self._func(x, y)
-        return float(dx), float(dy)
-
-    def jacobian(self, p: Point2) -> Mat2:
-        if self._jac is not None:
-            return self._jac(p.x, p.y)
-        return numeric_jacobian(self, p)
-
-
-def numeric_jacobian(system: VectorField2D, p: Point2) -> Mat2:
-    """Central-difference Jacobian with per-coordinate relative steps."""
-    hx = max(1e-6, 1e-6 * abs(p.x))
-    hy = max(1e-6, 1e-6 * abs(p.y))
-    fxp = system.field_at(p.x + hx, p.y)
-    fxm = system.field_at(p.x - hx, p.y)
-    fyp = system.field_at(p.x, p.y + hy)
-    fym = system.field_at(p.x, p.y - hy)
-    return Mat2(
-        (fxp[0] - fxm[0]) / (2.0 * hx),
-        (fyp[0] - fym[0]) / (2.0 * hy),
-        (fxp[1] - fxm[1]) / (2.0 * hx),
-        (fyp[1] - fym[1]) / (2.0 * hy),
-    )
-
-
-class ArchSystem(VectorField2D, _Record):
+class ArchSystem(_Record):
     """The arch ridge-flow field dx/dt = y**2, dy/dt = -theta * x with theta > 0."""
 
     __slots__ = ("theta",)
@@ -235,6 +170,7 @@ class ArchSystem(VectorField2D, _Record):
         _set(self, "theta", float(theta))
 
     def field_at(self, x: float, y: float) -> tuple[float, float]:
+        """Field components (dx/dt, dy/dt) at (x, y)."""
         return y * y, -self.theta * x
 
     def jacobian(self, p: Point2) -> Mat2:

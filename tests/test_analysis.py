@@ -2,12 +2,10 @@ import math
 import random
 import sys
 
-import numpy as np
 import pytest
 
 from archflow import (
     ArchSystem,
-    CallableField,
     CrossingNotFound,
     IntegratorConfig,
     Mat2,
@@ -23,7 +21,6 @@ from archflow import (
     sector_census,
     trace_separatrix,
 )
-from archflow.analysis import _grid, _pinv_2x2
 
 
 def test_eigen_repeated_zero():
@@ -54,9 +51,9 @@ def test_eigen_zero_and_nonzero_root():
 
 
 def test_eigen_residuals_random_matrices():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(50):
-        a, b, c, d = rng.uniform(-5.0, 5.0, size=4)
+        a, b, c, d = (rng.uniform(-5.0, 5.0) for _ in range(4))
         m = Mat2(a, b, c, d)
         pair = eigen_2x2(m)
         for lam in pair.values:
@@ -96,167 +93,6 @@ def test_find_equilibria_respects_window():
     assert eqs == []
 
 
-def test_find_equilibria_generic_two_roots():
-    f = CallableField(lambda x, y: (x * x - 1.0, y))
-    eqs = find_equilibria(f, Window(-3.0, 3.0, -3.0, 3.0))
-    assert len(eqs) == 2
-    (saddle, node) = eqs
-    assert saddle.location.x == pytest.approx(-1.0, abs=1e-9)
-    assert saddle.location.y == pytest.approx(0.0, abs=1e-9)
-    assert saddle.classification == "saddle"
-    assert node.location.x == pytest.approx(1.0, abs=1e-9)
-    assert node.classification == "unstable_node"
-
-
-def test_find_equilibria_merges_double_root():
-    # The paper's field and (x^2, y) each have one double root at the origin.
-    # Seeds from either side must polish to the same point, not to two
-    # points a few 1e-7 apart. The label is left open: the numeric Jacobian
-    # at the root cannot settle it.
-    for func in (lambda x, y: (y * y, -0.5 * x), lambda x, y: (x * x, y)):
-        eqs = find_equilibria(CallableField(func), Window(-3.0, 3.0, -3.0, 3.0))
-        assert len(eqs) == 1
-        assert math.hypot(eqs[0].location.x, eqs[0].location.y) <= 1e-9
-
-
-@pytest.mark.parametrize("func, label", [
-    # The paper's cusp: the polished root sits about 1e-13 off the origin,
-    # where the numeric Jacobian's det/||J||_F^2 is about 7e-13, not 0.
-    (lambda x, y: (y * y, -0.5 * x), "degenerate_nonhyperbolic"),
-    (lambda x, y: (x, -y), "saddle"),
-    (lambda x, y: (-x, -2.0 * y), "stable_node"),
-], ids=["paper_cusp", "saddle", "stable_node"])
-def test_find_equilibria_generic_labels(func, label):
-    eqs = find_equilibria(CallableField(func), Window(-3.0, 3.0, -3.0, 3.0))
-    assert len(eqs) == 1
-    assert math.hypot(eqs[0].location.x, eqs[0].location.y) <= 1e-9
-    assert eqs[0].classification == label
-
-
-# Nine generic fields with the roots and labels the search gave before it
-# dropped seeds that join a known polish path.
-GENERIC_FIELDS = [
-    (lambda x, y: (y * y, -0.5 * x), [(0.0, -1.7053025658101684e-13, "degenerate_nonhyperbolic")]),
-    (lambda x, y: (x, -y), [(0.0, 0.0, "saddle")]),
-    (lambda x, y: (-x, -2.0 * y), [(0.0, 0.0, "stable_node")]),
-    (lambda x, y: (x * x - 1.0, y), [(-1.0, 0.0, "saddle"), (1.0, 0.0, "unstable_node")]),
-    (lambda x, y: (x * x, y), [(-3.410605131620337e-13, 0.0, "degenerate_nonhyperbolic")]),
-    (lambda x, y: (-0.1 * x - y, x - 0.1 * y), [(0.0, 0.0, "stable_focus")]),
-    (lambda x, y: (-y, x), [(0.0, 0.0, "center_linear")]),
-    (lambda x, y: (x * (1.0 - y), y * (x - 1.0)),
-     [(-1.018220191866191e-16, -1.018220191866191e-16, "saddle"),
-      (1.0000000000000042, 1.0000000000000042, "center_linear")]),
-    (lambda x, y: (y, x - x**3 - 0.2 * y),
-     [(-1.0, 0.0, "stable_focus"), (-5.614074817397399e-21, 0.0, "saddle"),
-      (1.0, 0.0, "stable_focus")]),
-]
-
-
-@pytest.mark.parametrize("func, roots", GENERIC_FIELDS, ids=[
-    "paper_cusp", "saddle", "stable_node", "two_roots", "double_root", "focus", "center",
-    "lotka_volterra", "duffing",
-])
-def test_find_equilibria_keeps_the_roots_of_nine_generic_fields(func, roots):
-    eqs = find_equilibria(CallableField(func), Window(-3.0, 3.0, -3.0, 3.0))
-    got = [(e.location.x, e.location.y, e.classification) for e in eqs]
-    assert got == [(pytest.approx(x, abs=1e-12), pytest.approx(y, abs=1e-12), label)
-                   for x, y, label in roots]
-
-
-def test_find_equilibria_stops_polishing_seeds_bound_for_a_found_root():
-    # Polishing all 400 seeds of the paper's double root to completion took
-    # 87404 field evaluations; a seed that joins a known path now stops there.
-    calls = 0
-
-    def field(x, y):
-        nonlocal calls
-        calls += 1
-        return y * y, -0.5 * x
-
-    (eq,) = find_equilibria(CallableField(field), Window(-3.0, 3.0, -3.0, 3.0))
-    assert eq.classification == "degenerate_nonhyperbolic"
-    assert calls <= 87404 // 5
-
-
-def _numpy_pinv(m):
-    return np.linalg.pinv(np.array([[m.a11, m.a12], [m.a21, m.a22]]), rcond=1e-12)
-
-
-def _rotation(phi):
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
-def _from_svd(sigma1, sigma2, phi, psi):
-    a = _rotation(phi) @ np.diag([sigma1, sigma2]) @ _rotation(psi).T
-    return Mat2(*(float(v) for v in a.ravel()))
-
-
-def test_pinv_2x2_full_rank_matches_numpy():
-    rng = np.random.default_rng(11)
-    for _ in range(500):
-        scale = 10.0 ** rng.uniform(-150, 150)
-        m = Mat2(*(float(v) for v in scale * rng.normal(size=4)))
-        want = _numpy_pinv(m)
-        cond = np.linalg.cond(want)
-        got = np.array(_pinv_2x2(m)).reshape(2, 2)
-        assert np.allclose(got, want, rtol=0.0, atol=1e-14 * cond * np.abs(want).max())
-
-
-def test_pinv_2x2_rank_deficient_matches_numpy():
-    rng = np.random.default_rng(12)
-    cases = [
-        Mat2(1.0, 2.0, 2.0, 4.0),
-        Mat2(3.0, 0.0, 0.0, 0.0),
-        Mat2(0.0, 0.0, -5.0, 0.0),
-        Mat2(0.0, 2.0, 0.0, -7.0),
-        Mat2(-1e200, 1e200, 2e200, -2e200),
-        Mat2(1e-200, 0.0, 3e-200, 0.0),
-    ]
-    for _ in range(200):
-        u, v = rng.normal(size=2), rng.normal(size=2)
-        cases.append(Mat2(*(float(w) for w in np.outer(u, v).ravel())))
-    for m in cases:
-        want = _numpy_pinv(m)
-        got = np.array(_pinv_2x2(m)).reshape(2, 2)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
-
-def test_pinv_2x2_zero_matrix():
-    assert _pinv_2x2(Mat2(0.0, 0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0, 0.0)
-    assert np.array_equal(_numpy_pinv(Mat2(0.0, 0.0, 0.0, 0.0)), np.zeros((2, 2)))
-
-
-def test_pinv_2x2_rank_cutoff_matches_numpy():
-    # sigma2 / sigma1 just above the 1e-12 cutoff keeps the full inverse,
-    # just below it drops sigma2, as numpy does. The margin of 1.5x covers
-    # the rounding of det, which is about 1e-16 * sigma1^2.
-    rng = np.random.default_rng(13)
-    for ratio, full_rank in ((1.5e-12, True), (1e-12 / 1.5, False)):
-        for _ in range(100):
-            sigma1 = 10.0 ** rng.uniform(-3, 3)
-            phi, psi = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            m = _from_svd(sigma1, ratio * sigma1, phi, psi)
-            want = _numpy_pinv(m)
-            got = np.array(_pinv_2x2(m)).reshape(2, 2)
-            # Largest entry ~ 1/sigma2 when sigma2 is kept, ~ 1/sigma1 when dropped.
-            assert (np.abs(got).max() * sigma1 > 1e6) == full_rank
-            assert (np.abs(want).max() * sigma1 > 1e6) == full_rank
-            # With sigma2 kept the inverse is only as good as cond * eps ~ 1e-4.
-            tol = 1e-3 if full_rank else 1e-9
-            assert np.allclose(got, want, rtol=0.0, atol=tol * np.abs(want).max())
-
-
-def test_grid_matches_numpy_linspace_bit_for_bit():
-    windows = [(-3.0, 3.0), (-4.0, 4.0), (-1.0, 1.0), (1.0, 2.0), (-0.3, 7.1), (-1e-3, 2e5)]
-    for lo, hi in windows:
-        for n in (2, 3, 7, 10, 20, 21, 50, 101):
-            want = np.linspace(lo, hi, n)
-            got = _grid(lo, hi, n)
-            assert len(got) == n
-            assert all(g == float(w) for g, w in zip(got, want))
-
-
 def test_sector_census_cusp_at_multiple_radii():
     s = ArchSystem(0.5)
     for radius in (0.1, 0.5, 2.0):
@@ -284,7 +120,7 @@ def test_sector_census_validation():
     with pytest.raises(TypeError, match=r"^samples must be an integer, got 8.5$"):
         sector_census(s, Point2(0.0, 0.0), samples=8.5)
     with pytest.raises(TypeError):
-        sector_census(CallableField(lambda x, y: (x, y)), Point2(0.0, 0.0))
+        sector_census(object(), Point2(0.0, 0.0))
 
 
 def test_sector_signs_match_trajectory_side():
@@ -292,9 +128,10 @@ def test_sector_signs_match_trajectory_side():
     # region crosses the vertical axis above the origin, the negative
     # region below, checked on a seed lattice away from the border
     s = ArchSystem(0.5)
-    for x0 in np.linspace(-5.0, 5.0, 12):
-        for y0 in np.linspace(-5.0, 5.0, 12):
-            h0 = s.first_integral(Point2(float(x0), float(y0)))
+    lattice = [-5.0 + 10.0 * i / 11 for i in range(12)]
+    for x0 in lattice:
+        for y0 in lattice:
+            h0 = s.first_integral(Point2(x0, y0))
             if abs(h0) <= 1e-6:
                 continue
             if x0 < 0:
@@ -303,7 +140,7 @@ def test_sector_signs_match_trajectory_side():
             else:
                 cfg = IntegratorConfig(stop_box=Window(-0.2, 6.0, -1e3, 1e3),
                                        direction="backward", max_steps=500_000)
-            traj = integrate(s, Point2(float(x0), float(y0)), cfg)
+            traj = integrate(s, Point2(x0, y0), cfg)
             p = crossing(s, traj, "vertical", 0.0)
             assert (p.y > 0) == (h0 > 0)
             assert abs(p.y ** 3 / 3.0 - h0) <= 1e-6

@@ -15,21 +15,18 @@ import math
 
 import pytest
 
-from archflow import Point2, VectorField2D, sector_census
+from archflow import Point2, sector_census
 
 CENTER = Point2(1.0, -2.0)
 H0 = 5.0
 
 
-class SignCircle(VectorField2D):
-    """A field whose first integral takes chosen signs on the probe circle."""
+class SignCircle:
+    """A system whose first integral takes chosen signs on the probe circle."""
 
     def __init__(self, labels, offset=1.0):
         self.labels = labels
         self.offset = offset
-
-    def field_at(self, x, y):
-        return 0.0, 0.0
 
     def first_integral(self, p):
         if p == CENTER:

@@ -317,6 +317,22 @@ def test_numeric_overflow_exits_1(run_cli, tmp_path, monkeypatch, args):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_portrait_seed_that_cannot_step_exits_1(run_cli, tmp_path, monkeypatch):
+    # At |x| near 1e159 the flow changes on a time scale far below the 1e-12
+    # step floor, so no step is accepted: the error names the stalled seed and
+    # why both halves stopped.
+    monkeypatch.chdir(tmp_path)
+    result = run_cli("portrait", "--theta", "1e-9", "--window=-1e160,1e160,-1e10,1",
+                     "--out", "p.svg")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: seed 0 (upper_sector) at (-7.875e+159, 1.0) did not advance: "
+        "backward step_underflow, forward step_underflow\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def _assert_printed_numbers_are_finite(stdout):
     for token in stdout.split():
         key, value = token.split("=", 1)

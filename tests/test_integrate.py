@@ -1,12 +1,10 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from archflow import (
     ArchSystem,
-    CallableField,
     CrossingNotFound,
     IntegrationError,
     IntegratorConfig,
@@ -19,6 +17,16 @@ from archflow import (
 from orbit_time import apex_escape_time, escape_time, orbit_time
 
 BOX = Window(-4.0, 4.0, -4.0, 4.0)
+
+
+def _overriding(func):
+    """An ArchSystem whose ``field_at`` is ``func(x, y)``; integrate calls it per stage."""
+
+    class Field(ArchSystem):
+        def field_at(self, x, y):
+            return func(x, y)
+
+    return Field(1.0)
 
 
 def test_config_requires_a_stop_condition():
@@ -205,7 +213,7 @@ def test_conservation_along_trajectory():
 
 
 def test_step_underflow_on_discontinuity():
-    jump = CallableField(lambda x, y: (1.0, 0.0) if x < 1.0 else (1e12, 0.0))
+    jump = _overriding(lambda x, y: (1.0, 0.0) if x < 1.0 else (1e12, 0.0))
     t = integrate(jump, Point2(0.0, 0.0), IntegratorConfig(stop_time=10.0))
     assert t.stop_reason == "step_underflow"
     assert t.final_point.x == pytest.approx(1.0, abs=1e-6)
@@ -213,7 +221,7 @@ def test_step_underflow_on_discontinuity():
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_rk45_non_finite_field_at_start_raises(direction):
-    nan_at_start = CallableField(lambda x, y: (math.nan, 1.0))
+    nan_at_start = _overriding(lambda x, y: (math.nan, 1.0))
     start = Point2(0.25, -1.0)
     cfg = IntegratorConfig(stop_time=1.0, direction=direction)
     with pytest.raises(IntegrationError) as info:
@@ -224,7 +232,7 @@ def test_rk45_non_finite_field_at_start_raises(direction):
 def test_rk45_rejects_steps_into_a_non_finite_field_until_underflow():
     # Every step that reaches x > 0.5 sees a NaN stage and is rejected, so no
     # non-finite value is ever accepted or handed on as the next first stage.
-    nan_beyond = CallableField(lambda x, y: (1.0, math.nan if x > 0.5 else 0.0))
+    nan_beyond = _overriding(lambda x, y: (1.0, math.nan if x > 0.5 else 0.0))
     t = integrate(nan_beyond, Point2(0.0, 0.0), IntegratorConfig(stop_time=1.0))
     assert t.stop_reason == "step_underflow"
     assert len(t) == 33
@@ -284,7 +292,7 @@ def test_crossing_not_found():
 
 def _inline_and_called_runs(seed, count):
     """Per seeded case: theta, start, config, the ArchSystem run, the run of the same
-    field as a CallableField, and that run's field call count."""
+    field through a subclass's override, and that run's field call count."""
     rng = random.Random(seed)
     for _ in range(count):
         theta = 10.0 ** rng.uniform(-3.0, 2.0)
@@ -298,12 +306,13 @@ def _inline_and_called_runs(seed, count):
         )
         calls = 0
 
-        def field(x, y, theta=theta):
-            nonlocal calls
-            calls += 1
-            return y * y, -theta * x
+        class Called(ArchSystem):
+            def field_at(self, x, y):
+                nonlocal calls
+                calls += 1
+                return y * y, -self.theta * x
 
-        called = integrate(CallableField(field), start, cfg)
+        called = integrate(Called(theta), start, cfg)
         yield theta, start, cfg, integrate(ArchSystem(theta), start, cfg), called, calls
 
 
@@ -344,10 +353,10 @@ def test_an_overridden_or_patched_arch_field_is_called_as_often_as_the_generic_o
 
 
 def test_seeded_random_conservation_short_runs():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     s = ArchSystem(1.3)
     for _ in range(10):
-        start = Point2(*rng.uniform(-1.5, 1.5, size=2))
+        start = Point2(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         t = integrate(s, start, IntegratorConfig(stop_time=0.5))
         h0 = s.first_integral(start)
         assert max(abs(s.first_integral(p) - h0) for p in t.points) <= 1e-9

@@ -169,6 +169,18 @@ def test_build_portrait_deterministic():
     assert render_svg(scene_a) == render_svg(scene_b)
 
 
+def test_build_portrait_names_a_seed_whose_halves_both_stall():
+    spec = PortraitSpec(system=ArchSystem(1e-9), window=Window(-1e160, 1e160, -1e10, 1.0))
+    (seed, role), *_ = seed_points(spec)
+    message = (
+        f"seed 0 ({role}) at ({seed.x}, {seed.y}) did not advance: "
+        "backward step_underflow, forward step_underflow"
+    )
+    with pytest.raises(ValueError) as info:
+        build_portrait(spec)
+    assert str(info.value) == message
+
+
 def test_render_svg_document_shape():
     scene = build_portrait(PortraitSpec(system=ArchSystem(0.5)))
     svg = render_svg(scene)

@@ -7,7 +7,6 @@ import archflow
 PUBLIC = [
     "ArchCategory",
     "ArchSystem",
-    "CallableField",
     "CrossingNotFound",
     "EigenPair",
     "Equilibrium",
@@ -20,7 +19,6 @@ PUBLIC = [
     "SectorCensus",
     "StyledPath",
     "Trajectory",
-    "VectorField2D",
     "Window",
     "__version__",
     "build_portrait",
@@ -31,7 +29,6 @@ PUBLIC = [
     "export_trajectory_csv",
     "find_equilibria",
     "integrate",
-    "numeric_jacobian",
     "opening_angle",
     "render_svg",
     "sector_census",
@@ -40,12 +37,15 @@ PUBLIC = [
 ]
 
 RETIRED = [
+    "CallableField",
     "DEFAULT_STYLE",
     "StepResult",
     "StepUnderflowError",
     "Vec2",
+    "VectorField2D",
     "arch_first_integral",
     "arch_separatrix_height",
+    "numeric_jacobian",
     "rk4_step",
     "rk45_step",
 ]
@@ -58,9 +58,8 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_retired_names_are_gone():
-    homes = ("integrate", "portrait", "systems")
+    homes = ("analysis", "integrate", "portrait", "systems")
     modules = [archflow] + [importlib.import_module(f"archflow.{m}") for m in homes]
     for name in RETIRED:
         for module in modules:
             assert not hasattr(module, name)
-    assert not hasattr(archflow.VectorField2D, "field")

@@ -1,12 +1,12 @@
 """The runtime needs nothing beyond the standard library, and starts light.
 
-numpy is a test dependency only, and ``dataclasses`` (with the ``inspect``
+numpy is no dependency at all, and ``dataclasses`` (with the ``inspect``
 it imports) is left out because its import and code generation cost every
 CLI call. A child interpreter first checks that ``import archflow.cli``
 pulls in none of them, then blocks numpy and ``dataclasses`` with
 ``sys.modules[name] = None`` so that any import of them, even one hidden
-inside a function, raises. Every subcommand and the generic equilibrium
-search then run in that interpreter.
+inside a function, raises. Every subcommand and the equilibrium search then
+run in that interpreter.
 """
 
 import subprocess
@@ -27,7 +27,7 @@ for name in ("numpy", "dataclasses", "inspect"):
 sys.modules["numpy"] = None
 sys.modules["dataclasses"] = None
 
-from archflow import CallableField, Window, find_equilibria
+from archflow import ArchSystem, Point2, Window, find_equilibria
 
 runs = {
     "analyze": ["analyze", "--preset", "tented", "--format", "machine"],
@@ -44,8 +44,9 @@ for name, argv in runs.items():
     with open(name + ".out", "w") as fh:
         fh.write(out.getvalue())
 
-eqs = find_equilibria(CallableField(lambda x, y: (x * x - 1.0, y)), Window(-3, 3, -3, 3))
-assert [round(e.location.x, 9) for e in eqs] == [-1.0, 1.0], eqs
+(eq,) = find_equilibria(ArchSystem(0.5), Window(-3, 3, -3, 3))
+assert eq.location == Point2(0.0, 0.0), eq
+assert eq.classification == "degenerate_nonhyperbolic", eq
 print("ok")
 """
 
