@@ -6,8 +6,6 @@ from .analysis import (
     Equilibrium,
     SectorCensus,
     classify_arch,
-    classify_linear,
-    eigen_2x2,
     find_equilibria,
     opening_angle,
     sector_census,
@@ -52,9 +50,7 @@ __all__ = [
     "Window",
     "build_portrait",
     "classify_arch",
-    "classify_linear",
     "crossing",
-    "eigen_2x2",
     "export_trajectory_csv",
     "find_equilibria",
     "integrate",

@@ -1,4 +1,4 @@
-"""Equilibrium location, linear classification, sector census, and arch geometry."""
+"""The cusp equilibrium with its linear data and sector census, and arch geometry."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from .systems import (
     Point2,
     Window,
     _Record,
+    _arch_separatrix_depth,
     _arch_separatrix_reach,
     _require_finite,
     _require_integer,
@@ -19,17 +20,6 @@ from .systems import (
     _set,
 )
 
-CLASSIFICATIONS = (
-    "saddle",
-    "stable_node",
-    "unstable_node",
-    "stable_focus",
-    "unstable_focus",
-    "center_linear",
-    "degenerate_nonhyperbolic",
-)
-
-ARCH_CATEGORIES = ("plain", "tented", "strong")
 PLAIN_MAX = 0.1  # classify_arch: theta below this is plain
 STRONG_MIN = 2.0  # classify_arch: theta at or above this is strong
 
@@ -40,7 +30,7 @@ class EigenPair(_Record):
     __slots__ = ("kind", "values")
 
     def __init__(self, kind: str, values: tuple[complex, complex]) -> None:
-        _set(self, "kind", kind)  # real_distinct | real_repeated | complex_conjugate
+        _set(self, "kind", kind)  # real_repeated at the cusp
         _set(self, "values", values)
 
 
@@ -89,130 +79,56 @@ class ArchCategory(_Record):
         _set(self, "opening_angle_deg", opening_angle_deg)
 
 
-def eigen_2x2(m: Mat2) -> EigenPair:
-    """Eigenvalues via the numerically stable quadratic formula.
-
-    Real eigenvalues are ordered ascending. The larger-magnitude root is
-    computed first and the second recovered from the determinant, which
-    avoids the cancellation of the textbook formula.
-    """
-    tr, det = m.trace, m.det
-    disc = tr * tr - 4.0 * det
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        q = 0.5 * (tr + math.copysign(sq, tr))
-        if q == 0.0:  # tr == 0 with +0.0 sign handling
-            l1, l2 = -0.5 * sq, 0.5 * sq
-        else:
-            l1, l2 = q, det / q
-        lo, hi = (l1, l2) if l1 <= l2 else (l2, l1)
-        return EigenPair("real_distinct", (complex(lo), complex(hi)))
-    if disc == 0.0:
-        lam = 0.5 * tr
-        return EigenPair("real_repeated", (complex(lam), complex(lam)))
-    im = 0.5 * math.sqrt(-disc)
-    re = 0.5 * tr
-    return EigenPair("complex_conjugate", (complex(re, im), complex(re, -im)))
-
-
-def classify_linear(pair: EigenPair) -> str:
-    """Classify a linearization by its eigenvalues.
-
-    Any zero real part on a real eigenvalue means hyperbolicity fails and
-    the label is degenerate_nonhyperbolic; purely imaginary pairs report
-    center_linear since the linearization alone cannot settle the type.
-    """
-    l1, l2 = pair.values
-    if pair.kind == "complex_conjugate":
-        if l1.real == 0.0:
-            return "center_linear"
-        return "stable_focus" if l1.real < 0.0 else "unstable_focus"
-    a, b = l1.real, l2.real
-    if a == 0.0 or b == 0.0:
-        return "degenerate_nonhyperbolic"
-    if (a < 0.0) != (b < 0.0):
-        return "saddle"
-    return "stable_node" if a < 0.0 else "unstable_node"
-
-
 def find_equilibria(system: ArchSystem, window: Window) -> list[Equilibrium]:
     """Equilibria of ``system`` inside ``window`` with their linear data.
 
-    One ``Equilibrium`` per point of ``system.analytic_equilibria()`` that
-    the window holds, labelled from the analytic Jacobian there.
+    The field's one equilibrium is the origin. Its Jacobian [[0, 0], [-theta,
+    0]] is nilpotent for every theta, so both eigenvalues are 0: the point is
+    not hyperbolic, and ``sector_census`` settles its type.
     """
-    result = []
-    for p in system.analytic_equilibria():
-        if window.contains_point(p):
-            jac = system.jacobian(p)
-            pair = eigen_2x2(jac)
-            result.append(Equilibrium(p, jac, pair, classify_linear(pair)))
-    return result
-
-
-_QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))  # (cos, sin) of k*pi/2
+    return [
+        Equilibrium(p, system.jacobian(p), EigenPair("real_repeated", (0j, 0j)),
+                    "degenerate_nonhyperbolic")
+        for p in system.analytic_equilibria()
+        if window.contains_point(p)
+    ]
 
 
 def sector_census(
-    system: ArchSystem,
-    equilibrium: Point2 | Equilibrium,
-    radius: float = 0.5,
-    samples: int = 360,
+    system: ArchSystem, equilibrium: Point2 | Equilibrium, radius: float = 0.5
 ) -> SectorCensus:
-    """Census of local sectors from first-integral signs on a probe circle.
+    """Census of local sectors around the cusp at the origin: always a cusp.
 
-    The conserved quantity is sampled on a circle around the equilibrium.
-    Each maximal same-sign arc is one hyperbolic sector and each sign change
-    is one separatrix crossing; samples with |H - H(center)| <= 1e-3 * r^3
-    are treated as on-separatrix and attributed to a crossing only when
-    flanked by opposite signs. A sign census cannot surface elliptic or
-    parabolic sectors, which is faithful here: the level sets of the arch
-    integral through any probe circle are unbounded, so every same-sign arc
-    really is hyperbolic.
+    On the circle of radius r about the origin, H = r^2 * (theta*cos^2(phi)/2
+    + r*sin^3(phi)/3). With u = sin(phi), H has the sign of the cubic
+    f(u) = (r/3)*u^3 - (theta/2)*u^2 + theta/2, and for every theta, r > 0:
 
-    The samples sit at ``samples`` equal angles, so an arc narrower than
-    ``2*pi/samples`` can be missed. The arch field's negative arc narrows like
-    ``sqrt(radius/theta)`` around the negative y axis. A sample at a whole
-    quarter turn lies exactly on its axis, so a count divisible by 4, such as
-    the default 360, catches that arc at any theta.
+    - f(-1) = -r/3 < 0 and f(0) = theta/2 > 0;
+    - f'(u) = u*(r*u - theta) > 0 on (-1, 0), so f has exactly one root u*
+      there;
+    - f > 0 on [0, 1]: its minimum there is f(1) = r/3, or theta/2 -
+      theta^3/(6*r^2) > theta/3 at u = theta/r when theta < r.
+
+    So H < 0 on exactly one arc, of width 2*(asin(u*) + pi/2) about the
+    negative y axis, and H > 0 on the rest of the circle: the two ends of that
+    arc are where the separatrix H = 0 crosses it, and they split the
+    neighbourhood into two sectors. Every other orbit lies on a level set
+    H = c != 0, which keeps away from the origin, so only the separatrices
+    tend to it. Neither sector is then elliptic or parabolic; both are
+    hyperbolic. Hence 2 hyperbolic sectors, 0 elliptic, 0 parabolic and 2
+    separatrices at any radius: a cusp (Perko, *Differential Equations and
+    Dynamical Systems*, 2.11).
+
+    Raises TypeError unless ``system`` is an ``ArchSystem``, and ValueError
+    for a centre other than (0, 0) or a radius that is not finite and > 0.
     """
+    if not isinstance(system, ArchSystem):
+        raise TypeError(f"sector_census needs an ArchSystem, got {type(system).__name__}")
     center = equilibrium.location if isinstance(equilibrium, Equilibrium) else equilibrium
+    if center != Point2(0.0, 0.0):
+        raise ValueError(f"sector_census is defined about the cusp at (0, 0), got {center!r}")
     _require_positive("radius", radius)
-    _require_integer("samples", samples)
-    if samples < 8:
-        raise ValueError(f"samples must be >= 8, got {samples}")
-    integral = getattr(system, "first_integral", None)
-    if integral is None:
-        raise TypeError(
-            "sector_census needs a system with a first_integral method"
-        )
-    h0 = integral(center)
-    band = 1e-3 * radius**3
-    labels: list[int] = []
-    for k in range(samples):
-        quarter, rest = divmod(4 * k, samples)
-        if rest:
-            phi = 2.0 * math.pi * k / samples
-            c, s = math.cos(phi), math.sin(phi)
-        else:  # cos and sin of a rounded multiple of pi/2 miss their exact 0
-            c, s = _QUARTER_TURNS[quarter]
-        p = Point2(center.x + radius * c, center.y + radius * s)
-        hv = integral(p) - h0
-        if abs(hv) <= band:
-            labels.append(0)
-        elif hv > 0.0:
-            labels.append(1)
-        else:
-            labels.append(-1)
-
-    # A sector begins wherever a nonzero sign follows a different label; a
-    # circle of one sign has no such start but is still one sector.
-    hyperbolic = sum(1 for i, lab in enumerate(labels) if lab and lab != labels[i - 1])
-    signs = [lab for lab in labels if lab]
-    if hyperbolic == 0 and signs:
-        hyperbolic = 1
-    separatrices = sum(1 for i, lab in enumerate(signs) if lab != signs[i - 1])
-    return SectorCensus(hyperbolic, 0, 0, separatrices)
+    return SectorCensus(2, 0, 0, 2)
 
 
 def _separatrix_branches(
@@ -230,10 +146,9 @@ def _separatrix_branches(
     branches = []
     for extent, side in ((min(-window.x_min, vertical_cap), -1.0),
                          (min(window.x_max, vertical_cap), 1.0)):
-        # separatrix_height inline: its cube root's argument is never negative.
         # "+ 0.0" turns the origin's -0.0 into 0.0.
         xs = [side * extent * (1.0 - i / resolution) for i in range(resolution + 1)]
-        ys = [-(1.5 * theta * x * x) ** (1.0 / 3.0) + 0.0 for x in xs]
+        ys = [-_arch_separatrix_depth(theta, x) + 0.0 for x in xs]
         # |y| grows with |x|, so only the first vertex can overflow.
         _require_finite("Point2 coordinates", ys[0])
         branches.append((xs, ys))

@@ -18,7 +18,7 @@ rejected step, the error norm and the step-size factor are locals there, and
 the stages are gathered for the continuous extension only when a step
 leaves the box. A backward run takes signed steps h < 0 through the same
 loop, as DOPRI5 does; its times are negative, and the time horizon compares
-|t| with ``stop_time``.
+|t| with ``stop_time``, which is infinite when not given.
 
 When ``field_at`` is ``ArchSystem``'s own, each stage evaluates it inline as
 ``(y*y, (-theta)*x)``, with the same bits as the method; a subclass's
@@ -293,11 +293,11 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
     field_at = system.field_at
     sign = -1.0 if config.direction == "backward" else 1.0
     box = config.stop_box
-    stop_time = config.stop_time
-    time_snap = 1e-12 * max(1.0, abs(stop_time)) if stop_time is not None else 0.0
-
-    # No box is the whole plane, so one inline test serves every run.
+    # No box is the whole plane and no horizon an infinite one, so one inline
+    # test of each serves every run. t carries sign, so sign*t is |t|.
     inf = math.inf
+    horizon = inf if config.stop_time is None else config.stop_time
+    time_snap = 1e-12 * max(1.0, horizon) if horizon < inf else 0.0
     x_min, x_max, y_min, y_max = (
         (-inf, inf, -inf, inf) if box is None else (box.x_min, box.x_max, box.y_min, box.y_max)
     )
@@ -319,19 +319,18 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
     # Checked once, and only when the horizon lets a first step start: a later
     # first stage is the last stage of an accepted step, whose error estimate
     # it feeds, so a non-finite one is always rejected.
-    if not (math.isfinite(k1x) and math.isfinite(k1y)) and time_snap < (stop_time or inf):
+    if not (math.isfinite(k1x) and math.isfinite(k1y)) and time_snap < horizon:
         raise IntegrationError(f"field is non-finite at ({x}, {y})")
     reason = "max_steps"
 
     for _ in range(config.max_steps):
         h_try = h
-        if stop_time is not None:
-            rem = stop_time - abs(t)
-            if rem <= time_snap:
-                reason = "time_horizon"
-                break
-            if abs(h_try) > rem:
-                h_try = sign * rem
+        rem = horizon - sign * t
+        if rem <= time_snap:
+            reason = "time_horizon"
+            break
+        if abs(h_try) > rem:
+            h_try = sign * rem
         # One DP5(4) step, retried with a smaller h until its scaled error is
         # at most 1 or h falls below MIN_STEP. (sx, sy) is each stage's point.
         while True:
@@ -418,8 +417,8 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
             break
 
         t_new = t + h_try
-        if stop_time is not None and abs(abs(t_new) - stop_time) <= time_snap:
-            t_new = sign * stop_time
+        if abs(sign * t_new - horizon) <= time_snap:
+            t_new = sign * horizon
         if t_new == t:
             reason = "step_underflow"
             break
@@ -430,7 +429,7 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
         x, y, t, h = nx, ny, t_new, h_next
         k1x, k1y = k7x, k7y
 
-        if stop_time is not None and abs(t) >= stop_time:
+        if sign * t >= horizon:
             reason = "time_horizon"
             break
 

@@ -107,14 +107,6 @@ class Mat2(_Record):
         _set(self, "a21", a21)
         _set(self, "a22", a22)
 
-    @property
-    def trace(self) -> float:
-        return self.a11 + self.a22
-
-    @property
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
 
 class Window(_Record):
     """Axis-aligned rectangle in the phase plane."""
@@ -187,14 +179,22 @@ class ArchSystem(_Record):
         """Height y = -(3*theta*x^2/2)^(1/3) of the zero level set of H at x."""
         if not math.isfinite(x):
             _require_finite("x", x)
-        return -_cbrt(1.5 * self.theta * x * x)
+        return -_arch_separatrix_depth(self.theta, x)
 
 
-def _cbrt(v: float) -> float:
-    """Real cube root preserving sign (math.cbrt arrives in 3.11)."""
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
+def _arch_separatrix_depth(theta: float, x: float) -> float:
+    """(3*theta*x^2/2)^(1/3), the separatrix's depth below the x axis at x.
+
+    Where the square overflows although the depth does not, the depth is
+    taken as (3*theta/2)^(1/3) * |x|^(2/3); every other depth keeps the bits
+    of the plain formula.
+    """
+    v = 1.5 * theta * x * x
+    if v == math.inf:
+        return (1.5 * theta) ** (1.0 / 3.0) * abs(x) ** (2.0 / 3.0)
+    return v ** (1.0 / 3.0)
 
 
 def _arch_separatrix_reach(theta: float, y: float) -> float:
     """Largest |x| whose separatrix height is at or above y; 0 when y >= 0."""
-    return math.sqrt(2.0 * abs(y) ** 3 / (3.0 * theta)) if y < 0.0 else 0.0
+    return abs(y) * math.sqrt(2.0 * abs(y) / (3.0 * theta)) if y < 0.0 else 0.0

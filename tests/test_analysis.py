@@ -10,70 +10,16 @@ from archflow import (
     IntegratorConfig,
     Mat2,
     Point2,
+    SectorCensus,
     Window,
     classify_arch,
-    classify_linear,
     crossing,
-    eigen_2x2,
     find_equilibria,
     integrate,
     opening_angle,
     sector_census,
     trace_separatrix,
 )
-
-
-def test_eigen_repeated_zero():
-    pair = eigen_2x2(Mat2(0.0, 0.0, -0.5, 0.0))
-    assert pair.kind == "real_repeated"
-    assert pair.values == (0j, 0j)
-
-
-def test_eigen_real_distinct_ordering():
-    pair = eigen_2x2(Mat2(2.0, 0.0, 0.0, -3.0))
-    assert pair.kind == "real_distinct"
-    assert pair.values[0].real == pytest.approx(-3.0)
-    assert pair.values[1].real == pytest.approx(2.0)
-
-
-def test_eigen_complex_pair():
-    pair = eigen_2x2(Mat2(0.0, 1.0, -1.0, 0.0))
-    assert pair.kind == "complex_conjugate"
-    assert pair.values[0] == pytest.approx(1j)
-    assert pair.values[1] == pytest.approx(-1j)
-
-
-def test_eigen_zero_and_nonzero_root():
-    pair = eigen_2x2(Mat2(3.0, 0.0, 0.0, 0.0))
-    assert pair.kind == "real_distinct"
-    assert pair.values[0] == pytest.approx(0j)
-    assert pair.values[1] == pytest.approx(3.0 + 0j)
-
-
-def test_eigen_residuals_random_matrices():
-    rng = random.Random(3)
-    for _ in range(50):
-        a, b, c, d = (rng.uniform(-5.0, 5.0) for _ in range(4))
-        m = Mat2(a, b, c, d)
-        pair = eigen_2x2(m)
-        for lam in pair.values:
-            residual = lam * lam - m.trace * lam + m.det
-            assert abs(residual) <= 1e-10 * max(1.0, abs(lam) ** 2)
-
-
-def test_classify_linear_labels():
-    cases = [
-        (Mat2(2.0, 0.0, 0.0, -3.0), "saddle"),
-        (Mat2(-2.0, 0.0, 0.0, -1.0), "stable_node"),
-        (Mat2(1.0, 0.0, 0.0, 2.0), "unstable_node"),
-        (Mat2(-1.0, 1.0, -1.0, -1.0), "stable_focus"),
-        (Mat2(1.0, 1.0, -1.0, 1.0), "unstable_focus"),
-        (Mat2(0.0, 1.0, -1.0, 0.0), "center_linear"),
-        (Mat2(0.0, 0.0, -0.5, 0.0), "degenerate_nonhyperbolic"),
-        (Mat2(3.0, 0.0, 0.0, 0.0), "degenerate_nonhyperbolic"),
-    ]
-    for m, label in cases:
-        assert classify_linear(eigen_2x2(m)) == label
 
 
 def test_find_equilibria_arch_reports_origin():
@@ -96,7 +42,7 @@ def test_find_equilibria_respects_window():
 def test_sector_census_cusp_at_multiple_radii():
     s = ArchSystem(0.5)
     for radius in (0.1, 0.5, 2.0):
-        census = sector_census(s, Point2(0.0, 0.0), radius=radius, samples=360)
+        census = sector_census(s, Point2(0.0, 0.0), radius=radius)
         assert census.hyperbolic == 2
         assert census.elliptic == 0
         assert census.parabolic == 0
@@ -111,16 +57,35 @@ def test_sector_census_all_presets():
         assert census.is_cusp
 
 
+@pytest.mark.parametrize("theta, radius", [(0.5, 0.01), (5.0, 0.5), (1e3, 0.01), (1e9, 0.5)])
+def test_sector_census_finds_the_cusp_where_sampling_missed_the_arc(theta, radius):
+    # A 360-sample sign census missed the negative arc at these (theta, radius)
+    # pairs whenever the sample count was not a multiple of 4.
+    census = sector_census(ArchSystem(theta), Point2(0.0, 0.0), radius=radius)
+    assert census == SectorCensus(2, 0, 0, 2)
+
+
 def test_sector_census_validation():
     s = ArchSystem(0.5)
-    with pytest.raises(ValueError):
-        sector_census(s, Point2(0.0, 0.0), radius=0.0)
-    with pytest.raises(ValueError):
-        sector_census(s, Point2(0.0, 0.0), samples=4)
-    with pytest.raises(TypeError, match=r"^samples must be an integer, got 8.5$"):
-        sector_census(s, Point2(0.0, 0.0), samples=8.5)
-    with pytest.raises(TypeError):
+    for radius in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            sector_census(s, Point2(0.0, 0.0), radius=radius)
+    with pytest.raises(TypeError, match="needs an ArchSystem"):
         sector_census(object(), Point2(0.0, 0.0))
+
+
+def test_sector_census_is_defined_about_the_cusp_only():
+    s = ArchSystem(0.5)
+    (eq,) = find_equilibria(s, Window(-1.0, 1.0, -1.0, 1.0))
+    assert sector_census(s, eq) == sector_census(s, Point2(-0.0, 0.0))
+    for center in (Point2(1.0, -2.0), Point2(0.0, 1e-300)):
+        with pytest.raises(ValueError, match=r"cusp at \(0, 0\)"):
+            sector_census(s, center)
+
+
+def test_sector_census_takes_no_sample_count():
+    with pytest.raises(TypeError):
+        sector_census(ArchSystem(0.5), Point2(0.0, 0.0), samples=360)
 
 
 def test_sector_signs_match_trajectory_side():
@@ -196,6 +161,25 @@ def test_trace_separatrix_vertices_are_the_separatrix_height(theta, exit_edge):
     for p in left + right:
         # Bit for bit; the vertex at the origin is stored as +0.0.
         assert p.y.hex() == (system.separatrix_height(p.x) + 0.0).hex()
+
+
+def test_trace_separatrix_reaches_the_bottom_edge_past_the_cube_range():
+    # |y|**3 overflows at y = -1e100, yet the curve leaves through the bottom
+    # edge at |x| = 1e100 * sqrt(2e100 / 3e-9).
+    left, right = trace_separatrix(1e-9, Window(-1e200, 1e200, -1e100, 1.0))
+    assert right[0].x == pytest.approx(2.581988897471611e154, rel=1e-12)
+    assert left[0].x == -right[0].x
+    assert left[0].y == right[0].y == pytest.approx(-1e100, rel=1e-12)
+
+
+def test_trace_separatrix_height_past_the_square_range():
+    # 1.5 * theta * x * x overflows at x = 1e200, the height (1.5)**(1/3) * 1e200**(2/3)
+    # does not.
+    left, right = trace_separatrix(1.0, Window(-1e200, 1e200, -1e200, 1e200))
+    assert (left[0].x, right[0].x) == (-1e200, 1e200)
+    assert left[0].y == right[0].y == pytest.approx(-2.4662120743304e133, rel=1e-12)
+    for p in left + right:
+        assert p.y <= 0.0 and math.isfinite(p.y)
 
 
 def test_trace_separatrix_validation():

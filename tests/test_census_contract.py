@@ -1,125 +1,109 @@
-"""Contract of ``sector_census`` on chosen sign patterns of the probe circle.
+"""``sector_census``'s closed form against a sampled census of H's signs.
 
-A synthetic system hands the census any cyclic list of first-integral signs:
-its ``first_integral`` is ``H0`` at the centre and ``H0 + label`` at the
-probe sample of angle 2*pi*k/n, where k is recovered with ``atan2``. A
-label of 0 lands inside the on-level band. ``H0`` is nonzero so the band
-must be measured from H(center), not from zero.
+``sampled_census`` is the census ``sector_census`` used to compute: the signs
+of the first integral at ``samples`` equal angles on a circle about the cusp,
+with ``|H| <= 1e-3 * r**3`` counted as on the level set. A sector begins
+wherever a sign follows a different label, and a separatrix lies at each sign
+flip of the cyclic list with the on-level labels dropped. It is kept here as
+the reference: at sample counts divisible by 4 a sample lies on the negative
+y axis, inside the negative arc, so it sees the cusp at every theta and radius.
 
-Hand-picked patterns pin the counts; every sign list of length 8 is checked
-against the run-length algorithm below, kept as the reference.
+The arc itself is solved for by bisection: its ends are the two points where
+the separatrix crosses the circle.
 """
 
-import itertools
 import math
 
 import pytest
 
-from archflow import Point2, sector_census
+from archflow import ArchSystem, Point2, sector_census
 
-CENTER = Point2(1.0, -2.0)
-H0 = 5.0
+THETAS = [10.0**k for k in range(-9, 10)] + [1e31, 1e100, 1e300]
+RADII = [1e-6, 0.01, 0.5, 2.0, 1e3]
 
-
-class SignCircle:
-    """A system whose first integral takes chosen signs on the probe circle."""
-
-    def __init__(self, labels, offset=1.0):
-        self.labels = labels
-        self.offset = offset
-
-    def first_integral(self, p):
-        if p == CENTER:
-            return H0
-        n = len(self.labels)
-        k = round(math.atan2(p.y - CENTER.y, p.x - CENTER.x) * n / (2.0 * math.pi)) % n
-        return H0 + self.offset * self.labels[k]
+_QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))  # (cos, sin) of k*pi/2
 
 
-def census(labels, offset=1.0):
-    c = sector_census(SignCircle(labels, offset), CENTER, samples=len(labels))
-    return c.hyperbolic, c.elliptic, c.parabolic, c.separatrices
-
-
-def _cyclic_runs(labels):
-    n = len(labels)
-    start = 0
-    for i in range(n):
-        if labels[i] != labels[i - 1]:
-            start = i
-            break
-    else:
-        return [(labels[0], n)]
-    runs = []
-    cur = labels[start]
-    count = 0
-    for k in range(n):
-        lab = labels[(start + k) % n]
-        if lab == cur:
-            count += 1
-        else:
-            runs.append((cur, count))
-            cur, count = lab, 1
-    runs.append((cur, count))
-    return runs
-
-
-def reference(labels):
-    """(hyperbolic, separatrices) by maximal cyclic runs of equal labels.
-
-    Each nonzero run is one sector. A sign change between two nonzero runs
-    is one separatrix, whether the runs touch or a run of zeros lies between.
-    """
-    runs = _cyclic_runs(labels)
-    if len(runs) == 1:
-        return (1 if runs[0][0] != 0 else 0), 0
-    hyperbolic = sum(1 for lab, _ in runs if lab != 0)
-    separatrices = 0
-    m = len(runs)
-    for i, (lab, _) in enumerate(runs):
-        nxt = runs[(i + 1) % m][0]
-        if lab != 0:
-            if nxt != 0 and nxt != lab:
-                separatrices += 1
-        else:
-            prev = runs[i - 1][0]
-            if prev != 0 and nxt != 0 and prev != nxt:
-                separatrices += 1
+def sampled_census(system, radius, samples):
+    """(hyperbolic, separatrices) from the signs of H at ``samples`` angles."""
+    band = 1e-3 * radius**3
+    labels = []
+    for k in range(samples):
+        quarter, rest = divmod(4 * k, samples)
+        if rest:
+            phi = 2.0 * math.pi * k / samples
+            c, s = math.cos(phi), math.sin(phi)
+        else:  # cos and sin of a rounded multiple of pi/2 miss their exact 0
+            c, s = _QUARTER_TURNS[quarter]
+        h = system.first_integral(Point2(radius * c, radius * s))
+        labels.append(0 if abs(h) <= band else 1 if h > 0.0 else -1)
+    hyperbolic = sum(1 for i, lab in enumerate(labels) if lab and lab != labels[i - 1])
+    signs = [lab for lab in labels if lab]
+    if hyperbolic == 0 and signs:
+        hyperbolic = 1
+    separatrices = sum(1 for i, lab in enumerate(signs) if lab != signs[i - 1])
     return hyperbolic, separatrices
 
 
-PATTERNS = {
-    "positive everywhere": ([1] * 8, (1, 0)),
-    "negative everywhere": ([-1] * 12, (1, 0)),
-    "all on-level": ([0] * 8, (0, 0)),
-    "+0+0: sectors without separatrix": ([1, 0] * 4, (4, 0)),
-    "+0-0: each zero a separatrix": ([1, 0, -1, 0] * 2, (4, 4)),
-    "alternating signs": ([1, -1] * 4, (8, 8)),
-    "alternating signs, odd length wraps": ([1, -1] * 4 + [1], (8, 8)),
-    "cusp with zeros straddling index 0": ([0, 0, 1, 1, 1, -1, -1, 0], (2, 2)),
-    "one sign, zeros straddling index 0": ([0, 1, 1, 1, 1, 1, 1, 0], (1, 0)),
-    "sign run straddling index 0": ([-1, -1, 1, 1, 1, 1, -1, -1], (2, 2)),
-    "single flipped sample": ([1] * 7 + [-1], (2, 2)),
-    "single nonzero sample": ([0] * 8 + [-1], (1, 0)),
-    "same sign split by zeros, then a flip": ([1, 0, 1, 1, 0, -1, -1, 0, 0], (3, 2)),
-}
+def negative_arc_half_width(system, radius):
+    """Half-width a of the arc about the negative y axis where H < 0.
+
+    H at (r*sin(a), -r*cos(a)) is r**2 * (theta*sin(a)**2/2 - r*cos(a)**3/3),
+    which rises from -r**3/3 at a = 0 to r**2*theta/2 at a = pi/2; bisection
+    runs until the bracket stops shrinking. In terms of u = sin(phi) on the
+    circle, the root of H's cubic is u* = -cos(a) and a = asin(u*) + pi/2.
+    Bisecting on a rather than on u keeps the arc when 1 + u* falls below the
+    float spacing at -1, which it does once theta/radius passes about 1e15.
+    """
+    lo, hi = 0.0, 0.5 * math.pi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        p = Point2(radius * math.sin(mid), -radius * math.cos(mid))
+        if system.first_integral(p) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
-@pytest.mark.parametrize("labels, expected", PATTERNS.values(), ids=PATTERNS.keys())
-def test_pinned_patterns(labels, expected):
-    hyperbolic, separatrices = expected
-    assert census(labels) == (hyperbolic, 0, 0, separatrices)
-    assert reference(labels) == expected
+@pytest.mark.parametrize("samples", [8, 12, 100, 360])
+@pytest.mark.parametrize("radius", RADII)
+def test_sampled_census_agrees_with_the_closed_form(radius, samples):
+    for theta in THETAS:
+        system = ArchSystem(theta)
+        census = sector_census(system, Point2(0.0, 0.0), radius=radius)
+        assert census.is_cusp
+        assert sampled_census(system, radius, samples) == (
+            census.hyperbolic, census.separatrices
+        ), (theta, radius, samples)
 
 
-def test_every_length_8_sequence_matches_the_run_length_reference():
-    for labels in itertools.product((1, 0, -1), repeat=8):
-        hyperbolic, separatrices = reference(labels)
-        assert census(list(labels)) == (hyperbolic, 0, 0, separatrices), labels
+@pytest.mark.parametrize("theta, radius, samples", [
+    (0.5, 0.01, 9), (0.5, 0.01, 10), (5.0, 0.5, 10), (1e3, 0.01, 359), (1e9, 0.5, 361),
+])
+def test_sampled_census_misses_a_narrow_arc_between_samples(theta, radius, samples):
+    # No sample falls on the negative arc: one sector, no separatrix.
+    system = ArchSystem(theta)
+    assert sampled_census(system, radius, samples) == (1, 0)
+    assert sector_census(system, Point2(0.0, 0.0), radius=radius).is_cusp
 
 
-def test_band_is_measured_from_the_centre_value():
-    band = 1e-3 * 0.5**3  # default radius 0.5
-    pattern = [1, 1, -1, -1, 1, 1, -1, -1]
-    assert census(pattern, offset=0.9 * band) == (0, 0, 0, 0)
-    assert census(pattern, offset=1.1 * band) == (4, 0, 0, 4)
+@pytest.mark.parametrize("radius", RADII)
+def test_negative_arc_ends_lie_on_the_separatrix(radius):
+    for theta in THETAS:
+        system = ArchSystem(theta)
+        a = negative_arc_half_width(system, radius)
+        x, y = radius * math.sin(a), -radius * math.cos(a)
+        for end in (x, -x):
+            assert abs(system.separatrix_height(end) - y) <= 1e-12 * radius, (theta, end)
+        # The arc narrows like 2*sqrt(2r/(3*theta)), with a relative correction
+        # of about 0.39*r/theta, so the width is checked where that is < 1e-3.
+        if theta >= 1e3 * radius:
+            assert 2.0 * a == pytest.approx(2.0 * math.sqrt(2.0 * radius / (3.0 * theta)), rel=1e-3)
+
+
+def test_negative_arc_at_unit_scale():
+    # theta = r = 0.5: the root of H's cubic is u* = -0.5934..., an arc of 72.50 degrees.
+    a = negative_arc_half_width(ArchSystem(0.5), 0.5)
+    assert math.degrees(2.0 * a) == pytest.approx(72.50, abs=0.005)

@@ -302,18 +302,21 @@ def test_flank_without_box_exit_exits_1(run_cli):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("args", [
-    ("trace", "--theta", "1", "--start", "0,1e150", "--out", "t.csv"),
-    ("portrait", "--theta", "1", "--window=-1e200,1e200,-1e200,1e200", "--out", "p.svg"),
+@pytest.mark.parametrize("args, message", [
+    (("trace", "--theta", "1", "--start", "0,1e150", "--out", "t.csv"),
+     "error: numeric overflow"),
+    (("portrait", "--theta", "1", "--window=-1e200,1e200,-1e200,1e200", "--out", "p.svg"),
+     "error: seed 0 (upper_sector) at (-1e+200, 3.1875000000000003e+199) diverged: "
+     "field is non-finite"),
 ], ids=["trace", "portrait"])
-def test_numeric_overflow_exits_1(run_cli, tmp_path, monkeypatch, args):
-    # A float power leaves the double range: H at the start point, the
-    # separatrix reach across the window. A clean error, no traceback.
+def test_numeric_overflow_exits_1(run_cli, tmp_path, monkeypatch, args, message):
+    # A float power leaves the double range: H at the trace's start point, the
+    # field y*y at the portrait's first seed. A clean error, no traceback.
     monkeypatch.chdir(tmp_path)
     result = run_cli(*args)
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr.startswith("error: numeric overflow") and result.stderr.count("\n") == 1
+    assert result.stderr.startswith(message) and result.stderr.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -328,6 +331,21 @@ def test_portrait_seed_that_cannot_step_exits_1(run_cli, tmp_path, monkeypatch):
     assert result.stdout == ""
     assert result.stderr == (
         "error: seed 0 (upper_sector) at (-7.875e+159, 1.0) did not advance: "
+        "backward step_underflow, forward step_underflow\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_portrait_separatrix_below_the_cube_range_reaches_the_seeds(run_cli, tmp_path, monkeypatch):
+    # |y|**3 overflows at the bottom edge y = -1e100, but the separatrix leaves
+    # through it at a finite |x| near 2.6e154; the run then stops at the seeds.
+    monkeypatch.chdir(tmp_path)
+    result = run_cli("portrait", "--theta", "1e-9", "--window=-1e200,1e200,-1e100,1",
+                     "--out", "p.svg")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: seed 0 (upper_sector) at (-7.875e+199, 1.0) did not advance: "
         "backward step_underflow, forward step_underflow\n"
     )
     assert list(tmp_path.iterdir()) == []

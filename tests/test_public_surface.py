@@ -23,9 +23,7 @@ PUBLIC = [
     "__version__",
     "build_portrait",
     "classify_arch",
-    "classify_linear",
     "crossing",
-    "eigen_2x2",
     "export_trajectory_csv",
     "find_equilibria",
     "integrate",
@@ -45,6 +43,8 @@ RETIRED = [
     "VectorField2D",
     "arch_first_integral",
     "arch_separatrix_height",
+    "classify_linear",
+    "eigen_2x2",
     "numeric_jacobian",
     "rk4_step",
     "rk45_step",

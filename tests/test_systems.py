@@ -19,12 +19,6 @@ def test_point_distance():
     assert Point2(0.0, 0.0).distance_to(Point2(3.0, 4.0)) == 5.0
 
 
-def test_mat2_trace_det():
-    m = Mat2(1.0, 2.0, 3.0, 4.0)
-    assert m.trace == 5.0
-    assert m.det == -2.0
-
-
 def test_window_validation():
     with pytest.raises(ValueError):
         Window(1.0, 1.0, 0.0, 2.0)
