@@ -423,3 +423,70 @@ def test_trace_in_a_small_window_exits_at_the_orbit_graph_time(run_cli, tmp_path
         assert result.returncode == 0, result.stderr
         t, x, y, _ = map(float, out.read_text().splitlines()[-1].split(","))
         assert abs(t - orbit_time(theta, (0.0, 0.001), (x, y))) <= 1e-9 * t, theta
+
+
+# The default (human) output, byte for byte. The machine lines are pinned by
+# the golden files and the tests above; these pin the lines a person reads.
+
+def _analyze_human(theta):
+    return (
+        f"theta {theta}\n"
+        "equilibrium at (0, 0)\n"
+        f"jacobian [[0, 0], [-{theta}, 0]]\n"
+        "eigenvalues 0, 0 (real_repeated)\n"
+        "classification degenerate_nonhyperbolic\n"
+        "sectors: 2 hyperbolic, 0 elliptic, 0 parabolic; 2 separatrices\n"
+        "cusp: yes\n"
+    )
+
+
+@pytest.mark.parametrize("preset, theta", [("plain", "0.001"), ("tented", "0.5"), ("strong", "5")])
+def test_analyze_human_output_is_pinned(run_cli, preset, theta):
+    result = run_cli("analyze", "--preset", preset)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == _analyze_human(theta)
+
+
+@pytest.mark.parametrize("fmt, stdout", [
+    ("human", "theta 1\nno equilibria inside the window\n"),
+    ("machine", "theta=1\nequilibria=0\n"),
+])
+def test_analyze_empty_window_output_is_pinned(run_cli, fmt, stdout):
+    result = run_cli("analyze", "--theta", "1", "--window=1,2,1,2", "--format", fmt)
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", stdout)
+
+
+@pytest.mark.parametrize("preset, stdout", [
+    ("plain", "theta 0.001: plain arch, opening angle 168.96 degrees\n"),
+    ("tented", "theta 0.5: tented arch, opening angle 49.68 degrees\n"),
+    ("strong", "theta 5: strong arch, opening angle 16.66 degrees\n"),
+])
+def test_classify_human_output_is_pinned(run_cli, preset, stdout):
+    result = run_cli("classify", "--preset", preset)
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", stdout)
+
+
+def test_sweep_human_output_is_pinned(run_cli):
+    result = run_cli("sweep", "--steps", "3")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (
+        "theta 0.001: plain, 168.96 deg\n"
+        "theta 2.5005: strong, 23.39 deg\n"
+        "theta 5: strong, 16.66 deg\n"
+    )
+
+
+@pytest.mark.parametrize("args, stdout", [
+    (("--tmax", "2"), "wrote t.csv: 80 samples, stopped by time_horizon\n"),
+    ((), "wrote t.csv: 5005 samples, stopped by step_underflow\n"),
+], ids=["time_horizon", "default"])
+def test_trace_human_output_is_pinned(run_cli, tmp_path, monkeypatch, args, stdout):
+    monkeypatch.chdir(tmp_path)
+    result = run_cli("trace", "--theta", "0.5", *args, "--out", "t.csv")
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", stdout)
+
+
+def test_portrait_human_output_is_pinned(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = run_cli("portrait", "--preset", "tented", "--out", "p.svg")
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "wrote p.svg: 14 paths\n")
