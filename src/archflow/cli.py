@@ -184,75 +184,59 @@ def parse_invocation(argv: list[str] | None = None) -> tuple[str, dict]:
     return ns.command, opts
 
 
+def _say(o: dict, machine: str, human: str) -> None:
+    """Print the rendering that ``--format`` asks for; the one format switch."""
+    print(machine if o["format"] == "machine" else human)
+
+
 def _run_analyze(o: dict) -> int:
     system = ArchSystem(o["theta"])
     equilibria = find_equilibria(system, o["window"])
-    machine = o["format"] == "machine"
-    out: list[str] = []
-    if machine:
-        out.append(f"theta={_fmt(o['theta'])}")
-        out.append(f"equilibria={len(equilibria)}")
-    else:
-        out.append(f"theta {_fmt(o['theta'])}")
+    # One ordered table: its items are the machine lines, its values fill the human ones.
+    v = {"theta": _fmt(o["theta"]), "equilibria": len(equilibria)}
+    human = ["theta {theta}"]
     if not equilibria:
-        if not machine:
-            out.append("no equilibria inside the window")
-        print("\n".join(out))
-        return 0
-    eq = equilibria[0]
-    census = sector_census(system, eq.location)
-    j = eq.jacobian
-    l1, l2 = eq.eigen.values
-    if machine:
-        out.append(f"equilibrium_x={_fmt(eq.location.x)}")
-        out.append(f"equilibrium_y={_fmt(eq.location.y)}")
-        out.append(f"j11={_fmt(j.a11)}")
-        out.append(f"j12={_fmt(j.a12)}")
-        out.append(f"j21={_fmt(j.a21)}")
-        out.append(f"j22={_fmt(j.a22)}")
-        out.append(f"eigen_kind={eq.eigen.kind}")
-        out.append(f"eigenvalue_1={_fmt_complex(l1)}")
-        out.append(f"eigenvalue_2={_fmt_complex(l2)}")
-        out.append(f"classification={eq.classification}")
-        out.append(f"hyperbolic={census.hyperbolic}")
-        out.append(f"elliptic={census.elliptic}")
-        out.append(f"parabolic={census.parabolic}")
-        out.append(f"separatrices={census.separatrices}")
-        out.append(f"is_cusp={'true' if census.is_cusp else 'false'}")
+        human.append("no equilibria inside the window")
     else:
-        out.append(f"equilibrium at ({_fmt(eq.location.x)}, {_fmt(eq.location.y)})")
-        out.append(
-            f"jacobian [[{_fmt(j.a11)}, {_fmt(j.a12)}], [{_fmt(j.a21)}, {_fmt(j.a22)}]]"
+        eq = equilibria[0]
+        census = sector_census(system, eq.location)
+        j = eq.jacobian
+        l1, l2 = eq.eigen.values
+        v.update(
+            equilibrium_x=_fmt(eq.location.x), equilibrium_y=_fmt(eq.location.y),
+            j11=_fmt(j.a11), j12=_fmt(j.a12), j21=_fmt(j.a21), j22=_fmt(j.a22),
+            eigen_kind=eq.eigen.kind,
+            eigenvalue_1=_fmt_complex(l1), eigenvalue_2=_fmt_complex(l2),
+            classification=eq.classification,
+            hyperbolic=census.hyperbolic, elliptic=census.elliptic,
+            parabolic=census.parabolic, separatrices=census.separatrices,
+            is_cusp="true" if census.is_cusp else "false",
         )
-        out.append(
-            f"eigenvalues {_fmt_complex(l1)}, {_fmt_complex(l2)} ({eq.eigen.kind})"
-        )
-        out.append(f"classification {eq.classification}")
-        out.append(
-            f"sectors: {census.hyperbolic} hyperbolic, {census.elliptic} elliptic, "
-            f"{census.parabolic} parabolic; {census.separatrices} separatrices"
-        )
-        out.append(f"cusp: {'yes' if census.is_cusp else 'no'}")
-    print("\n".join(out))
+        human += [
+            "equilibrium at ({equilibrium_x}, {equilibrium_y})",
+            "jacobian [[{j11}, {j12}], [{j21}, {j22}]]",
+            "eigenvalues {eigenvalue_1}, {eigenvalue_2} ({eigen_kind})",
+            "classification {classification}",
+            "sectors: {hyperbolic} hyperbolic, {elliptic} elliptic, {parabolic} parabolic; "
+            "{separatrices} separatrices",
+            "cusp: " + ("yes" if census.is_cusp else "no"),
+        ]
+    _say(o, "\n".join(f"{key}={value}" for key, value in v.items()),
+         "\n".join(human).format(**v))
     return 0
 
 
 def _run_classify(o: dict) -> int:
+    theta = _fmt(o["theta"])
     result = classify_arch(o["theta"], apex=o["apex"], fraction=o["fraction"])
-    if o["format"] == "machine":
-        print(f"theta={_fmt(o['theta'])}")
-        print(f"category={result.category}")
-        print(f"opening_angle_deg={result.opening_angle_deg:.4f}")
-    else:
-        print(
-            f"theta {_fmt(o['theta'])}: {result.category} arch, "
-            f"opening angle {result.opening_angle_deg:.2f} degrees"
-        )
+    category, angle = result.category, result.opening_angle_deg
+    _say(o, f"theta={theta}\ncategory={category}\nopening_angle_deg={angle:.4f}",
+         f"theta {theta}: {category} arch, opening angle {angle:.2f} degrees")
     return 0
 
 
 def _run_trace(o: dict) -> int:
-    window, start, tol = o["window"], o["start"], o["tol"]
+    window, start, tol, out = o["window"], o["start"], o["tol"], o["out"]
     if window is None:
         stop_box, scale = None, max(abs(start.x), abs(start.y))
     else:
@@ -262,16 +246,10 @@ def _run_trace(o: dict) -> int:
     abs_tol = tol * min(1.0, scale) or tol
     cfg = IntegratorConfig(rel_tol=tol, abs_tol=abs_tol, stop_time=o["tmax"], stop_box=stop_box)
     trajectory = integrate(ArchSystem(o["theta"]), start, cfg)
-    Path(o["out"]).write_text(export_trajectory_csv(trajectory, o["theta"]))
-    if o["format"] == "machine":
-        print(f"out={o['out']}")
-        print(f"samples={len(trajectory)}")
-        print(f"stop_reason={trajectory.stop_reason}")
-    else:
-        print(
-            f"wrote {o['out']}: {len(trajectory)} samples, "
-            f"stopped by {trajectory.stop_reason}"
-        )
+    Path(out).write_text(export_trajectory_csv(trajectory, o["theta"]))
+    n, reason = len(trajectory), trajectory.stop_reason
+    _say(o, f"out={out}\nsamples={n}\nstop_reason={reason}",
+         f"wrote {out}: {n} samples, stopped by {reason}")
     return 0
 
 
@@ -288,33 +266,18 @@ def _run_portrait(o: dict) -> int:
     )
     scene = build_portrait(spec)
     Path(o["out"]).write_text(render_svg(scene, o["width"], o["height"]))
-    if o["format"] == "machine":
-        print(f"out={o['out']}")
-        print(f"paths={len(scene.paths)}")
-    else:
-        print(f"wrote {o['out']}: {len(scene.paths)} paths")
+    _say(o, f"out={o['out']}\npaths={len(scene.paths)}", f"wrote {o['out']}: {len(scene.paths)} paths")
     return 0
 
 
 def _run_sweep(o: dict) -> int:
     lo, hi, steps = o["theta_from"], o["theta_to"], o["steps"]
-    if steps == 1:
-        thetas = [lo]
-    else:
-        thetas = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    machine = o["format"] == "machine"
+    thetas = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     for theta in thetas:
         result = classify_arch(theta, apex=o["apex"], fraction=o["fraction"])
-        if machine:
-            print(
-                f"theta={_fmt(theta)} category={result.category} "
-                f"opening_angle_deg={result.opening_angle_deg:.4f}"
-            )
-        else:
-            print(
-                f"theta {_fmt(theta)}: {result.category}, "
-                f"{result.opening_angle_deg:.2f} deg"
-            )
+        category, angle = result.category, result.opening_angle_deg
+        _say(o, f"theta={_fmt(theta)} category={category} opening_angle_deg={angle:.4f}",
+             f"theta {_fmt(theta)}: {category}, {angle:.2f} deg")
     return 0
 
 
