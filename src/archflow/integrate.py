@@ -310,6 +310,13 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
     if not (x_min <= x <= x_max and y_min <= y <= y_max):
         return Trajectory._flat(ts, xs, ys, "box_exit")
 
+    # (x, y, t) -> (s^3 x, s^2 y, t/s) maps runs to runs, so a run from (x, y)
+    # moves on the time scale 1/(sqrt(theta)*sigma). The step floor shrinks with
+    # that scale below unit time; each root is taken alone, so sigma is finite.
+    root_theta = math.sqrt(system.theta)
+    sigma = max(system.theta ** (1 / 6) * abs(x) ** (1 / 3), abs(y) ** 0.5)
+    min_step = MIN_STEP / root_theta / sigma if root_theta * sigma > 1.0 else MIN_STEP
+
     t = 0.0
     h = sign * config.step
     if arch:
@@ -332,7 +339,7 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
         if abs(h_try) > rem:
             h_try = sign * rem
         # One DP5(4) step, retried with a smaller h until its scaled error is
-        # at most 1 or h falls below MIN_STEP. (sx, sy) is each stage's point.
+        # at most 1 or h falls below min_step. (sx, sy) is each stage's point.
         while True:
             sx = x + h_try * _A21 * k1x
             sy = y + h_try * _A21 * k1y
@@ -390,7 +397,7 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
             h_try *= (
                 max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2) if err < inf else GROW_MIN
             )
-            if abs(h_try) < MIN_STEP:
+            if abs(h_try) < min_step:
                 break
         if err > 1.0:
             reason = "step_underflow"

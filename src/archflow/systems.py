@@ -185,16 +185,22 @@ class ArchSystem(_Record):
 def _arch_separatrix_depth(theta: float, x: float) -> float:
     """(3*theta*x^2/2)^(1/3), the separatrix's depth below the x axis at x.
 
-    Where the square overflows although the depth does not, the depth is
-    taken as (3*theta/2)^(1/3) * |x|^(2/3); every other depth keeps the bits
-    of the plain formula.
+    Where the product overflows although the depth does not, the depth is
+    taken as c * |x|^(2/3), with c = (3*theta/2)^(1/3), or (3/2)^(1/3) *
+    theta^(1/3) where 3*theta/2 overflows too (inf * 0 is nan at x = 0).
+    Every other depth keeps the bits of the plain formula.
     """
     v = 1.5 * theta * x * x
-    if v == math.inf:
-        return (1.5 * theta) ** (1.0 / 3.0) * abs(x) ** (2.0 / 3.0)
+    if not v < math.inf:
+        c = 1.5 * theta
+        c = c ** (1.0 / 3.0) if c < math.inf else 1.5 ** (1.0 / 3.0) * theta ** (1.0 / 3.0)
+        return c * abs(x) ** (2.0 / 3.0)
     return v ** (1.0 / 3.0)
 
 
 def _arch_separatrix_reach(theta: float, y: float) -> float:
     """Largest |x| whose separatrix height is at or above y; 0 when y >= 0."""
-    return abs(y) * math.sqrt(2.0 * abs(y) / (3.0 * theta)) if y < 0.0 else 0.0
+    if y >= 0.0:
+        return 0.0
+    d = 3.0 * theta
+    return abs(y) * math.sqrt(2.0 * abs(y) / d if d < math.inf else abs(y) / 1.5 / theta)

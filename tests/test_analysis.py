@@ -11,6 +11,7 @@ from archflow import (
     Mat2,
     Point2,
     SectorCensus,
+    Trajectory,
     Window,
     classify_arch,
     crossing,
@@ -231,11 +232,26 @@ def test_opening_angle_at_a_vanishing_fraction_is_zero(theta, fraction):
     assert classify_arch(theta, fraction=fraction).opening_angle_deg == 0.0
 
 
-def test_opening_angle_raises_when_a_flank_has_no_box_exit():
-    # at apex 1e100 the first step underflows before the flank moves; a
-    # one-sample flank must not be read as a slope of 0
-    with pytest.raises(CrossingNotFound):
+def test_opening_angle_raises_when_a_flank_has_no_box_exit(monkeypatch):
+    # a flank that stops where it started, as a run whose first step
+    # underflows does, must not be read as a slope of 0
+    def stalled(system, start, config):
+        return Trajectory(((0.0, start),), "step_underflow")
+
+    monkeypatch.setattr("archflow.analysis.integrate", stalled)
+    with pytest.raises(CrossingNotFound, match="forward flank stopped by step_underflow"):
         opening_angle(1.0, apex=1e100)
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5, 1e-9])
+def test_opening_angle_at_a_huge_apex_is_the_closed_form(theta):
+    # The step floor follows the run's own time scale, about 1e-50 here, so
+    # both flanks reach the line; theta/apex near 1e-100 makes the ridge flat.
+    fraction, apex = 0.5, 1e100
+    closed = 180.0 - 2.0 * math.degrees(
+        math.atan(math.sqrt(2.0 * theta * (1.0 - fraction**3) / (3.0 * apex)) / fraction**2)
+    )
+    assert opening_angle(theta, apex=apex, fraction=fraction) == pytest.approx(closed, abs=1e-9)
 
 
 def test_opening_angle_flanks_are_exact_mirrors():

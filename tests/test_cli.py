@@ -5,12 +5,14 @@ subprocess checks live in ``test_acceptance.py``.
 """
 
 import cmath
+import math
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
+from archflow import ArchSystem, PortraitSpec, Trajectory, seed_points
 from archflow.cli import main
 from orbit_time import apex_escape_time, orbit_time
 
@@ -294,12 +296,22 @@ def test_extreme_apex_exits_1(run_cli, apex):
     assert "apex" in result.stderr
 
 
-def test_flank_without_box_exit_exits_1(run_cli):
-    # the integrator cannot step off an apex of 1e100: a clean error, no traceback
+def test_flank_without_box_exit_exits_1(run_cli, monkeypatch):
+    # a flank that stops where it started: a clean error, no traceback
+    monkeypatch.setattr("archflow.analysis.integrate",
+                        lambda system, start, config: Trajectory(((0.0, start),), "step_underflow"))
     result = run_cli("classify", "--theta", "1", "--apex", "1e100")
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert result.stderr == "error: forward flank stopped by step_underflow above y = 5e+99\n"
+
+
+@pytest.mark.parametrize("theta", ["0.5", "1"])
+def test_classify_at_a_huge_apex_prints_180_degrees(run_cli, theta):
+    # the step floor follows the flank's own time scale, so both flanks reach the line
+    result = run_cli("classify", "--theta", theta, "--apex", "1e100")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"theta {theta}: tented arch, opening angle 180.00 degrees\n"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -308,7 +320,10 @@ def test_flank_without_box_exit_exits_1(run_cli):
     (("portrait", "--theta", "1", "--window=-1e200,1e200,-1e200,1e200", "--out", "p.svg"),
      "error: seed 0 (upper_sector) at (-1e+200, 3.1875000000000003e+199) diverged: "
      "field is non-finite"),
-], ids=["trace", "portrait"])
+    # theta*x at the first seed; the separatrix's 1.5*theta overflows too, but not its height
+    (("portrait", "--theta", "1.7e308", "--out", "p.svg"),
+     "error: seed 0 (upper_sector) at (-4.0, -2.3) diverged: field is non-finite at (-4.0, -2.3)"),
+], ids=["trace", "portrait", "portrait_theta"])
 def test_numeric_overflow_exits_1(run_cli, tmp_path, monkeypatch, args, message):
     # A float power leaves the double range: H at the trace's start point, the
     # field y*y at the portrait's first seed. A clean error, no traceback.
@@ -320,35 +335,53 @@ def test_numeric_overflow_exits_1(run_cli, tmp_path, monkeypatch, args, message)
     assert list(tmp_path.iterdir()) == []
 
 
+class _StalledAtSeeds(ArchSystem):
+    """The arch field at the default portrait's seeds and NaN everywhere else."""
+
+    __slots__ = ()
+
+    def field_at(self, x, y):
+        seeds = {(p.x, p.y) for p, _ in seed_points(PortraitSpec(system=ArchSystem(self.theta)))}
+        return super().field_at(x, y) if (x, y) in seeds else (math.nan, math.nan)
+
+
 def test_portrait_seed_that_cannot_step_exits_1(run_cli, tmp_path, monkeypatch):
-    # At |x| near 1e159 the flow changes on a time scale far below the 1e-12
-    # step floor, so no step is accepted: the error names the stalled seed and
-    # why both halves stopped.
+    # Every step off a seed is rejected until it falls below the step floor,
+    # so no step is accepted: the error names the stalled seed and why both
+    # halves stopped.
     monkeypatch.chdir(tmp_path)
-    result = run_cli("portrait", "--theta", "1e-9", "--window=-1e160,1e160,-1e10,1",
-                     "--out", "p.svg")
+    monkeypatch.setattr("archflow.cli.ArchSystem", _StalledAtSeeds)
+    result = run_cli("portrait", "--theta", "0.5", "--out", "p.svg")
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == (
-        "error: seed 0 (upper_sector) at (-7.875e+159, 1.0) did not advance: "
+        "error: seed 0 (upper_sector) at (-4.0, -0.7711767085640806) did not advance: "
         "backward step_underflow, forward step_underflow\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_portrait_at_a_huge_scale_draws_every_path(run_cli, tmp_path, monkeypatch):
+    # At |x| near 1e159 the flow changes on a time scale far below the
+    # unit-scale step floor of 1e-12; the floor follows each seed's own scale.
+    monkeypatch.chdir(tmp_path)
+    result = run_cli("portrait", "--theta", "1e-9", "--window=-1e160,1e160,-1e10,1", "--out", "p.svg")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "wrote p.svg: 14 paths\n"
+    assert (tmp_path / "p.svg").read_text().count("<polyline") == 14
 
 
 def test_portrait_separatrix_below_the_cube_range_reaches_the_seeds(run_cli, tmp_path, monkeypatch):
     # |y|**3 overflows at the bottom edge y = -1e100, but the separatrix leaves
-    # through it at a finite |x| near 2.6e154; the run then stops at the seeds.
+    # through it at a finite |x| near 2.6e154; the seeds then step on their own
+    # time scale, so the portrait is drawn.
     monkeypatch.chdir(tmp_path)
     result = run_cli("portrait", "--theta", "1e-9", "--window=-1e200,1e200,-1e100,1",
-                     "--out", "p.svg")
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == (
-        "error: seed 0 (upper_sector) at (-7.875e+199, 1.0) did not advance: "
-        "backward step_underflow, forward step_underflow\n"
-    )
-    assert list(tmp_path.iterdir()) == []
+                     "--out", "p.svg", "--format", "machine")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "out=p.svg\npaths=14\n"
+    svg = (tmp_path / "p.svg").read_text()
+    assert svg.count('stroke="#cc0000"') == 2  # both separatrix branches
 
 
 def _assert_printed_numbers_are_finite(stdout):

@@ -212,6 +212,19 @@ def test_conservation_along_trajectory():
     assert drift <= 1e-8
 
 
+@pytest.mark.parametrize("theta", [1e-9, 0.5, 1e9])
+def test_run_from_a_huge_apex_steps_at_its_own_time_scale(theta):
+    # From (0, 1e100) the flow moves on a time scale near 1e-50, far below the
+    # unit-scale floor of 1e-12; the floor follows it, so the run reaches the
+    # line y = apex/2 at the orbit graph's time.
+    apex, big = 1e100, 1.7e308
+    run = integrate(ArchSystem(theta), Point2(0.0, apex), IntegratorConfig(
+        rel_tol=1e-12, abs_tol=1e-12 * apex, stop_box=Window(-big, big, 0.5 * apex, big)))
+    assert run.stop_reason == "box_exit" and len(run) > 100
+    end = run.final_point
+    assert run.final_time == pytest.approx(orbit_time(theta, (0.0, apex), (end.x, end.y)), rel=1e-12)
+
+
 def test_step_underflow_on_discontinuity():
     jump = _overriding(lambda x, y: (1.0, 0.0) if x < 1.0 else (1e12, 0.0))
     t = integrate(jump, Point2(0.0, 0.0), IntegratorConfig(stop_time=10.0))

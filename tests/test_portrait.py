@@ -169,8 +169,19 @@ def test_build_portrait_deterministic():
     assert render_svg(scene_a) == render_svg(scene_b)
 
 
+class _StalledAtSeeds(ArchSystem):
+    """The arch field at the default portrait's seeds and NaN everywhere else,
+    so every step from a seed is rejected until it falls below the floor."""
+
+    __slots__ = ()
+
+    def field_at(self, x, y):
+        seeds = {(p.x, p.y) for p, _ in seed_points(PortraitSpec(system=ArchSystem(self.theta)))}
+        return super().field_at(x, y) if (x, y) in seeds else (math.nan, math.nan)
+
+
 def test_build_portrait_names_a_seed_whose_halves_both_stall():
-    spec = PortraitSpec(system=ArchSystem(1e-9), window=Window(-1e160, 1e160, -1e10, 1.0))
+    spec = PortraitSpec(system=_StalledAtSeeds(0.5))
     (seed, role), *_ = seed_points(spec)
     message = (
         f"seed 0 ({role}) at ({seed.x}, {seed.y}) did not advance: "
@@ -179,6 +190,16 @@ def test_build_portrait_names_a_seed_whose_halves_both_stall():
     with pytest.raises(ValueError) as info:
         build_portrait(spec)
     assert str(info.value) == message
+
+
+def test_build_portrait_steps_at_the_seeds_own_time_scale():
+    # At |x| near 1e159 the flow changes on a time scale near 1e-47, far below
+    # the unit-scale step floor; the floor follows that scale, so every seed
+    # advances and each half leaves the box.
+    spec = PortraitSpec(system=ArchSystem(1e-9), window=Window(-1e160, 1e160, -1e10, 1.0))
+    scene = build_portrait(spec)
+    assert len(scene.paths) == 14
+    assert all(len(path.points) > 2 for path in scene.paths)
 
 
 def test_render_svg_document_shape():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -108,6 +109,20 @@ def test_separatrix_reach_inverts_separatrix_height():
             assert system.separatrix_height(-reach) == pytest.approx(y, rel=1e-12)
         assert _arch_separatrix_reach(theta, 0.0) == 0.0
         assert _arch_separatrix_reach(theta, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("theta", [1.1e308, 1.7e308, sys.float_info.max])
+def test_separatrix_near_the_largest_theta_stays_finite(theta):
+    # 3*theta and 1.5*theta overflow here; the curve itself does not, and it
+    # still passes through the origin (inf * 0 would give nan there).
+    system = ArchSystem(theta)
+    assert system.separatrix_height(0.0) == 0.0
+    for x in (1e-300, 1e-100, 1.0, 4.0, 1e100):
+        exact = -(1.5 ** (1.0 / 3.0)) * theta ** (1.0 / 3.0) * x ** (2.0 / 3.0)
+        assert system.separatrix_height(x) == pytest.approx(exact, rel=1e-14)
+    for y in (-4.0, -1.0, -1e-3):
+        reach = _arch_separatrix_reach(theta, y)
+        assert 0.0 < reach and system.separatrix_height(reach) == pytest.approx(y, rel=1e-12)
 
 
 def test_separatrix_height_rejects_bad_input():
