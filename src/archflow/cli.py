@@ -266,7 +266,8 @@ def _run_portrait(o: dict) -> int:
     )
     scene = build_portrait(spec)
     Path(o["out"]).write_text(render_svg(scene, o["width"], o["height"]))
-    _say(o, f"out={o['out']}\npaths={len(scene.paths)}", f"wrote {o['out']}: {len(scene.paths)} paths")
+    n = len(scene.paths)
+    _say(o, f"out={o['out']}\npaths={n}", f"wrote {o['out']}: {n} paths")
     return 0
 
 

@@ -311,8 +311,9 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
         return Trajectory._flat(ts, xs, ys, "box_exit")
 
     # (x, y, t) -> (s^3 x, s^2 y, t/s) maps runs to runs, so a run from (x, y)
-    # moves on the time scale 1/(sqrt(theta)*sigma). The step floor shrinks with
-    # that scale below unit time; each root is taken alone, so sigma is finite.
+    # moves on the time scale 1/(sqrt(theta)*sigma). Where that scale is below
+    # 1 the step floor is MIN_STEP of it; each root is taken alone, so sigma is
+    # finite.
     root_theta = math.sqrt(system.theta)
     sigma = max(system.theta ** (1 / 6) * abs(x) ** (1 / 3), abs(y) ** 0.5)
     min_step = MIN_STEP / root_theta / sigma if root_theta * sigma > 1.0 else MIN_STEP

@@ -5,14 +5,13 @@ subprocess checks live in ``test_acceptance.py``.
 """
 
 import cmath
-import math
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
-from archflow import ArchSystem, PortraitSpec, Trajectory, seed_points
+from archflow import Trajectory
 from archflow.cli import main
 from orbit_time import apex_escape_time, orbit_time
 
@@ -335,22 +334,12 @@ def test_numeric_overflow_exits_1(run_cli, tmp_path, monkeypatch, args, message)
     assert list(tmp_path.iterdir()) == []
 
 
-class _StalledAtSeeds(ArchSystem):
-    """The arch field at the default portrait's seeds and NaN everywhere else."""
-
-    __slots__ = ()
-
-    def field_at(self, x, y):
-        seeds = {(p.x, p.y) for p, _ in seed_points(PortraitSpec(system=ArchSystem(self.theta)))}
-        return super().field_at(x, y) if (x, y) in seeds else (math.nan, math.nan)
-
-
-def test_portrait_seed_that_cannot_step_exits_1(run_cli, tmp_path, monkeypatch):
+def test_portrait_seed_that_cannot_step_exits_1(run_cli, tmp_path, monkeypatch, stalled_at_seeds):
     # Every step off a seed is rejected until it falls below the step floor,
     # so no step is accepted: the error names the stalled seed and why both
     # halves stopped.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("archflow.cli.ArchSystem", _StalledAtSeeds)
+    monkeypatch.setattr("archflow.cli.ArchSystem", stalled_at_seeds)
     result = run_cli("portrait", "--theta", "0.5", "--out", "p.svg")
     assert result.returncode == 1
     assert result.stdout == ""

@@ -169,19 +169,8 @@ def test_build_portrait_deterministic():
     assert render_svg(scene_a) == render_svg(scene_b)
 
 
-class _StalledAtSeeds(ArchSystem):
-    """The arch field at the default portrait's seeds and NaN everywhere else,
-    so every step from a seed is rejected until it falls below the floor."""
-
-    __slots__ = ()
-
-    def field_at(self, x, y):
-        seeds = {(p.x, p.y) for p, _ in seed_points(PortraitSpec(system=ArchSystem(self.theta)))}
-        return super().field_at(x, y) if (x, y) in seeds else (math.nan, math.nan)
-
-
-def test_build_portrait_names_a_seed_whose_halves_both_stall():
-    spec = PortraitSpec(system=_StalledAtSeeds(0.5))
+def test_build_portrait_names_a_seed_whose_halves_both_stall(stalled_at_seeds):
+    spec = PortraitSpec(system=stalled_at_seeds(0.5))
     (seed, role), *_ = seed_points(spec)
     message = (
         f"seed 0 ({role}) at ({seed.x}, {seed.y}) did not advance: "

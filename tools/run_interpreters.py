@@ -29,10 +29,6 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 EXCEPTIONGROUP = '''\
 class BaseExceptionGroup(BaseException):
-    def __init__(self, message, exceptions):
-        super().__init__(message, exceptions)
-        self.message, self.exceptions = message, tuple(exceptions)
-
     def __class_getitem__(cls, item):
         return cls
 
@@ -84,9 +80,11 @@ def check(version, exe, shared, compat, extra):
         for path, data in before.items():
             if path.read_bytes() != data:
                 path.write_bytes(data)
-    ok = tests.returncode == 0 and regen.returncode == 0 and not changed
-    goldens = "no diff" if regen.returncode == 0 and not changed else (
-        f"changed {', '.join(changed)}" if changed else "regenerate.py failed")
+    if regen.returncode:
+        goldens = "regenerate.py failed"
+    else:
+        goldens = f"changed {', '.join(changed)}" if changed else "no diff"
+    ok = tests.returncode == 0 and goldens == "no diff"
     print(f"{version}: {'pass' if ok else 'FAIL'} ({summary}; goldens {goldens})", flush=True)
     return ok
 
