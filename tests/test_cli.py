@@ -297,8 +297,10 @@ def test_extreme_apex_exits_1(run_cli, apex):
 
 def test_flank_without_box_exit_exits_1(run_cli, monkeypatch):
     # a flank that stops where it started: a clean error, no traceback
-    monkeypatch.setattr("archflow.analysis.integrate",
-                        lambda system, start, config: Trajectory(((0.0, start),), "step_underflow"))
+    def stalled(system, start, config):
+        return Trajectory(((0.0, start),), "step_underflow")
+
+    monkeypatch.setattr("archflow.analysis.integrate", stalled)
     result = run_cli("classify", "--theta", "1", "--apex", "1e100")
     assert result.returncode == 1
     assert result.stdout == ""
@@ -334,7 +336,8 @@ def test_numeric_overflow_exits_1(run_cli, tmp_path, monkeypatch, args, message)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_portrait_seed_that_cannot_step_exits_1(run_cli, tmp_path, monkeypatch, stalled_at_seeds):
+def test_portrait_seed_that_cannot_step_exits_1(run_cli, tmp_path, monkeypatch,
+                                                stalled_at_seeds):
     # Every step off a seed is rejected until it falls below the step floor,
     # so no step is accepted: the error names the stalled seed and why both
     # halves stopped.
@@ -354,7 +357,8 @@ def test_portrait_at_a_huge_scale_draws_every_path(run_cli, tmp_path, monkeypatc
     # At |x| near 1e159 the flow changes on a time scale far below the
     # unit-scale step floor of 1e-12; the floor follows each seed's own scale.
     monkeypatch.chdir(tmp_path)
-    result = run_cli("portrait", "--theta", "1e-9", "--window=-1e160,1e160,-1e10,1", "--out", "p.svg")
+    result = run_cli("portrait", "--theta", "1e-9", "--window=-1e160,1e160,-1e10,1",
+                     "--out", "p.svg")
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == "wrote p.svg: 14 paths\n"
     assert (tmp_path / "p.svg").read_text().count("<polyline") == 14

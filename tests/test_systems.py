@@ -113,8 +113,9 @@ def test_separatrix_reach_inverts_separatrix_height():
 
 @pytest.mark.parametrize("theta", [1.1e308, 1.7e308, sys.float_info.max])
 def test_separatrix_near_the_largest_theta_stays_finite(theta):
-    # 3*theta and 1.5*theta overflow here; the curve itself does not, and it
-    # still passes through the origin (inf * 0 would give nan there).
+    # 3*theta overflows here, and 1.5*theta too above about 1.2e308; the curve
+    # itself does not, and it still passes through the origin (inf * 0 would
+    # give nan there).
     system = ArchSystem(theta)
     assert system.separatrix_height(0.0) == 0.0
     for x in (1e-300, 1e-100, 1.0, 4.0, 1e100):
