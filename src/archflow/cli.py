@@ -24,12 +24,6 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _fmt_complex(v: complex) -> str:
-    if v.imag == 0.0:
-        return _fmt(v.real)
-    return f"{_fmt(v.real)}{v.imag:+.12g}i"
-
-
 def _to_window(text: str) -> Window:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
@@ -206,7 +200,7 @@ def _run_analyze(o: dict) -> int:
             equilibrium_x=_fmt(eq.location.x), equilibrium_y=_fmt(eq.location.y),
             j11=_fmt(j.a11), j12=_fmt(j.a12), j21=_fmt(j.a21), j22=_fmt(j.a22),
             eigen_kind=eq.eigen.kind,
-            eigenvalue_1=_fmt_complex(l1), eigenvalue_2=_fmt_complex(l2),
+            eigenvalue_1=_fmt(l1.real), eigenvalue_2=_fmt(l2.real),
             classification=eq.classification,
             hyperbolic=census.hyperbolic, elliptic=census.elliptic,
             parabolic=census.parabolic, separatrices=census.separatrices,

@@ -29,15 +29,15 @@ its ``Point2`` samples only when a caller reads them.
 Events are located inside the one step where they fire, on that step's
 continuous extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), the
 free fourth order dopri5 interpolant. A box exit is solved there by Illinois
-iteration, and ``crossing`` reuses the same locator by integrating
-once more with the half-plane beyond its line as the stop box.
+iteration. A time horizon needs no search: the step that would pass it is
+cut to end on it, as in DOPRI5. ``crossing`` integrates nothing, since the
+first integral H gives the point where an orbit meets a line.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from typing import Literal
 
 from .systems import (
@@ -282,8 +282,7 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
     Raises
     ------
     IntegrationError
-        If the field is non-finite at ``start`` and the run would take a
-        step.
+        If the field is non-finite at a ``start`` inside the stop box.
     """
     # The arch field's stages are computed inline, as (y*y, (-theta)*x), which
     # has the bits of ArchSystem.field_at. A subclass's override or a patched
@@ -297,7 +296,6 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
     # test of each serves every run. t carries sign, so sign*t is |t|.
     inf = math.inf
     horizon = inf if config.stop_time is None else config.stop_time
-    time_snap = 1e-12 * max(1.0, horizon) if horizon < inf else 0.0
     x_min, x_max, y_min, y_max = (
         (-inf, inf, -inf, inf) if box is None else (box.x_min, box.x_max, box.y_min, box.y_max)
     )
@@ -324,21 +322,19 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
         k1x, k1y = y * y, mth * x
     else:
         k1x, k1y = field_at(x, y)
-    # Checked once, and only when the horizon lets a first step start: a later
-    # first stage is the last stage of an accepted step, whose error estimate
-    # it feeds, so a non-finite one is always rejected.
-    if not (math.isfinite(k1x) and math.isfinite(k1y)) and time_snap < horizon:
+    # Checked once: a later first stage is the last stage of an accepted step,
+    # whose error estimate it feeds, so a non-finite one is always rejected.
+    if not (math.isfinite(k1x) and math.isfinite(k1y)):
         raise IntegrationError(f"field is non-finite at ({x}, {y})")
     reason = "max_steps"
 
     for _ in range(config.max_steps):
+        # A step that would pass the horizon is cut to end on it (the cut is
+        # never 0: a run stops once |t| reaches the horizon).
         h_try = h
-        rem = horizon - sign * t
-        if rem <= time_snap:
-            reason = "time_horizon"
-            break
-        if abs(h_try) > rem:
-            h_try = sign * rem
+        h_last = sign * (horizon - sign * t)
+        if abs(h_try) > abs(h_last):
+            h_try = h_last
         # One DP5(4) step, retried with a smaller h until its scaled error is
         # at most 1 or h falls below min_step. (sx, sy) is each stage's point.
         while True:
@@ -424,9 +420,9 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
             reason = "box_exit"
             break
 
-        t_new = t + h_try
-        if abs(sign * t_new - horizon) <= time_snap:
-            t_new = sign * horizon
+        # The cut step, accepted unshrunk, lands on the horizon exactly. A
+        # shorter step cannot round past it, as h_last is |horizon - t| rounded.
+        t_new = sign * horizon if h_try == h_last else t + h_try
         if t_new == t:
             reason = "step_underflow"
             break
@@ -453,21 +449,21 @@ def crossing(
     """Locate where a trajectory crosses the line y=value or x=value.
 
     The first sample lying exactly on the line is returned as is. Otherwise
-    the flow is integrated once more from the left sample of the first
-    bracketing sample pair: DP5(4) at tolerance 1e-13 relative to the
-    bracket's coordinates, with the half-plane on that sample's side of the
-    line as its stop box. The box-exit locator of ``integrate`` then solves
-    for the crossing on the continuous extension of the one step that
-    reaches the line. The re-integration may run for twice the bracket's
-    duration, so a coarse trajectory whose own error put the crossing early
-    still finds it. The crossed coordinate of the result is within 1e-9 of
-    ``value``.
+    the result is where the orbit through the left sample p0 of the first
+    bracketing pair, the level set H = H(p0), next meets the line:
+    ``y = cbrt(3H - 1.5*theta*value^2)`` on x = value, and
+    ``x = -+sqrt(2(H - value^3/3)/theta)`` on y = value. As dy/dt = -theta*x,
+    the flow rises through that line where x < 0 going forward and where
+    x > 0 going backward, so the sign comes from the bracket's direction in
+    y and in time. Both are computed at the exact scale (x, y) -> (x/s^3,
+    y/s^2), s a power of two near the size of p0 and the line, so H stays
+    finite and keeps its relative accuracy.
 
     Raises
     ------
     CrossingNotFound
-        If no sample pair brackets the line, or the re-integrated flow does
-        not reach it within twice the bracket's duration.
+        If no sample pair brackets the line, or the orbit from p0 never
+        reaches it: the line lies above the orbit's apex, or behind p0.
     """
     if axis not in ("horizontal", "vertical"):
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
@@ -488,22 +484,18 @@ def crossing(
     else:
         raise CrossingNotFound(f"trajectory never brackets the {axis} line at {value}")
 
-    big = sys.float_info.max
-    side = (value, big) if coord(p0) > value else (-big, value)
-    duration = abs(t1 - t0)
-    cfg = IntegratorConfig(
-        step=duration,
-        rel_tol=1e-13,
-        abs_tol=1e-13 * max(abs(p0.x), abs(p0.y), abs(p1.x), abs(p1.y)),
-        max_steps=100_000,
-        direction="backward" if t1 < t0 else "forward",
-        stop_box=Window(-big, big, *side) if horizontal else Window(*side, -big, big),
-        stop_time=2.0 * duration,
-    )
-    fine = integrate(system, p0, cfg)
-    if fine.stop_reason != "box_exit":
-        raise CrossingNotFound(
-            f"the flow from ({p0.x}, {p0.y}) does not reach the {axis} line at "
-            f"{value} within twice the bracket's duration"
-        )
-    return fine.final_point
+    theta, forward, rising = system.theta, t1 > t0, coord(p0) < value
+    lx, ly = (0.0, value) if horizontal else (value, 0.0)
+    size = theta ** (1 / 6) * max(abs(p0.x), abs(lx)) ** (1 / 3), max(abs(p0.y), abs(ly)) ** 0.5
+    k = math.frexp(max(size))[1]
+    # H(p0) - H(lx, ly) is theta*x^2/2 on a horizontal line and y^3/3 on a vertical one.
+    h = system.first_integral(Point2(math.ldexp(p0.x, -3 * k), math.ldexp(p0.y, -2 * k)))
+    h -= system.first_integral(Point2(math.ldexp(lx, -3 * k), math.ldexp(ly, -2 * k)))
+    if horizontal:
+        left = rising == forward
+        if h >= 0.0 and (not rising or (p0.x < 0.0) == left):
+            x = math.ldexp(math.sqrt(2.0 * h / theta), 3 * k)
+            return Point2(-x if left else x, value)
+    elif rising == forward:  # x grows going forward
+        return Point2(value, math.ldexp(math.copysign(abs(3.0 * h) ** (1 / 3), h), 2 * k))
+    raise CrossingNotFound(f"the orbit from ({p0.x}, {p0.y}) misses the {axis} line at {value}")

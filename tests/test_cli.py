@@ -107,6 +107,17 @@ def test_trace_writes_csv(run_cli, tmp_path, monkeypatch):
     assert lines[1].startswith("0,0,1,")
 
 
+def test_trace_with_a_horizon_below_1e_minus_12_takes_its_one_step(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = run_cli(
+        "trace", "--theta", "0.5", "--tmax", "1e-13", "--out", "run.csv", "--format", "machine",
+    )
+    assert result.returncode == 0
+    got = parse_machine(result.stdout)
+    assert (got["samples"], got["stop_reason"]) == ("2", "time_horizon")
+    assert (tmp_path / "run.csv").read_text().splitlines()[-1].startswith("1e-13,")
+
+
 def test_trace_box_stop(run_cli, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     result = run_cli(

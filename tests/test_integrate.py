@@ -149,6 +149,41 @@ def test_time_horizon_lands_exactly():
     assert all(b > a for a, b in zip(t.times, t.times[1:]))
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_seeded_horizons_from_1e_minus_15_to_1e3_end_exactly_on_them(direction):
+    # (x, y, t) -> (s^3 x, s^2 y, t/s) maps runs to runs, so each start is
+    # scaled to escape long after its horizon; the step that would pass the
+    # horizon is cut to end on it, however short the horizon is.
+    rng = random.Random(27)
+    sign = 1.0 if direction == "forward" else -1.0
+    for _ in range(40):
+        theta, stop_time = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-15.0, 3.0)
+        s = 0.1 / (stop_time * math.sqrt(theta))
+        start = Point2(s**3 * rng.uniform(-1.0, 1.0), s**2 * rng.uniform(-1.0, 1.0))
+        run = integrate(ArchSystem(theta), start, IntegratorConfig(
+            abs_tol=1e-10 * min(s**2, s**3), direction=direction, stop_time=stop_time))
+        assert run.stop_reason == "time_horizon", (theta, stop_time, start)
+        assert run.final_time == sign * stop_time and len(run) >= 2
+
+
+def test_a_run_from_apex_1e100_ends_exactly_on_half_its_escape_time():
+    # The whole run lasts about 3.6e-50, far below any absolute time tolerance.
+    theta, apex = 0.5, 1e100
+    half = apex_escape_time(theta, apex) / 2.0
+    s = ArchSystem(theta)
+    run = integrate(s, Point2(0.0, apex), IntegratorConfig(
+        rel_tol=1e-12, abs_tol=1e-88, stop_time=half))
+    assert run.stop_reason == "time_horizon" and run.final_time == half and len(run) > 100
+    h0 = s.first_integral(Point2(0.0, apex))
+    assert max(abs(s.first_integral(p) - h0) for p in run.points) <= 1e-10 * h0
+
+
+def test_a_non_finite_start_field_raises_at_any_horizon():
+    nan_at_start = _overriding(lambda x, y: (math.nan, 1.0))
+    with pytest.raises(IntegrationError, match="non-finite"):
+        integrate(nan_at_start, Point2(0.0, 1.0), IntegratorConfig(stop_time=1e-300))
+
+
 def test_box_exit_lands_just_outside():
     s = ArchSystem(0.5)
     t = integrate(s, Point2(0.0, 1.0), IntegratorConfig(stop_box=BOX))
@@ -299,9 +334,14 @@ def test_crossing_not_found():
     with pytest.raises(ValueError):
         crossing(s, t, "diagonal", 0.0)
     # samples that bracket y = 0 although the flow from (0, 1) barely descends
+    # in 0.1: the orbit through (0, 1) still meets the line, at x = sqrt(4/3)
     forged = Trajectory(((0.0, Point2(0.0, 1.0)), (0.1, Point2(0.0, -1.0))), "time_horizon")
-    with pytest.raises(CrossingNotFound, match="twice the bracket's duration"):
-        crossing(s, forged, "horizontal", 0.0)
+    p = crossing(s, forged, "horizontal", 0.0)
+    assert p.y == 0.0 and p.x == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-15)
+    # a bracket above the apex of the orbit through its left sample
+    forged = Trajectory(((0.0, Point2(0.0, 1.0)), (0.1, Point2(0.0, 3.0))), "time_horizon")
+    with pytest.raises(CrossingNotFound, match="misses the horizontal line at 2.0"):
+        crossing(s, forged, "horizontal", 2.0)
 
 
 def _inline_and_called_runs(seed, count):
@@ -586,3 +626,61 @@ def test_crossing_accuracy_scales_with_the_coordinates(apex):
     x_level = math.sqrt(2.0 * (s.first_integral(left) - value**3 / 3.0))
     assert p.y == pytest.approx(value, rel=1e-12, abs=0.0)
     assert p.x == pytest.approx(x_level, rel=1e-12, abs=0.0)
+
+
+def _scaled_h(theta, p, k):
+    """H(p)/2^(6k), from p at the scale (x/2^(3k), y/2^(2k)), and its terms' size."""
+    x, y = math.ldexp(p.x, -3 * k), math.ldexp(p.y, -2 * k)
+    return theta * x * x / 2.0 + y**3 / 3.0, theta * x * x / 2.0 + abs(y) ** 3 / 3.0
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("apex", [1e-150, 1e-60, 1.0, 1e60, 1e150])
+@pytest.mark.parametrize("theta", [1e-9, 1.0, 1e9])
+def test_crossings_at_extreme_scales_lie_on_the_left_samples_level_set(theta, apex, direction):
+    # Two runs on the orbit with apex (0, apex): one from y = -apex on the side
+    # where the flow rises, crossing every line below, and one from the apex,
+    # where it falls. Unscaled, H overflows beyond apex ~1e102 and loses its
+    # bits below ~1e-102.
+    s, sign = ArchSystem(theta), 1.0 if direction == "forward" else -1.0
+    reach = math.sqrt(4.0 / (3.0 * theta)) * apex**1.5  # |x| at y = -apex
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12 * min(reach, apex), direction=direction,
+                           stop_box=Window(-2.0 * reach, 2.0 * reach, -2.0 * apex, 2.0 * apex))
+    rising = integrate(s, Point2(-sign * reach, -apex), cfg)
+    falling = integrate(s, Point2(0.0, apex), cfg)
+    k = math.frexp(math.sqrt(apex))[1]
+    lines = [(rising, "horizontal", v * apex, -sign) for v in (-0.5, 0.5)]
+    lines += [(falling, "horizontal", v * apex, sign) for v in (-0.5, 0.5)]
+    lines += [(rising, "vertical", v * reach, 0.0) for v in (-0.5, 0.0, 0.5)]
+    for run, axis, value, side in lines:
+        p = crossing(s, run, axis, value)
+        coord = (lambda q: q.y) if axis == "horizontal" else (lambda q: q.x)
+        left = next(p0 for (_, p0), (_, p1) in zip(run.samples, run.samples[1:])
+                    if (coord(p0) > value) != (coord(p1) > value))
+        h, size = _scaled_h(theta, p, k)
+        h0, size0 = _scaled_h(theta, left, k)
+        assert coord(p) == value
+        assert abs(h - h0) <= 1e-12 * size0, (axis, value)
+        assert side * p.x >= 0.0, (axis, value)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("rising", [True, False])
+def test_crossing_from_a_left_sample_within_rounding_of_the_line(direction, rising):
+    # The left sample lies one ulp from the line, at the crossing, so comparing
+    # its x with the two roots could not tell which one comes next; the
+    # bracket's direction in y and in time does.
+    s, value, dt = ArchSystem(1.0), 0.5, 0.1 if direction == "forward" else -0.1
+    y0 = math.nextafter(value, -math.inf if rising else math.inf)
+    x0 = math.sqrt(2.0 / 3.0 * (1.0 - y0**3)) * (-1.0 if rising == (dt > 0) else 1.0)
+    y1 = value + (0.01 if rising else -0.01)
+    bracket = Trajectory(((0.0, Point2(x0, y0)), (dt, Point2(x0 + dt, y1))), "time_horizon")
+    p = crossing(s, bracket, "horizontal", value)
+    assert p.y == value and p.x == pytest.approx(x0, rel=1e-12)
+    # a left sample one ulp from a vertical line, on the level set H = +-1/3
+    x0 = math.nextafter(value, -math.inf if dt > 0 else math.inf)
+    c = (1.0 if rising else -1.0) - 1.5 * x0 * x0
+    y0 = math.copysign(abs(c) ** (1 / 3), c)
+    bracket = Trajectory(((0.0, Point2(x0, y0)), (dt, Point2(x0 + dt, y0))), "time_horizon")
+    p = crossing(s, bracket, "vertical", value)
+    assert p.x == value and p.y == pytest.approx(y0, rel=1e-12)
