@@ -18,7 +18,7 @@ rejected step, the error norm and the step-size factor are locals there, and
 the stages are gathered for the continuous extension only when a step
 leaves the box. A backward run takes signed steps h < 0 through the same
 loop, as DOPRI5 does; its times are negative, and the time horizon compares
-|t| with ``stop_time``, which is infinite when not given.
+|t| with ``stop_time``, which is the largest float when not given.
 
 When ``field_at`` is ``ArchSystem``'s own, each stage evaluates it inline as
 ``(y*y, (-theta)*x)``, with the same bits as the method; a subclass's
@@ -292,10 +292,10 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
     field_at = system.field_at
     sign = -1.0 if config.direction == "backward" else 1.0
     box = config.stop_box
-    # No box is the whole plane and no horizon an infinite one, so one inline
-    # test of each serves every run. t carries sign, so sign*t is |t|.
+    # No box is the whole plane; no horizon is the largest float, which ends
+    # a run whose steps grow without bound (as on a zero field). sign*t is |t|.
     inf = math.inf
-    horizon = inf if config.stop_time is None else config.stop_time
+    horizon = math.nextafter(inf, 0.0) if config.stop_time is None else config.stop_time
     x_min, x_max, y_min, y_max = (
         (-inf, inf, -inf, inf) if box is None else (box.x_min, box.x_max, box.y_min, box.y_max)
     )
@@ -335,8 +335,8 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
         h_last = sign * (horizon - sign * t)
         if abs(h_try) > abs(h_last):
             h_try = h_last
-        # One DP5(4) step, retried with a smaller h until its scaled error is
-        # at most 1 or h falls below min_step. (sx, sy) is each stage's point.
+        # One DP5(4) step, retried with h times its factor until its error is at
+        # most 1 or h falls below min_step. (sx, sy) is each stage's point.
         while True:
             sx = x + h_try * _A21 * k1x
             sy = y + h_try * _A21 * k1y
@@ -389,21 +389,19 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
                     err = err_y
             else:
                 err = inf
+            factor = SAFETY * (err / TARGET) ** -0.2 if err > 0.0 else GROW_MAX
+            if factor > GROW_MAX:
+                factor = GROW_MAX
+            elif factor < GROW_MIN:
+                factor = GROW_MIN
             if err <= 1.0:
                 break
-            h_try *= (
-                max(GROW_MIN, SAFETY * (err / TARGET) ** -0.2) if err < inf else GROW_MIN
-            )
+            h_try *= factor
             if abs(h_try) < min_step:
                 break
         if err > 1.0:
             reason = "step_underflow"
             break
-        factor = SAFETY * (err / TARGET) ** -0.2 if err > 0.0 else GROW_MAX
-        if factor > GROW_MAX:
-            factor = GROW_MAX
-        elif factor < GROW_MIN:
-            factor = GROW_MIN
         h_next = h_try * factor
 
         if not (x_min <= nx <= x_max and y_min <= ny <= y_max):
@@ -462,8 +460,8 @@ def crossing(
     Raises
     ------
     CrossingNotFound
-        If no sample pair brackets the line, or the orbit from p0 never
-        reaches it: the line lies above the orbit's apex, or behind p0.
+        If no sample pair brackets the line, or the orbit from p0 misses it: the
+        line is above its apex, behind p0, or (H(p0) = 0) at or past the cusp.
     """
     if axis not in ("horizontal", "vertical"):
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
@@ -490,12 +488,13 @@ def crossing(
     k = math.frexp(max(size))[1]
     # H(p0) - H(lx, ly) is theta*x^2/2 on a horizontal line and y^3/3 on a vertical one.
     h = system.first_integral(Point2(math.ldexp(p0.x, -3 * k), math.ldexp(p0.y, -2 * k)))
+    past_cusp = h == 0.0 and (value >= 0.0 if horizontal else value * p0.x <= 0.0)
     h -= system.first_integral(Point2(math.ldexp(lx, -3 * k), math.ldexp(ly, -2 * k)))
     if horizontal:
         left = rising == forward
-        if h >= 0.0 and (not rising or (p0.x < 0.0) == left):
+        if h >= 0.0 and not past_cusp and (not rising or (p0.x < 0.0) == left):
             x = math.ldexp(math.sqrt(2.0 * h / theta), 3 * k)
             return Point2(-x if left else x, value)
-    elif rising == forward:  # x grows going forward
+    elif rising == forward and not past_cusp:  # x grows going forward
         return Point2(value, math.ldexp(math.copysign(abs(3.0 * h) ** (1 / 3), h), 2 * k))
     raise CrossingNotFound(f"the orbit from ({p0.x}, {p0.y}) misses the {axis} line at {value}")

@@ -204,6 +204,20 @@ def test_config_file_supplies_defaults(run_cli, tmp_path):
     assert got["category"] == "strong"
 
 
+@pytest.mark.parametrize("text, drawn", [
+    ("yes", True), ("on", True), ("1", True), ("true", True), ("no", False), ("off", False),
+])
+def test_config_arrows_matches_the_flag(run_cli, tmp_path, monkeypatch, text, drawn):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "arch.cfg").write_text(f"theta = 0.5\narrows = {text}\n")
+    assert run_cli("portrait", "--config", "arch.cfg", "--out", "cfg.svg").returncode == 0
+    flag = "--arrows" if drawn else "--no-arrows"
+    assert run_cli("portrait", "--theta", "0.5", flag, "--out", "flag.svg").returncode == 0
+    svg = (tmp_path / "cfg.svg").read_text()
+    assert svg == (tmp_path / "flag.svg").read_text()
+    assert svg.count('<path d="M') == (14 if drawn else 0)
+
+
 def test_flags_override_config(run_cli, tmp_path):
     cfg = tmp_path / "arch.cfg"
     cfg.write_text("theta = 5\n")

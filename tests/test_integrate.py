@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -210,6 +211,37 @@ def test_max_steps_stop():
     assert len(t) == 6
 
 
+ZERO_FIELD_RUNS = {
+    # The zero field at the cusp gives every step an error of exactly 0, so
+    # the step grows fivefold per step; at theta = 1e-9, y*y underflows to 0.
+    "cusp_forward": (0.5, Point2(0.0, 0.0), IntegratorConfig(stop_box=Window(-1, 1, -1, 1))),
+    "cusp_backward": (0.5, Point2(0.0, 0.0), IntegratorConfig(
+        direction="backward", stop_box=Window(-1, 1, -1, 1))),
+    "underflowing_field": (1e-9, Point2(0.0, 1e-300), IntegratorConfig(
+        rel_tol=1e-12, abs_tol=1e-312, stop_box=Window(-1e300, 1e300, 5e-301, 1e300))),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_FIELD_RUNS)
+def test_a_run_on_a_zero_field_ends_on_the_largest_float(case):
+    theta, start, config = ZERO_FIELD_RUNS[case]
+    run = integrate(ArchSystem(theta), start, config)
+    sign = -1.0 if config.direction == "backward" else 1.0
+    assert run.stop_reason == "time_horizon"
+    assert run.final_time == sign * sys.float_info.max and len(run) == 446
+    assert all(map(math.isfinite, run.times))
+    assert all(sign * (b - a) > 0.0 for a, b in zip(run.times, run.times[1:]))
+    assert set(run.points) == {start}
+
+
+def test_a_zero_field_run_cut_by_max_steps_keeps_growing_its_step():
+    run = integrate(ArchSystem(0.5), Point2(0.0, 0.0), IntegratorConfig(
+        max_steps=400, stop_box=Window(-1, 1, -1, 1)))
+    assert run.stop_reason == "max_steps" and len(run) == 401
+    assert repr(run.final_time) == "9.681479787123288e+276"
+    assert set(run.points) == {Point2(0.0, 0.0)}
+
+
 def test_backward_times_decrease():
     s = ArchSystem(0.5)
     t = integrate(s, Point2(1.0, 1.0), IntegratorConfig(stop_time=1.0, direction="backward"))
@@ -342,6 +374,34 @@ def test_crossing_not_found():
     forged = Trajectory(((0.0, Point2(0.0, 1.0)), (0.1, Point2(0.0, 3.0))), "time_horizon")
     with pytest.raises(CrossingNotFound, match="misses the horizontal line at 2.0"):
         crossing(s, forged, "horizontal", 2.0)
+
+
+def test_crossing_returns_a_later_sample_lying_on_the_line():
+    s = ArchSystem(0.5)
+    t = integrate(s, Point2(0.0, 1.0), IntegratorConfig(stop_box=BOX))
+    _, p5 = t.samples[5]
+    assert crossing(s, t, "vertical", p5.x) is p5
+
+
+def test_crossing_from_the_separatrix_stops_short_of_the_cusp():
+    # At theta = 2/3, H(-1, -1) is exactly 0: the orbit through (-1, -1) is the
+    # separatrix branch that only tends to the cusp, so it meets no line at or
+    # past it, whatever forged samples bracket.
+    s = ArchSystem(2.0 / 3.0)
+    assert s.first_integral(Point2(-1.0, -1.0)) == 0.0
+    level = Trajectory(((0.0, Point2(-1.0, -1.0)), (1.0, Point2(1.0, -1.0))), "time_horizon")
+    with pytest.raises(CrossingNotFound, match="misses the vertical line at 0.5"):
+        crossing(s, level, "vertical", 0.5)
+    with pytest.raises(CrossingNotFound, match="misses the vertical line at 0.0"):
+        crossing(s, level, "vertical", 0.0)
+    rising = Trajectory(((0.0, Point2(-1.0, -1.0)), (1.0, Point2(1.0, 1.0))), "time_horizon")
+    with pytest.raises(CrossingNotFound, match="misses the horizontal line at 0.0"):
+        crossing(s, rising, "horizontal", 0.0)
+    # a line between the left sample and the cusp is still met
+    p = crossing(s, level, "vertical", -0.5)
+    assert p.x == -0.5 and p.y == pytest.approx(-(0.25 ** (1.0 / 3.0)), rel=1e-15)
+    p = crossing(s, rising, "horizontal", -0.5)
+    assert p.y == -0.5 and p.x == pytest.approx(-math.sqrt(0.125), rel=1e-15)
 
 
 def _inline_and_called_runs(seed, count):

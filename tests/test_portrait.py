@@ -92,6 +92,15 @@ def test_seed_counts_zero():
     assert len(scene.paths) == 2
 
 
+def test_a_window_above_the_separatrix_gets_no_lower_seeds():
+    # The separatrix leaves Window(0, 4, 0, 4) only at its corner, the cusp.
+    spec = PortraitSpec(system=ArchSystem(0.5), window=Window(0.0, 4.0, 0.0, 4.0))
+    assert [role for _, role in seed_points(spec)] == ["upper_sector"] * 8
+    scene = build_portrait(spec)
+    assert [p.role for p in scene.paths] == ["separatrix"] * 2 + ["upper_sector"] * 8
+    assert render_svg(scene).count("<polyline") == 10
+
+
 def test_build_portrait_structure():
     for theta in PRESETS:
         scene = build_portrait(PortraitSpec(system=ArchSystem(theta)))
@@ -225,6 +234,14 @@ def test_scene_reads_window_description_and_arrows_from_its_spec():
     assert svg.count('<path d="M') == len(scene.paths)
     plain = render_svg(Scene(spec._replace(arrowheads=False), scene.paths))
     assert '<path d="M' not in plain and "arrowheads=false</desc>" in plain
+
+
+def test_a_path_without_a_direction_at_its_middle_gets_no_arrowhead():
+    spec = PortraitSpec(system=ArchSystem(0.5))
+    still = StyledPath("upper_sector", (Point2(0.0, 1.0), Point2(0.5, 1.0), Point2(0.0, 1.0)))
+    moving = StyledPath("upper_sector", (Point2(0.0, 1.0), Point2(0.5, 1.0), Point2(1.0, 1.0)))
+    assert '<path d="M' not in render_svg(Scene(spec, (still,)))
+    assert render_svg(Scene(spec, (still, moving))).count('<path d="M') == 1
 
 
 def test_render_svg_bytes_are_pinned():
