@@ -23,8 +23,8 @@ loop, as DOPRI5 does; its times are negative, and the time horizon compares
 When ``field_at`` is ``ArchSystem``'s own, each stage evaluates it inline as
 ``(y*y, (-theta)*x)``, with the same bits as the method; a subclass's
 override or a patched method is called once per stage.
-Accepted samples go into three float lists, and the ``Trajectory`` builds
-its ``Point2`` samples only when a caller reads them.
+Accepted samples go into three float lists, which the ``Trajectory`` keeps;
+it builds ``Point2``s only for a caller that reads ``samples`` or ``points``.
 
 Events are located inside the one step where they fire, on that step's
 continuous extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), the
@@ -59,6 +59,12 @@ MIN_STEP = 1e-12
 TARGET = 0.05
 
 _ARCH_FIELD_AT = ArchSystem.field_at  # as defined, before anything patches it
+
+
+def _size(theta: float, x: float, y: float) -> float:
+    """Size sigma of (x, y): (x, y, t) -> (s^3 x, s^2 y, t/s) maps runs to runs and
+    sigma to s*sigma. Each root is taken alone, so sigma is finite."""
+    return max(theta ** (1 / 6) * abs(x) ** (1 / 3), abs(y) ** 0.5)
 
 
 class IntegrationError(RuntimeError):
@@ -103,18 +109,19 @@ class IntegratorConfig(_Record):
 class Trajectory(_Record):
     """Recorded (time, point) samples with the reason integration stopped.
 
-    The times and coordinates are also kept as three float lists. A record
-    from ``integrate`` holds only those, and builds ``samples`` on first read.
-    ``times``, ``final_time``, ``final_point`` and ``len`` read the lists, so
-    only ``samples`` and ``points`` build a ``Point2`` per sample.
+    The record keeps the times and coordinates as three float lists, and
+    ``samples`` and ``points`` build their ``Point2``s from them on each read.
+    ``times``, ``final_time``, ``final_point`` and ``len`` read the lists
+    without building one per sample.
     """
 
-    __slots__ = ("samples", "stop_reason", "_t", "_x", "_y")
+    __slots__ = ("stop_reason", "_t", "_x", "_y")
+    _fields = ("samples", "stop_reason")
 
     def __init__(self, samples: tuple[tuple[float, Point2], ...], stop_reason: str) -> None:
         if stop_reason not in STOP_REASONS:
             raise ValueError(f"unknown stop_reason {stop_reason!r}")
-        samples = tuple(samples)  # a caller's list must not change the record later
+        samples = tuple(samples)  # read more than once
         if not samples:
             raise ValueError("a trajectory needs at least one sample")
         ts = [t for t, _ in samples]
@@ -123,7 +130,6 @@ class Trajectory(_Record):
         before = operator.lt if len(ts) < 2 or ts[1] > ts[0] else operator.gt
         if not all(map(before, ts, ts[1:])):
             raise ValueError("sample times must be strictly monotone")
-        _set(self, "samples", samples)
         _set(self, "stop_reason", stop_reason)
         _set(self, "_t", ts)
         _set(self, "_x", [p.x for _, p in samples])
@@ -141,14 +147,9 @@ class Trajectory(_Record):
         _set(self, "_y", ys)
         return self
 
-    def __getattr__(self, name: str) -> object:
-        # Called only for an unset slot; of a record's slots only ``samples``
-        # is ever left unset.
-        if name != "samples":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        samples = tuple(zip(self._t, map(Point2, self._x, self._y)))
-        _set(self, "samples", samples)
-        return samples
+    @property
+    def samples(self) -> tuple[tuple[float, Point2], ...]:
+        return tuple([(t, Point2(x, y)) for t, x, y in zip(self._t, self._x, self._y)])
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -156,7 +157,7 @@ class Trajectory(_Record):
 
     @property
     def points(self) -> tuple[Point2, ...]:
-        return tuple([p for _, p in self.samples])
+        return tuple([Point2(x, y) for x, y in zip(self._x, self._y)])
 
     @property
     def final_time(self) -> float:
@@ -308,12 +309,10 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
     if not (x_min <= x <= x_max and y_min <= y <= y_max):
         return Trajectory._flat(ts, xs, ys, "box_exit")
 
-    # (x, y, t) -> (s^3 x, s^2 y, t/s) maps runs to runs, so a run from (x, y)
-    # moves on the time scale 1/(sqrt(theta)*sigma). Where that scale is below
-    # 1 the step floor is MIN_STEP of it; each root is taken alone, so sigma is
-    # finite.
+    # A run from (x, y) moves on the time scale 1/(sqrt(theta)*sigma). Where
+    # that scale is below 1 the step floor is MIN_STEP of it.
     root_theta = math.sqrt(system.theta)
-    sigma = max(system.theta ** (1 / 6) * abs(x) ** (1 / 3), abs(y) ** 0.5)
+    sigma = _size(system.theta, x, y)
     min_step = MIN_STEP / root_theta / sigma if root_theta * sigma > 1.0 else MIN_STEP
 
     t = 0.0
@@ -446,16 +445,17 @@ def crossing(
 ) -> Point2:
     """Locate where a trajectory crosses the line y=value or x=value.
 
-    The first sample lying exactly on the line is returned as is. Otherwise
-    the result is where the orbit through the left sample p0 of the first
-    bracketing pair, the level set H = H(p0), next meets the line:
-    ``y = cbrt(3H - 1.5*theta*value^2)`` on x = value, and
+    For the first sample lying exactly on the line, an equal ``Point2`` is
+    returned. Otherwise the result is where the orbit through the left
+    sample p0 of the first bracketing pair, the level set H = H(p0), next
+    meets the line: ``y = cbrt(3H - 1.5*theta*value^2)`` on x = value, and
     ``x = -+sqrt(2(H - value^3/3)/theta)`` on y = value. As dy/dt = -theta*x,
     the flow rises through that line where x < 0 going forward and where
     x > 0 going backward, so the sign comes from the bracket's direction in
     y and in time. Both are computed at the exact scale (x, y) -> (x/s^3,
     y/s^2), s a power of two near the size of p0 and the line, so H stays
-    finite and keeps its relative accuracy.
+    finite and keeps its relative accuracy. Whether H(p0) = 0 is read at
+    p0's own such scale, where H cannot underflow.
 
     Raises
     ------
@@ -468,33 +468,35 @@ def crossing(
     _require_finite("line value", value)
     horizontal = axis == "horizontal"
 
-    def coord(p: Point2) -> float:
-        return p.y if horizontal else p.x
-
-    samples = trajectory.samples
-    if coord(samples[0][1]) == value:
-        return samples[0][1]
-    for (t0, p0), (t1, p1) in zip(samples, samples[1:]):
-        if coord(p1) == value:
-            return p1
-        if (coord(p0) > value) != (coord(p1) > value):
+    ts, xs, ys = trajectory._t, trajectory._x, trajectory._y
+    cs = ys if horizontal else xs
+    for i, c in enumerate(cs):
+        if c == value:
+            return Point2(xs[i], ys[i])
+        if i and (cs[i - 1] > value) != (c > value):
             break
     else:
         raise CrossingNotFound(f"trajectory never brackets the {axis} line at {value}")
 
-    theta, forward, rising = system.theta, t1 > t0, coord(p0) < value
+    x0, y0 = xs[i - 1], ys[i - 1]
+    theta, forward, rising = system.theta, ts[i] > ts[i - 1], cs[i - 1] < value
     lx, ly = (0.0, value) if horizontal else (value, 0.0)
-    size = theta ** (1 / 6) * max(abs(p0.x), abs(lx)) ** (1 / 3), max(abs(p0.y), abs(ly)) ** 0.5
-    k = math.frexp(max(size))[1]
+
+    def level(x: float, y: float, k: int) -> float:
+        """``ArchSystem.first_integral`` at (x/2^(3k), y/2^(2k))."""
+        x, y = math.ldexp(x, -3 * k), math.ldexp(y, -2 * k)
+        return 0.5 * theta * x * x + y ** 3 / 3.0
+
+    k = math.frexp(_size(theta, x0, y0))[1]
+    past_cusp = level(x0, y0, k) == 0.0 and (value >= 0.0 if horizontal else value * x0 <= 0.0)
+    k = math.frexp(_size(theta, max(abs(x0), abs(lx)), max(abs(y0), abs(ly))))[1]
     # H(p0) - H(lx, ly) is theta*x^2/2 on a horizontal line and y^3/3 on a vertical one.
-    h = system.first_integral(Point2(math.ldexp(p0.x, -3 * k), math.ldexp(p0.y, -2 * k)))
-    past_cusp = h == 0.0 and (value >= 0.0 if horizontal else value * p0.x <= 0.0)
-    h -= system.first_integral(Point2(math.ldexp(lx, -3 * k), math.ldexp(ly, -2 * k)))
+    h = level(x0, y0, k) - level(lx, ly, k)
     if horizontal:
         left = rising == forward
-        if h >= 0.0 and not past_cusp and (not rising or (p0.x < 0.0) == left):
+        if h >= 0.0 and not past_cusp and (not rising or (x0 < 0.0) == left):
             x = math.ldexp(math.sqrt(2.0 * h / theta), 3 * k)
             return Point2(-x if left else x, value)
     elif rising == forward and not past_cusp:  # x grows going forward
         return Point2(value, math.ldexp(math.copysign(abs(3.0 * h) ** (1 / 3), h), 2 * k))
-    raise CrossingNotFound(f"the orbit from ({p0.x}, {p0.y}) misses the {axis} line at {value}")
+    raise CrossingNotFound(f"the orbit from ({x0}, {y0}) misses the {axis} line at {value}")

@@ -22,42 +22,36 @@ _STYLE = {
 class StyledPath(_Record):
     """A flow-ordered polyline; its role sets its stroke.
 
-    The coordinates are also kept as two float lists. A path from
-    ``build_portrait`` holds only those, and builds ``points`` on first read.
+    The path keeps its coordinates as two float lists, and ``points`` builds
+    its ``Point2``s from them on each read.
     """
 
-    __slots__ = ("role", "points", "_x", "_y")
+    __slots__ = ("role", "_x", "_y")
+    _fields = ("role", "points")
 
     def __init__(self, role: str, points: tuple[Point2, ...]) -> None:
         if role not in _STYLE:
             raise ValueError(f"unknown path role {role!r}")
-        points = tuple(points)  # a caller's list must not change the record later
+        points = tuple(points)  # read more than once
         if len(points) < 2:
             raise ValueError("a styled path needs at least 2 points")
         _set(self, "role", role)
-        _set(self, "points", points)
         _set(self, "_x", [p.x for p in points])
         _set(self, "_y", [p.y for p in points])
 
     @classmethod
     def _flat(cls, role: str, xs: list[float], ys: list[float]) -> StyledPath:
-        """A path over finite coordinates from ``integrate`` or the separatrix."""
-        if len(xs) < 2:
-            raise ValueError("a styled path needs at least 2 points")
+        """A path over at least 2 finite points from ``integrate`` or the separatrix."""
         self = object.__new__(cls)
         _set(self, "role", role)
         _set(self, "_x", xs)
         _set(self, "_y", ys)
         return self
 
-    def __getattr__(self, name: str) -> object:
-        # Called only for an unset slot; of a path's slots only ``points`` is
-        # ever left unset.
-        if name != "points":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        points = tuple(map(Point2, self._x, self._y))
-        _set(self, "points", points)
-        return points
+    @property
+    def points(self) -> tuple[Point2, ...]:
+        # Via a list, not tuple(map(...)), which grew a long portrait loop's peak RSS.
+        return tuple([Point2(x, y) for x, y in zip(self._x, self._y)])
 
     @property
     def color(self) -> str:

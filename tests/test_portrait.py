@@ -11,7 +11,6 @@ from archflow import (
     PortraitSpec,
     Scene,
     StyledPath,
-    Trajectory,
     Window,
     build_portrait,
     export_trajectory_csv,
@@ -316,9 +315,6 @@ def test_export_trajectory_csv_matches_the_samples_reference():
     assert len(runs[-1][2]) == 5005
     for kind, theta, run in runs:
         text = export_trajectory_csv(run, theta)
-        # The export reads the float lists; no Point2 sample was built.
-        with pytest.raises(AttributeError):
-            Trajectory.samples.__get__(run)
         assert text == _reference_csv(run, theta), kind
 
 

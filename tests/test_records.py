@@ -7,7 +7,9 @@ text of every validation error. The README "Library" snippet, which prints
 record reprs, is run and its output compared line by line.
 """
 
+import contextlib
 import copy
+import io
 import math
 import pickle
 import re
@@ -30,10 +32,16 @@ from archflow import (
     Trajectory,
     Window,
     build_portrait,
+    classify_arch,
+    crossing,
+    export_trajectory_csv,
     integrate,
+    render_svg,
 )
+from archflow.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 P = Point2(1.0, 2.0)
 Q = Point2(3.0, 4.0)
@@ -224,9 +232,9 @@ def test_scene_keeps_its_own_paths():
 
 
 def _lazy_and_built_records():
-    """Factories of records that build samples or points on first read, and their
-    twins built through the public constructors from the same floats; each factory
-    call gives a record nothing has read yet."""
+    """Factories of records built over float lists by ``integrate`` and
+    ``build_portrait``, and their twins built through the public constructors
+    from the same floats; each factory call gives a record nothing has read yet."""
     start, config = Point2(0.2, 1.0), IntegratorConfig(stop_box=W, direction="backward")
     trajectory = lambda: integrate(SYSTEM, start, config)  # noqa: E731
     run = trajectory()
@@ -245,9 +253,6 @@ def _lazy_and_built_records():
 @pytest.mark.parametrize("lazy, built, first, change", _lazy_and_built_records(),
                          ids=["Trajectory", "StyledPath"])
 def test_lazily_built_records_match_caller_built_ones(lazy, built, first, change):
-    # The slot of the field built on first read is still unset.
-    with pytest.raises(AttributeError):
-        getattr(type(built), first).__get__(lazy())
     assert lazy() == built and built == lazy()
     assert hash(lazy()) == hash(built)
     assert repr(lazy()) == repr(built)
@@ -264,6 +269,54 @@ def test_lazily_built_records_match_caller_built_ones(lazy, built, first, change
     with pytest.raises(AttributeError):
         setattr(record, first, getattr(built, first))
     assert repr(record) == repr(built)
+
+
+def _cli(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(args)) == 0
+    return out.getvalue()
+
+
+def _outputs_of_every_path():
+    """What the library calls and each CLI subcommand return, print or write;
+    the CLI runs write their files to the working directory."""
+    run = integrate(SYSTEM, Point2(0.0, 1.0), IntegratorConfig(stop_time=10.0))
+    outputs = {
+        "classify_arch": repr(classify_arch(0.5)),
+        "render_svg": render_svg(build_portrait(PortraitSpec(SYSTEM))),
+        "export_trajectory_csv": export_trajectory_csv(run, 0.5),
+        "final_point": repr(run.final_point),
+        "crossing on a sample": repr(crossing(SYSTEM, run, "vertical", run._x[5])),
+        "crossing in a bracket": repr(crossing(SYSTEM, run, "horizontal", 0.0)),
+        "trace": _cli("trace", "--theta", "0.5", "--tmax", "2", "--out", "t.csv")
+        + Path("t.csv").read_text(),
+        "sweep": _cli("sweep", "--steps", "3"),
+    }
+    for preset in ("plain", "tented", "strong"):
+        for command in ("analyze", "classify"):
+            stdout = _cli(command, "--preset", preset, "--format", "machine")
+            assert stdout == (GOLDEN / f"{preset}_{command}.txt").read_text()
+        _cli("portrait", "--preset", preset, "--out", "p.svg")
+        assert Path("p.svg").read_text() == (GOLDEN / f"{preset}.svg").read_text()
+    return outputs
+
+
+def test_no_library_path_reads_the_point_views(tmp_path, monkeypatch):
+    # Trajectory.samples, Trajectory.points and StyledPath.points build a Point2
+    # per sample on each read, for callers only: the library reads the floats.
+    monkeypatch.chdir(tmp_path)
+    expected = _outputs_of_every_path()
+
+    def unread(record):
+        raise AssertionError(f"a {type(record).__name__}'s Point2 view was read")
+
+    with monkeypatch.context() as patch:
+        for cls, name in ((Trajectory, "samples"), (Trajectory, "points"), (StyledPath, "points")):
+            patch.setattr(cls, name, property(unread))
+        with pytest.raises(AssertionError, match="a Trajectory's Point2 view was read"):
+            integrate(SYSTEM, P, IntegratorConfig(stop_time=1.0)).samples
+        assert _outputs_of_every_path() == expected
 
 
 INVALID = [
