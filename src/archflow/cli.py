@@ -67,19 +67,21 @@ class Option(NamedTuple):
 
 class Command(NamedTuple):
     help: str
-    theta: bool  # takes --theta/--preset
     options: tuple[Option, ...]
     run: Callable[[dict], int]
 
 
 def _add_flag(parser: argparse.ArgumentParser, option: Option) -> None:
     flag = "--" + option.key.replace("_", "-")
+    # --preset, theta's named spelling, shares a group with --theta: at most one is given.
+    target = parser.add_mutually_exclusive_group() if option is _THETA else parser
     if option.convert is _to_bool:
-        parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None,
-                            help=option.help)
+        target.add_argument(flag, action=argparse.BooleanOptionalAction, help=option.help)
     else:
-        parser.add_argument(flag, type=option.convert, default=None,
-                            metavar=option.metavar, help=option.help)
+        target.add_argument(flag, type=option.convert, metavar=option.metavar, help=option.help)
+    if option is _THETA:
+        target.add_argument("--preset", choices=sorted(PRESETS),
+                            help="named stiffness: plain, tented, strong")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,14 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key=value file; flags override it")
-        _add_flag(p, _FORMAT)
-        if command.theta:
-            g = p.add_mutually_exclusive_group()
-            g.add_argument("--theta", type=float, default=None,
-                           help="stiffness parameter, > 0")
-            g.add_argument("--preset", choices=sorted(PRESETS), default=None,
-                           help="named stiffness: plain, tented, strong")
-        for option in command.options:
+        for option in (_FORMAT, *command.options):
             _add_flag(p, option)
     return parser
 
@@ -122,40 +117,28 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _resolve_theta(ns: argparse.Namespace, cfg: dict[str, str]) -> float:
-    if ns.theta is not None:
-        theta = ns.theta
-    elif ns.preset is not None:
-        theta = PRESETS[ns.preset]
-    elif "theta" in cfg and "preset" in cfg:
-        raise UsageError("config sets both theta and preset")
-    elif "theta" in cfg:
-        try:
-            theta = float(cfg["theta"])
-        except ValueError as exc:
-            raise UsageError(f"config theta: {exc}") from exc
-    elif "preset" in cfg:
-        if cfg["preset"] not in PRESETS:
-            raise UsageError(f"unknown preset {cfg['preset']!r} in config")
-        theta = PRESETS[cfg["preset"]]
-    else:
-        raise UsageError("theta is required: pass --theta or --preset")
-    if not (math.isfinite(theta) and theta > 0):
-        raise UsageError(f"theta must be finite and > 0, got {theta}")
-    return theta
-
-
 def parse_invocation(argv: list[str] | None = None) -> tuple[str, dict]:
     """Parse flags plus optional config file into (subcommand, options)."""
     ns = _build_parser().parse_args(argv)
     cfg = _load_config(ns.config) if ns.config else {}
     command = COMMANDS[ns.command]
     options = (_FORMAT, *command.options)
+    takes_theta = _THETA in command.options
 
-    known = {option.key for option in options} | ({"theta", "preset"} if command.theta else set())
+    known = {option.key for option in options} | ({"preset"} if takes_theta else set())
     for key in cfg:
         if key not in known:
             raise UsageError(f"unknown config key {key!r} for {ns.command}")
+
+    # A --preset flag sets theta; with no theta flag, a config preset is the config's theta.
+    if takes_theta and ns.preset is not None:
+        ns.theta = PRESETS[ns.preset]
+    elif "preset" in cfg and ns.theta is None:
+        if "theta" in cfg:
+            raise UsageError("config sets both theta and preset")
+        if cfg["preset"] not in PRESETS:
+            raise UsageError(f"unknown preset {cfg['preset']!r} in config")
+        ns.theta = PRESETS[cfg["preset"]]
 
     opts: dict = {}
     for option in options:
@@ -167,8 +150,8 @@ def parse_invocation(argv: list[str] | None = None) -> tuple[str, dict]:
                 raise UsageError(f"config {option.key}: {exc}") from exc
         opts[option.key] = option.default if value is None else value
 
-    if command.theta:
-        opts["theta"] = _resolve_theta(ns, cfg)
+    if takes_theta and opts["theta"] is None:
+        raise UsageError("theta is required: pass --theta or --preset")
 
     for option in options:
         if option.check is not None:
@@ -282,8 +265,11 @@ def _at_least(n: int) -> tuple[Callable[[Any], bool], str]:
 
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
 
-# Shared by every subcommand; added before the theta/preset pair.
+# Shared by every subcommand; its flag and config key come before the command's own.
 _FORMAT = Option("format", _to_format, "human", help="human or machine")
+
+# Also spelled by name: the --preset flag and config key pick a value from PRESETS.
+_THETA = Option("theta", float, None, _POSITIVE, help="stiffness parameter, > 0")
 
 _WINDOW = Option("window", _to_window, Window(-4.0, 4.0, -4.0, 4.0), metavar="X0,X1,Y0,Y1")
 
@@ -297,15 +283,17 @@ _APEX_FRACTION = (
 # One entry per subcommand; each option row is the only declaration of its
 # flag, config key, default and range check.
 COMMANDS: dict[str, Command] = {
-    "analyze": Command("equilibrium, eigenvalues, sector census", True, (_WINDOW,), _run_analyze),
-    "trace": Command("integrate one trajectory to CSV", True, (
+    "analyze": Command("equilibrium, eigenvalues, sector census", (_THETA, _WINDOW), _run_analyze),
+    "trace": Command("integrate one trajectory to CSV", (
+        _THETA,
         Option("start", _to_point, Point2(0.0, 1.0), metavar="X,Y"),
         Option("tmax", float, 10.0, _POSITIVE),
         _TOL,
         _WINDOW._replace(default=None, help="optional stop box (inflated 5 percent)"),
         Option("out", str, "trace.csv"),
     ), _run_trace),
-    "portrait": Command("render a styled phase portrait to SVG", True, (
+    "portrait": Command("render a styled phase portrait to SVG", (
+        _THETA,
         _WINDOW,
         Option("seeds_above", int, 8, _at_least(0)),
         Option("seeds_below", int, 4, _at_least(0)),
@@ -317,8 +305,9 @@ COMMANDS: dict[str, Command] = {
         Option("resolution", int, 256, _at_least(1), help="separatrix segments per branch"),
         Option("out", str, "portrait.svg"),
     ), _run_portrait),
-    "classify": Command("arch category and opening angle", True, _APEX_FRACTION, _run_classify),
-    "sweep": Command("classify a range of stiffness values", False, (
+    "classify": Command("arch category and opening angle", (_THETA, *_APEX_FRACTION),
+                        _run_classify),
+    "sweep": Command("classify a range of stiffness values", (
         Option("theta_from", float, 0.001, _POSITIVE),
         Option("theta_to", float, 5.0, _POSITIVE),
         Option("steps", int, 5, _at_least(1)),

@@ -219,8 +219,11 @@ def _locate_box_exit(
     points with end slopes k1 and k7, plus the quartic term q. The event
     function, the distance to the nearest box edge (negative outside), is
     solved by Illinois: regula falsi that halves the end value kept twice in
-    a row. It stops once the bracket spans at most 1e-13 of the step, which
-    is 1e-13*|h| of time. Returns (s, x, y) at the bracket's outside end.
+    a row. An iterate that lands exactly on an edge, where the distance
+    rounds to 0, becomes the inside end; regula falsi from an end value of 0
+    returns that end, so the step after such a landing bisects instead. It
+    stops once the bracket spans at most 1e-13 of the step, which is
+    1e-13*|h| of time. Returns (s, x, y) at the bracket's outside end.
     """
     k1x, k1y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y = k
     dx, dy = nx - x, ny - y
@@ -241,7 +244,7 @@ def _locate_box_exit(
         # Step at least half the target width inside the bracket: once the
         # iterate sits on the root, the next one lands across it and closes
         # the bracket instead of creeping toward it from one side.
-        s = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        s = lo - g_lo * (hi - lo) / (g_hi - g_lo) if g_lo or kept != -1 else 0.5 * (lo + hi)
         s = min(max(s, lo + 5e-14), hi - 5e-14)
         r = 1.0 - s
         px = x + s * (dx + r * (ax + s * (bx + r * qx)))

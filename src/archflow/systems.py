@@ -146,7 +146,10 @@ class Window(_Record):
             raise ValueError(f"inflation fraction must be >= 0, got {fraction}")
         px = 0.5 * fraction * self.width
         py = 0.5 * fraction * self.height
-        return Window(self.x_min - px, self.x_max + px, self.y_min - py, self.y_max + py)
+        bounds = (self.x_min - px, self.x_max + px, self.y_min - py, self.y_max + py)
+        if not all(map(math.isfinite, bounds)):  # an extent or a bound past the largest float
+            raise ValueError(f"{self!r} grown by fraction {fraction} leaves the float range")
+        return Window(*bounds)
 
 
 class ArchSystem(_Record):

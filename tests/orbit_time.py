@@ -15,7 +15,8 @@ at distance D from the nearer end of its piece takes
 relative accuracy however close the node is to a zero. Each zero takes H from
 the nearer sample: a sample's own H places the zero beside it consistently
 with the sign of its y. ``apex_escape_time`` is the closed form the quadrature
-and the integrator are both checked against.
+and the integrator are both checked against, and ``closed_form_angle`` the
+one ``opening_angle`` is.
 """
 
 import math
@@ -52,6 +53,20 @@ def apex_escape_time(theta, apex):
     """
     beta_sum = _beta(1.0 / 3.0, 0.5) + _beta(1.0 / 3.0, 1.0 / 6.0)
     return math.sqrt(3.0 / (2.0 * theta * apex)) * beta_sum / 3.0
+
+
+def closed_form_angle(theta, apex=1.0, fraction=0.5):
+    """Angle in degrees between the flanks through ``(0, apex)`` at ``y = fraction*apex``.
+
+    The apex's orbit meets that line where ``theta*x^2/2 = apex^3*(1 - f^3)/3``,
+    and its slope ``|dy/dx| = theta*|x|/y^2`` there is
+    ``m = sqrt(2*theta*(1 - f^3)/(3*apex)) / f^2``, so the angle is
+    ``180 - 2*atan(m)``. ``1 - f^3`` is taken as ``(1 - f)*(1 + f + f^2)``,
+    which keeps its relative accuracy as f nears 1.
+    """
+    f = fraction
+    m = math.sqrt(2.0 * theta * (1.0 - f) * (1.0 + f + f * f) / (3.0 * apex)) / (f * f)
+    return 180.0 - 2.0 * math.degrees(math.atan(m))
 
 
 def _beta(a, b):

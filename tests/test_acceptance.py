@@ -2,10 +2,10 @@
 
 Each test prints one `acceptance <name>: PASS` or `FAIL` line so a plain
 pytest run doubles as a checklist. Expected numbers come from closed forms
-written out locally in this file, never from the code under test.
+written out in this file or in the tests' shared oracle module ``orbit_time``,
+never from the code under test.
 """
 
-import math
 import random
 import subprocess
 import sys
@@ -26,6 +26,7 @@ from archflow import (
     sector_census,
     trace_separatrix,
 )
+from orbit_time import closed_form_angle
 
 PRESET_THETAS = {"plain": 0.001, "tented": 0.5, "strong": 5.0}
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,12 +141,6 @@ def test_separatrix_matches_closed_form_and_feeds_the_origin():
                 t, end = trajectory.samples[-1]
                 x_closed_form = -((2.0 ** (-1.0 / 3.0) + c * t / 3.0) ** -3.0)
                 assert abs(end.x - x_closed_form) <= 1e-10
-
-
-def closed_form_angle(theta, apex=1.0, fraction=0.5):
-    x_cross = math.sqrt(2.0 * apex ** 3 * (1.0 - fraction ** 3) / (3.0 * theta))
-    slope = theta * x_cross / (fraction * apex) ** 2
-    return 180.0 - 2.0 * math.degrees(math.atan(slope))
 
 
 def test_opening_angle_regimes_and_monotonicity():

@@ -21,6 +21,7 @@ from archflow import (
     sector_census,
     trace_separatrix,
 )
+from orbit_time import closed_form_angle
 
 
 def test_find_equilibria_arch_reports_origin():
@@ -200,11 +201,6 @@ def test_opening_angle_frozen_values():
     assert opening_angle(5.0) == pytest.approx(16.65618618135406, abs=1e-6)
 
 
-def _closed_form_angle(theta, apex, fraction=0.5):
-    m = math.sqrt(2.0 * theta * (1.0 - fraction**3) / (3.0 * apex)) / fraction**2
-    return 180.0 - 2.0 * math.degrees(math.atan(m))
-
-
 @pytest.mark.parametrize(
     "theta, apex, tol",
     [
@@ -216,10 +212,27 @@ def _closed_form_angle(theta, apex, fraction=0.5):
     ],
 )
 def test_opening_angle_matches_closed_form_at_extreme_scales(theta, apex, tol):
-    angle, exact = opening_angle(theta, apex=apex), _closed_form_angle(theta, apex)
+    angle, exact = opening_angle(theta, apex=apex), closed_form_angle(theta, apex)
     assert angle == pytest.approx(exact, abs=tol)
     # at (1e9, 1e-10) the whole angle is 1.2e-8 degrees, below any useful abs bound
     assert angle == pytest.approx(exact, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1e-3, 0.5, 5.0, 1e3, 1e9])
+@pytest.mark.parametrize("apex", [0.5, 1.0, 2.0, 1e-50, 1e50])
+@pytest.mark.parametrize("fraction", [1 - 1e-8, 1 - 1e-6])
+def test_opening_angle_just_below_the_apex_is_the_closed_form(theta, apex, fraction):
+    # So close to the apex the distance to the box edge rounds to 0 over a
+    # stretch of the last step; a locator iterate that lands there must not
+    # leave the exit at the bracket's far end.
+    angle = opening_angle(theta, apex=apex, fraction=fraction)
+    assert angle == pytest.approx(closed_form_angle(theta, apex, fraction), abs=1e-6)
+
+
+def test_opening_angle_one_rounding_below_the_apex_is_the_closed_form():
+    fraction = 1.0 - 2.0**-53  # the largest float below 1
+    angle = opening_angle(0.5, 1.0, fraction)
+    assert angle == pytest.approx(closed_form_angle(0.5, 1.0, fraction), abs=1e-6)
 
 
 @pytest.mark.parametrize("theta", [1e-9, 0.5, 1e9])
@@ -248,9 +261,7 @@ def test_opening_angle_at_a_huge_apex_is_the_closed_form(theta):
     # The step floor follows the run's own time scale, about 1e-50 here, so
     # both flanks reach the line; theta/apex near 1e-100 makes the ridge flat.
     fraction, apex = 0.5, 1e100
-    closed = 180.0 - 2.0 * math.degrees(
-        math.atan(math.sqrt(2.0 * theta * (1.0 - fraction**3) / (3.0 * apex)) / fraction**2)
-    )
+    closed = closed_form_angle(theta, apex, fraction)
     assert opening_angle(theta, apex=apex, fraction=fraction) == pytest.approx(closed, abs=1e-9)
 
 

@@ -361,6 +361,20 @@ def test_numeric_overflow_exits_1(run_cli, tmp_path, monkeypatch, args, message)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["trace", "portrait"])
+def test_window_whose_inflation_overflows_exits_1(run_cli, tmp_path, monkeypatch,
+                                                  command):
+    # The window is finite, but its width, and so its 5 percent inflation, is not.
+    monkeypatch.chdir(tmp_path)
+    result = run_cli(command, "--theta", "1", "--window=-1e308,1e308,-1,1", "--out", "o")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        "error: Window(x_min=-1e+308, x_max=1e+308, y_min=-1.0, y_max=1.0) "
+        "grown by fraction 0.05 leaves the float range\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_portrait_seed_that_cannot_step_exits_1(run_cli, tmp_path, monkeypatch,
                                                 stalled_at_seeds):
     # Every step off a seed is rejected until it falls below the step floor,

@@ -177,7 +177,9 @@ def test_boundary_value_accepted(row):
 @pytest.mark.parametrize(
     "argv, config, message",
     [
-        # unknown keys come first, then conversion, then theta, then ranges
+        # unknown keys come first, then a config preset, then conversion in table
+        # order (format, theta, the command's own keys), then a missing theta,
+        # then ranges
         (["classify"], "warp = 9\napex = x", "unknown config key 'warp' for classify"),
         (["classify"], "apex = x", "config apex: could not convert string to float: 'x'"),
         (["classify", "--fraction=1"], "", "theta is required: pass --theta or --preset"),
@@ -191,9 +193,32 @@ def test_boundary_value_accepted(row):
         (["trace", "--theta=1"], "step = 0.01", "unknown config key 'step' for trace"),
         (["analyze", "--theta=1"], "census_radius = 0.5",
          "unknown config key 'census_radius' for analyze"),
+        (["classify"], "theta = x\napex = x",
+         "config theta: could not convert string to float: 'x'"),
+        (["classify"], "preset = soft\nfraction = x", "unknown preset 'soft' in config"),
+        (["classify"], "preset = tented\napex = x",
+         "config apex: could not convert string to float: 'x'"),
+        (["classify"], "format = bad\ntheta = x",
+         "config format: format must be human or machine, got 'bad'"),
     ],
 )
 def test_error_order_and_theta_messages(tmp_path, capsys, argv, config, message):
     (tmp_path / "arch.cfg").write_text(config + "\n")
     code, err = run_main(capsys, [*argv, "--config", str(tmp_path / "arch.cfg")])
     assert (code, err) == (2, f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, config, theta",
+    [
+        (["--theta=2"], "preset = tented", 2.0),
+        (["--preset=strong"], "theta = 1", 5.0),
+        # a flag leaves the config's theta and preset unread, faulty or not
+        (["--theta=2"], "theta = 1\npreset = soft", 2.0),
+        (["--preset=plain"], "theta = x\npreset = tented", 0.001),
+    ],
+)
+def test_a_theta_or_preset_flag_overrides_the_config(tmp_path, flags, config, theta):
+    (tmp_path / "arch.cfg").write_text(config + "\n")
+    _, opts = parse_invocation(["classify", *flags, "--config", str(tmp_path / "arch.cfg")])
+    assert opts["theta"] == theta

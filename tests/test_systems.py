@@ -41,6 +41,19 @@ def test_window_contains_and_inflated():
         w.inflated(-0.1)
 
 
+def test_window_inflated_past_the_float_range_raises():
+    big = sys.float_info.max
+    # an infinite width, then a finite width whose grown bound overflows
+    for w in (Window(-1e308, 1e308, -1.0, 1.0), Window(-1.0, 1.0, 0.0, big)):
+        with pytest.raises(ValueError, match=r"grown by fraction 0\.05 leaves the float range$"):
+            w.inflated(0.05)
+    # a grown bound next to the largest float keeps the plain formula's bits
+    w = Window(-big / 2, big / 2, -1.0, 1.0)
+    grown = w.inflated(0.05)
+    assert grown.x_min == w.x_min - 0.5 * 0.05 * w.width
+    assert grown.x_max == w.x_max + 0.5 * 0.05 * w.width
+
+
 def test_arch_system_rejects_bad_theta():
     for theta in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
