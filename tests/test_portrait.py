@@ -100,6 +100,33 @@ def test_a_window_above_the_separatrix_gets_no_lower_seeds():
     assert render_svg(scene).count("<polyline") == 10
 
 
+def test_seed_points_are_pinned():
+    # 5000 specs with theta log-uniform in 1e-9..1e9 and windows at scales
+    # 1e-300..1e300, half of them square about the origin and half with
+    # random bounds, so every branch of the seed layout shows: an upper path
+    # with and without its left leg, lower seeds on the left edge, on the
+    # bottom span, and none. A change of layout or arithmetic that moves any
+    # seed by one bit changes this digest.
+    rng = random.Random(20260531)
+    digest = hashlib.sha256()
+    for _ in range(5000):
+        theta = 10.0 ** rng.uniform(-9.0, 9.0)
+        s = 10.0 ** rng.uniform(-300.0, 300.0)
+        if rng.random() < 0.5:
+            window = Window(-s, s, -s, s)
+        else:
+            xs = sorted(s * rng.uniform(-1.0, 1.0) for _ in range(2))
+            ys = sorted(s * rng.uniform(-1.0, 1.0) for _ in range(2))
+            window = Window(xs[0], xs[1], ys[0], ys[1])
+        spec = PortraitSpec(
+            system=ArchSystem(theta), window=window, seeds_above=rng.randint(0, 12),
+            seeds_below=rng.randint(0, 6), seed_inset=rng.choice((0.0, 0.05, 0.3, 0.49)),
+        )
+        for p, role in seed_points(spec):
+            digest.update(repr((p.x, p.y, role)).encode())
+    assert digest.hexdigest() == "8f4c9478c7d938d86524c5e42e21bec7f2efaaad4707ee425b65a3c2a55166af"
+
+
 def test_build_portrait_structure():
     for theta in PRESETS:
         scene = build_portrait(PortraitSpec(system=ArchSystem(theta)))
