@@ -105,60 +105,48 @@ class PortraitSpec(_Record):
         _set(self, "separatrix_resolution", separatrix_resolution)
 
 
-def _spread(segments: list[tuple[Point2, Point2]], count: int, inset: float) -> list[Point2]:
-    """Midpoint-rule positions along a chain of segments, inset at both ends."""
-    lengths = [a.distance_to(b) for a, b in segments]
-    total = sum(lengths)
+def _spread(x0: float, y0: float, y1: float, x1: float, count: int, inset: float) -> list[Point2]:
+    """Midpoint-rule positions, inset at both ends, on the path from (x0, y0)
+    up to (x0, y1) and then right to (x1, y1).
+
+    Both legs are measured at the exact scale 2**-k, k the exponent of the
+    longer, so the sum stays finite where the legs together pass the largest
+    float and each seed, placed at full scale, keeps a full-scale measure's bits.
+    """
+    k = -math.frexp(max(y1 - y0, x1 - x0))[1]
+    up, right = math.ldexp(y1 - y0, k), math.ldexp(x1 - x0, k)
+    total = up + right
     if total == 0.0 or count == 0:
         return []
     out = []
     for i in range(count):
         s = total * (inset + (1.0 - 2.0 * inset) * (i + 0.5) / count)
-        for (a, b), length in zip(segments, lengths):
-            if s <= length or (a, b) == segments[-1]:
-                f = min(1.0, s / length) if length > 0 else 0.0
-                out.append(Point2(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)))
-                break
-            s -= length
+        if s <= up:
+            out.append(Point2(x0, y0 + s / up * (y1 - y0)))
+        else:
+            out.append(Point2(x0 + min(1.0, (s - up) / right) * (x1 - x0), y1))
     return out
 
 
 def seed_points(spec: PortraitSpec) -> list[tuple[Point2, str]]:
-    """Window-edge seeds for the two sectors.
+    """Window-edge seeds for the two sectors, each set spread along one corner path.
 
-    Upper seeds sit on the left edge above the separatrix and on the top
-    edge. Lower seeds sit on the left edge below the separatrix when it
-    exits that edge, otherwise on the bottom-edge span between the two
-    separatrix crossings (large theta pushes the curve out the bottom).
+    Upper seeds run up the left edge from the separatrix, or from the lower
+    corner, and then right along the top edge. Lower seeds run up the left
+    edge to the separatrix when it exits that edge, otherwise along the
+    bottom-edge span between its two crossings (large theta pushes it there).
     """
     w = spec.window
-    theta = spec.system.theta
     sep_left = spec.system.separatrix_height(w.x_min)
-
-    seeds: list[tuple[Point2, str]] = []
-
-    upper_segments: list[tuple[Point2, Point2]] = []
-    y_lo = max(sep_left, w.y_min)
-    if y_lo < w.y_max:
-        upper_segments.append((Point2(w.x_min, y_lo), Point2(w.x_min, w.y_max)))
-    upper_segments.append((Point2(w.x_min, w.y_max), Point2(w.x_max, w.y_max)))
-    for p in _spread(upper_segments, spec.seeds_above, spec.seed_inset):
-        seeds.append((p, "upper_sector"))
-
+    y_lo = min(max(sep_left, w.y_min), w.y_max)
+    upper = _spread(w.x_min, y_lo, w.y_max, w.x_max, spec.seeds_above, spec.seed_inset)
     if sep_left > w.y_min:
-        lower_segments = [(Point2(w.x_min, w.y_min), Point2(w.x_min, sep_left))]
+        lower = _spread(w.x_min, w.y_min, sep_left, w.x_min, spec.seeds_below, spec.seed_inset)
     else:
-        cap = _arch_separatrix_reach(theta, w.y_min)
-        lo = max(w.x_min, -cap)
-        hi = min(w.x_max, cap)
-        if lo >= hi:
-            lower_segments = []
-        else:
-            lower_segments = [(Point2(lo, w.y_min), Point2(hi, w.y_min))]
-    for p in _spread(lower_segments, spec.seeds_below, spec.seed_inset):
-        seeds.append((p, "lower_sector"))
-
-    return seeds
+        cap = _arch_separatrix_reach(spec.system.theta, w.y_min)
+        lo, hi = max(w.x_min, -cap), min(w.x_max, cap)
+        lower = _spread(lo, w.y_min, w.y_min, max(lo, hi), spec.seeds_below, spec.seed_inset)
+    return [(p, "upper_sector") for p in upper] + [(p, "lower_sector") for p in lower]
 
 
 def build_portrait(spec: PortraitSpec) -> Scene:

@@ -33,7 +33,8 @@ class _Record:
     A record's ``__init__`` validates its arguments and stores each one with
     ``_set``; ``repr``, equality within the type, hashing, copying, pickling
     and ``_replace`` all follow the fields. A slot named with a leading
-    underscore is private storage, not a field. A class whose field is a
+    underscore is private storage, not a field, and a subclass's fields are
+    its base's followed by its own public slots. A class whose field is a
     property derived from that storage declares its own ``_fields``, in the
     order of its ``__init__`` arguments. Frozen dataclasses would give the
     same behaviour, but importing ``dataclasses`` and generating each class's
@@ -46,7 +47,8 @@ class _Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if "_fields" not in cls.__dict__:
-            cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+            own = cls.__dict__.get("__slots__", ())
+            cls._fields += tuple(name for name in own if not name.startswith("_"))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -87,9 +89,6 @@ class Point2(_Record):
             _require_finite("Point2 coordinates", x, y)
         _set(self, "x", x)
         _set(self, "y", y)
-
-    def distance_to(self, other: "Point2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 class Mat2(_Record):

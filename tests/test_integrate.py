@@ -201,6 +201,41 @@ def test_box_exit_at_start_is_single_sample():
     assert len(t) == 1
 
 
+def test_a_box_exit_whose_time_rounds_onto_the_last_sample_ends_one_ulp_later():
+    # Near its escape time the run from (0, 1) takes steps of about one ulp
+    # of t. A box edge at the x of its second-to-last sample is crossed on
+    # such a step, and t + s*h rounds back onto that sample's time, so the
+    # exit is put one ulp later: the times stay strictly increasing.
+    s, start = ArchSystem(0.5), Point2(0.0, 1.0)
+    free = integrate(s, start, IntegratorConfig(stop_time=100.0))
+    assert free.stop_reason == "step_underflow"
+    j = len(free) - 2
+    t_j, x_j = free.times[j], free.points[j].x
+    assert free.times[j + 1] - t_j < 1e-15 * t_j
+    box = Window(-1e300, x_j, -1e300, 1e300)
+    run = integrate(s, start, IntegratorConfig(stop_time=100.0, stop_box=box))
+    assert run.stop_reason == "box_exit"
+    assert run.times[:-1] == free.times[:j + 1]
+    assert run.final_time == math.nextafter(t_j, math.inf)
+    assert run.final_point.x > x_j
+
+
+def test_a_box_exit_located_past_the_float_range_raises():
+    # The field kicks x at 1e308 only where x <= 0, so a step of 2 from the
+    # origin ends at a finite x, about 1.8e307, with a finite error. But the
+    # step's interpolant carries h*k1 = 2e308, which overflows, so the located
+    # exit is not finite, and the run names that instead of storing it.
+    class Kick(ArchSystem):
+        __slots__ = ()
+
+        def field_at(self, x, y):
+            return (1e308 if x <= 0.0 else 0.0), 0.0
+
+    config = IntegratorConfig(step=2.0, rel_tol=0.1, stop_box=Window(-1.0, 1.0, -1.0, 1.0))
+    with pytest.raises(ValueError, match="Point2 coordinates must be finite, got nan"):
+        integrate(Kick(1.0), Point2(0.0, 0.0), config)
+
+
 def test_max_steps_stop():
     s = ArchSystem(0.5)
     t = integrate(s, Point2(0.0, 1.0), IntegratorConfig(max_steps=5, stop_time=1e6))

@@ -127,6 +127,32 @@ def test_seed_points_are_pinned():
     assert digest.hexdigest() == "8f4c9478c7d938d86524c5e42e21bec7f2efaaad4707ee425b65a3c2a55166af"
 
 
+def test_upper_seeds_follow_the_corner_path_where_its_length_passes_the_largest_float():
+    # The left edge above the separatrix and the top edge together are about
+    # 2.4e308 long: the seeds still run up the left edge and then right along
+    # the top, in order and evenly spaced, and none lands on the far corner.
+    w = Window(-8e307, 8e307, -8e307, 8e307)
+    y0 = ArchSystem(1.0).separatrix_height(w.x_min)
+    seeds = seed_points(PortraitSpec(ArchSystem(1.0), w))
+    uppers = [p for p, role in seeds if role == "upper_sector"]
+    assert len(uppers) == 8
+
+    def arc(p):  # distance along the path at half scale, where every sum is finite
+        if p.x == w.x_min:
+            return 0.5 * p.y - 0.5 * y0
+        assert p.y == w.y_max
+        return 0.5 * w.y_max - 0.5 * y0 + (0.5 * p.x - 0.5 * w.x_min)
+
+    assert [p.x == w.x_min for p in uppers] == [True] * 3 + [False] * 5
+    assert (uppers[0].x, uppers[0].y) == (-8e307, 2.55e307)
+    assert all((p.x, p.y) != (w.x_max, w.y_max) for p in uppers)
+    total = 0.5 * w.y_max - 0.5 * y0 + 0.5 * w.width
+    arcs = [arc(p) for p in uppers]
+    assert arcs[0] == pytest.approx(total * (0.05 + 0.9 / 16), rel=1e-12)
+    for a, b in zip(arcs, arcs[1:]):
+        assert b - a == pytest.approx(total * 0.9 / 8, rel=1e-12)
+
+
 def test_build_portrait_structure():
     for theta in PRESETS:
         scene = build_portrait(PortraitSpec(system=ArchSystem(theta)))

@@ -186,6 +186,43 @@ def test_copy_deepcopy_and_pickle(cls, names, values, text, hashable):
         assert clone == record
 
 
+class _DoubledField(ArchSystem):
+    """A subclass that overrides the field and declares no slot of its own."""
+
+    __slots__ = ()
+
+    def field_at(self, x, y):
+        return y * y, -2.0 * self.theta * x
+
+
+class _TaggedPoint(Point2):
+    """A subclass that adds one field and one private slot."""
+
+    __slots__ = ("tag", "_note")
+
+    def __init__(self, x, y, tag):
+        super().__init__(x, y)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "_note", None)
+
+
+def test_a_subclass_keeps_its_bases_fields():
+    a, b = _DoubledField(0.5), _DoubledField(2.0)
+    assert repr(a) == "_DoubledField(theta=0.5)"
+    assert a == _DoubledField(0.5) and hash(a) == hash(_DoubledField(0.5))
+    assert a != b and hash(a) != hash(b)
+    assert a != ArchSystem(0.5)
+    assert a._replace(theta=2.0) == b
+    for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(clone) is _DoubledField and clone == a
+        assert clone.field_at(1.0, 0.0) == (0.0, -1.0)
+    tagged = _TaggedPoint(1.0, 2.0, "apex")
+    assert repr(tagged) == "_TaggedPoint(x=1.0, y=2.0, tag='apex')"
+    assert tagged != _TaggedPoint(1.0, 2.0, "foot")
+    for clone in (copy.copy(tagged), copy.deepcopy(tagged), pickle.loads(pickle.dumps(tagged))):
+        assert type(clone) is _TaggedPoint and clone == tagged
+
+
 def test_integrator_config_defaults():
     config = IntegratorConfig(stop_time=1.0)
     assert (config.step, config.rel_tol, config.abs_tol) == (0.01, 1e-10, 1e-10)
