@@ -94,9 +94,7 @@ def find_equilibria(system: ArchSystem, window: Window) -> list[Equilibrium]:
     ]
 
 
-def sector_census(
-    system: ArchSystem, equilibrium: Point2 | Equilibrium, radius: float = 0.5
-) -> SectorCensus:
+def sector_census(system: ArchSystem) -> SectorCensus:
     """Census of local sectors around the cusp at the origin: always a cusp.
 
     On the circle of radius r about the origin, H = r^2 * (theta*cos^2(phi)/2
@@ -116,18 +114,14 @@ def sector_census(
     H = c != 0, which keeps away from the origin, so only the separatrices
     tend to it. Neither sector is then elliptic or parabolic; both are
     hyperbolic. Hence 2 hyperbolic sectors, 0 elliptic, 0 parabolic and 2
-    separatrices at any radius: a cusp (Perko, *Differential Equations and
-    Dynamical Systems*, 2.11).
+    separatrices: a cusp (Perko, *Differential Equations and Dynamical
+    Systems*, 2.11). The proof holds at every radius, which is why the
+    function takes none.
 
-    Raises TypeError unless ``system`` is an ``ArchSystem``, and ValueError
-    for a centre other than (0, 0) or a radius that is not finite and > 0.
+    Raises TypeError unless ``system`` is an ``ArchSystem``.
     """
     if not isinstance(system, ArchSystem):
         raise TypeError(f"sector_census needs an ArchSystem, got {type(system).__name__}")
-    center = equilibrium.location if isinstance(equilibrium, Equilibrium) else equilibrium
-    if center != Point2(0.0, 0.0):
-        raise ValueError(f"sector_census is defined about the cusp at (0, 0), got {center!r}")
-    _require_positive("radius", radius)
     return SectorCensus(2, 0, 0, 2)
 
 
@@ -178,7 +172,7 @@ def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> flo
     Decreases strictly with theta: obtuse for small stiffness, acute for
     large. Raises CrossingNotFound when a flank stops for another reason.
     """
-    _require_positive("theta", theta)
+    system = ArchSystem(theta)
     _require_positive("apex", apex)
     # apex*apex*apex gives inf where apex**3 raises OverflowError; a cube that
     # underflows leaves no level set to integrate along.
@@ -188,7 +182,6 @@ def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> flo
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction must lie in (0, 1), got {fraction!r}")
 
-    system = ArchSystem(theta)
     y_target = fraction * apex
     big = sys.float_info.max
     above = Window(-big, big, y_target, big)
@@ -222,7 +215,6 @@ def classify_arch(theta: float, *, apex: float = 1.0, fraction: float = 0.5) -> 
     theta below PLAIN_MAX (0.1) is plain, below STRONG_MIN (2.0) tented, and
     strong from there on; ``apex`` and ``fraction`` go to ``opening_angle``.
     """
-    _require_positive("theta", theta)
     angle = opening_angle(theta, apex=apex, fraction=fraction)
     if theta < PLAIN_MAX:
         category = "plain"

@@ -176,7 +176,7 @@ def _run_analyze(o: dict) -> int:
         human.append("no equilibria inside the window")
     else:
         eq = equilibria[0]
-        census = sector_census(system, eq.location)
+        census = sector_census(system)
         j = eq.jacobian
         l1, l2 = eq.eigen.values
         v.update(

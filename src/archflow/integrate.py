@@ -116,7 +116,6 @@ class Trajectory(_Record):
     """
 
     __slots__ = ("stop_reason", "_t", "_x", "_y")
-    _fields = ("samples", "stop_reason")
 
     def __init__(self, samples: tuple[tuple[float, Point2], ...], stop_reason: str) -> None:
         if stop_reason not in STOP_REASONS:

@@ -27,7 +27,6 @@ class StyledPath(_Record):
     """
 
     __slots__ = ("role", "_x", "_y")
-    _fields = ("role", "points")
 
     def __init__(self, role: str, points: tuple[Point2, ...]) -> None:
         if role not in _STYLE:
@@ -196,7 +195,7 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
     are small triangles at each path's middle vertex, oriented by vertex
     order.
     """
-    if width_px < 1 or height_px < 1:
+    if not (1 <= width_px < math.inf and 1 <= height_px < math.inf):
         raise ValueError("pixel dimensions must be >= 1")
     spec = scene.spec
     w = spec.window

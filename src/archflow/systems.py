@@ -28,17 +28,16 @@ def _require_integer(label: str, value: object) -> None:
 
 
 class _Record:
-    """Immutable record whose fields are its public ``__slots__``, in order.
+    """Immutable record whose fields are its constructor's parameters, in order.
 
     A record's ``__init__`` validates its arguments and stores each one with
     ``_set``; ``repr``, equality within the type, hashing, copying, pickling
-    and ``_replace`` all follow the fields. A slot named with a leading
-    underscore is private storage, not a field, and a subclass's fields are
-    its base's followed by its own public slots. A class whose field is a
-    property derived from that storage declares its own ``_fields``, in the
-    order of its ``__init__`` arguments. Frozen dataclasses would give the
-    same behaviour, but importing ``dataclasses`` and generating each class's
-    methods at import was the largest part of archflow's cold import time.
+    and ``_replace`` all read the fields and rebuild the record through that
+    same ``__init__``. A field may be a property over private storage, and a
+    subclass without an ``__init__`` of its own keeps its base's fields.
+    Frozen dataclasses would give the same behaviour, but importing
+    ``dataclasses`` (or ``inspect``) and generating each class's methods at
+    import was the largest part of archflow's cold import time.
     """
 
     __slots__ = ()
@@ -46,9 +45,8 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if "_fields" not in cls.__dict__:
-            own = cls.__dict__.get("__slots__", ())
-            cls._fields += tuple(name for name in own if not name.startswith("_"))
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

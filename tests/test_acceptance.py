@@ -58,7 +58,7 @@ def test_equilibrium_analysis_matches_hand_linearization():
             assert (j.a11, j.a12, j.a21, j.a22) == (0.0, 0.0, -theta, 0.0)
             assert all(abs(v) <= 1e-12 for v in eq.eigen.values)
             assert eq.classification == "degenerate_nonhyperbolic"
-            census = sector_census(system, eq)
+            census = sector_census(system)
             assert (
                 census.hyperbolic,
                 census.elliptic,

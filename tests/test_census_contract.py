@@ -72,7 +72,7 @@ def negative_arc_half_width(system, radius):
 def test_sampled_census_agrees_with_the_closed_form(radius, samples):
     for theta in THETAS:
         system = ArchSystem(theta)
-        census = sector_census(system, Point2(0.0, 0.0), radius=radius)
+        census = sector_census(system)
         assert census.is_cusp
         assert sampled_census(system, radius, samples) == (
             census.hyperbolic, census.separatrices
@@ -86,7 +86,7 @@ def test_sampled_census_misses_a_narrow_arc_between_samples(theta, radius, sampl
     # No sample falls on the negative arc: one sector, no separatrix.
     system = ArchSystem(theta)
     assert sampled_census(system, radius, samples) == (1, 0)
-    assert sector_census(system, Point2(0.0, 0.0), radius=radius).is_cusp
+    assert sector_census(system).is_cusp
 
 
 @pytest.mark.parametrize("radius", RADII)

@@ -269,8 +269,11 @@ def test_render_svg_respects_size_and_arrows_flag():
     assert 'width="400" height="300"' in svg
     assert 'viewBox="0 0 400 300"' in svg
     assert '<path d="M' not in svg
-    with pytest.raises(ValueError):
-        render_svg(build_portrait(spec), width_px=0)
+    scene = build_portrait(spec)
+    for size in (0, math.nan, math.inf):
+        for width_px, height_px in ((size, 800), (800, size)):
+            with pytest.raises(ValueError, match="pixel dimensions must be >= 1"):
+                render_svg(scene, width_px, height_px)
 
 
 def test_scene_reads_window_description_and_arrows_from_its_spec():

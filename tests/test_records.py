@@ -425,3 +425,22 @@ def test_readme_library_snippet(tmp_path, monkeypatch, capsys):
         "ArchCategory(category='tented', opening_angle_deg=49.67978493003105)",
     ]
     assert (tmp_path / "portrait.svg").read_text().endswith("</svg>\n")
+
+
+class _StringSlot(Point2):
+    """A subclass that names its one slot as a plain string, which Python accepts."""
+
+    __slots__ = "tag"
+
+    def __init__(self, x, y, tag):
+        super().__init__(x, y)
+        object.__setattr__(self, "tag", tag)
+
+
+def test_a_string_slot_is_one_field():
+    record = _StringSlot(1.0, 2.0, "a")
+    assert repr(record) == "_StringSlot(x=1.0, y=2.0, tag='a')"
+    assert record == _StringSlot(1.0, 2.0, "a") and record != _StringSlot(1.0, 2.0, "b")
+    assert hash(record) == hash(_StringSlot(1.0, 2.0, "a"))
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is _StringSlot and clone == record
