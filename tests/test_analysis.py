@@ -41,6 +41,30 @@ def test_find_equilibria_respects_window():
     assert eqs == []
 
 
+def _circle_sign_flips(system, radius, samples=360):
+    """Sign flips of H, cyclically, at ``samples`` equal angles on a circle about the origin."""
+    signs = []
+    for k in range(samples):
+        phi = 2.0 * math.pi * k / samples
+        h = system.first_integral(Point2(radius * math.cos(phi), radius * math.sin(phi)))
+        if h != 0.0:
+            signs.append(h > 0.0)
+    return sum(1 for i, sign in enumerate(signs) if sign != signs[i - 1])
+
+
+def test_sector_census_cusp_at_multiple_radii():
+    # The census holds at every radius: each circle about the origin meets
+    # the separatrix at the census's two ends of the negative arc.
+    s = ArchSystem(0.5)
+    census = sector_census(s)
+    assert census.hyperbolic == 2
+    assert census.elliptic == 0
+    assert census.parabolic == 0
+    assert census.is_cusp
+    for radius in (0.1, 0.5, 2.0):
+        assert _circle_sign_flips(s, radius) == census.separatrices == 2
+
+
 def test_sector_census_all_presets():
     for theta in (0.001, 0.5, 5.0):
         census = sector_census(ArchSystem(theta))
@@ -48,9 +72,34 @@ def test_sector_census_all_presets():
         assert census.is_cusp
 
 
+@pytest.mark.parametrize("theta, radius", [(0.5, 0.01), (5.0, 0.5), (1e3, 0.01), (1e9, 0.5)])
+def test_sector_census_finds_the_cusp_where_sampling_missed_the_arc(theta, radius):
+    # A 360-sample sign census missed the negative arc at these (theta, radius)
+    # pairs whenever the sample count was not a multiple of 4. The arc is
+    # there: H < 0 on the negative y axis and H > 0 on the x axis.
+    s = ArchSystem(theta)
+    assert s.first_integral(Point2(0.0, -radius)) < 0.0
+    assert s.first_integral(Point2(radius, 0.0)) > 0.0
+    assert s.first_integral(Point2(-radius, 0.0)) > 0.0
+    assert sector_census(s) == SectorCensus(2, 0, 0, 2)
+
+
 def test_sector_census_validation():
     with pytest.raises(TypeError, match="needs an ArchSystem"):
         sector_census(object())
+
+
+def test_sector_census_is_defined_about_the_cusp_only():
+    # The census is the origin's: it is the field's one equilibrium, and no
+    # other centre can be asked for.
+    s = ArchSystem(0.5)
+    (eq,) = find_equilibria(s, Window(-4.0, 4.0, -4.0, 4.0))
+    assert eq.location == Point2(0.0, 0.0)
+    assert sector_census(s).is_cusp
+    for center in (Point2(1.0, -2.0), Point2(0.0, 1e-300)):
+        assert center != eq.location
+        with pytest.raises(TypeError):
+            sector_census(s, center)
 
 
 def test_sector_census_takes_no_sample_count():
