@@ -86,12 +86,11 @@ def find_equilibria(system: ArchSystem, window: Window) -> list[Equilibrium]:
     0]] is nilpotent for every theta, so both eigenvalues are 0: the point is
     not hyperbolic, and ``sector_census`` settles its type.
     """
-    return [
-        Equilibrium(p, system.jacobian(p), EigenPair("real_repeated", (0j, 0j)),
-                    "degenerate_nonhyperbolic")
-        for p in system.analytic_equilibria()
-        if window.contains_point(p)
-    ]
+    if not window.contains(0.0, 0.0):
+        return []
+    origin = Point2(0.0, 0.0)
+    return [Equilibrium(origin, system.jacobian(origin), EigenPair("real_repeated", (0j, 0j)),
+                        "degenerate_nonhyperbolic")]
 
 
 def sector_census(system: ArchSystem) -> SectorCensus:

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .analysis import classify_arch, find_equilibria, sector_census
-from .integrate import IntegrationError, IntegratorConfig, integrate
+from .integrate import IntegrationError, IntegratorConfig, _abs_tol, integrate
 from .portrait import PortraitSpec, build_portrait, export_trajectory_csv, render_svg
 from .systems import ArchSystem, Point2, Window
 
@@ -218,10 +218,8 @@ def _run_trace(o: dict) -> int:
         stop_box, scale = None, max(abs(start.x), abs(start.y))
     else:
         stop_box, scale = window.inflated(0.05), max(window.width, window.height) / 2.0
-    # Below unit scale the absolute floor shrinks with the coordinates, so small
-    # runs keep a unit-scale run's accuracy; a scale of 0 keeps tol.
-    abs_tol = tol * min(1.0, scale) or tol
-    cfg = IntegratorConfig(rel_tol=tol, abs_tol=abs_tol, stop_time=o["tmax"], stop_box=stop_box)
+    cfg = IntegratorConfig(rel_tol=tol, abs_tol=_abs_tol(tol, scale), stop_time=o["tmax"],
+                           stop_box=stop_box)
     trajectory = integrate(ArchSystem(o["theta"]), start, cfg)
     Path(out).write_text(export_trajectory_csv(trajectory, o["theta"]))
     n, reason = len(trajectory), trajectory.stop_reason
@@ -330,7 +328,3 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError as exc:  # a float power past the double range, e.g. H far out
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -67,6 +67,11 @@ def _size(theta: float, x: float, y: float) -> float:
     return max(theta ** (1 / 6) * abs(x) ** (1 / 3), abs(y) ** 0.5)
 
 
+def _abs_tol(tol: float, scale: float) -> float:
+    """``tol`` scaled down below size 1, so small runs keep unit-scale accuracy; 0 keeps it."""
+    return tol * min(1.0, scale) or tol
+
+
 class IntegrationError(RuntimeError):
     """Raised when the field is non-finite at the start of a run."""
 
@@ -76,7 +81,7 @@ class CrossingNotFound(LookupError):
 
 
 class IntegratorConfig(_Record):
-    """Integration settings; ``stop_box`` or ``stop_time`` must be present."""
+    """Integration settings; with no ``stop_time``, the horizon is the largest float."""
 
     __slots__ = ("step", "rel_tol", "abs_tol", "max_steps", "direction", "stop_box", "stop_time")
 
@@ -95,8 +100,6 @@ class IntegratorConfig(_Record):
             raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
         if stop_time is not None:
             _require_positive("stop_time", stop_time)
-        if stop_box is None and stop_time is None:
-            raise ValueError("at least one stop condition (stop_box, stop_time) is required")
         _set(self, "step", step)
         _set(self, "rel_tol", rel_tol)
         _set(self, "abs_tol", abs_tol)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .analysis import _separatrix_branches
-from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .integrate import IntegrationError, IntegratorConfig, Trajectory, _abs_tol, integrate
 from .systems import (
     ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_integer,
     _require_positive, _set,
@@ -72,7 +72,8 @@ class Scene(_Record):
 
 
 class PortraitSpec(_Record):
-    """Settings for one phase portrait; each seed's run takes ``tol`` as rel_tol and abs_tol."""
+    """Settings for one phase portrait; seed runs take ``tol`` as ``trace`` does, at the
+    window's half-side: as rel_tol, and as abs_tol scaled down below a half-side of 1."""
 
     __slots__ = (
         "system", "window", "seeds_above", "seeds_below", "seed_inset",
@@ -151,13 +152,13 @@ def seed_points(spec: PortraitSpec) -> list[tuple[Point2, str]]:
 def build_portrait(spec: PortraitSpec) -> Scene:
     """Assemble the scene: separatrix branches first, then seeded flow lines.
 
-    Every path is flow ordered; each seed trajectory is integrated both ways
-    inside the window inflated by 5 percent and the halves are joined at the
-    seed. Raises IntegrationError naming the seed if one diverges, and
-    ValueError naming it, with both stop reasons, if neither half advances.
+    Every path is flow ordered; each seed is run both ways, with no time limit,
+    until it leaves the window inflated by 5 percent, and the halves are joined
+    at the seed. Raises IntegrationError naming a seed that diverges, and
+    ValueError naming one, with both stop reasons, if neither half advances.
     """
-    system = spec.system
-    box = spec.window.inflated(0.05)
+    system, w = spec.system, spec.window
+    box = w.inflated(0.05)
 
     (lx, ly), (rx, ry) = _separatrix_branches(system.theta, box, spec.separatrix_resolution)
     paths = [
@@ -165,9 +166,9 @@ def build_portrait(spec: PortraitSpec) -> Scene:
         StyledPath._flat("separatrix", rx[::-1], ry[::-1]),  # flow order: out of the origin
     ]
 
-    # The box ends a run; the horizon bounds only a run that never leaves it.
-    configs = [IntegratorConfig(rel_tol=spec.tol, abs_tol=spec.tol, direction=d, stop_box=box,
-                                stop_time=10_000.0) for d in ("backward", "forward")]
+    abs_tol = _abs_tol(spec.tol, max(w.width, w.height) / 2.0)
+    configs = [IntegratorConfig(rel_tol=spec.tol, abs_tol=abs_tol, direction=d, stop_box=box)
+               for d in ("backward", "forward")]
     for index, (seed, role) in enumerate(seed_points(spec)):
         try:
             backward, forward = [integrate(system, seed, half) for half in configs]
@@ -212,7 +213,8 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
         f"<desc>theta={spec.system.theta!r}; "
         f"window=[{w.x_min}, {w.x_max}] x [{w.y_min}, {w.y_max}]; "
         f"seeds={spec.seeds_above} upper / {spec.seeds_below} lower; "
-        f"integrator=rk45 step=0.01 rel_tol={spec.tol} abs_tol={spec.tol}; "
+        f"integrator=rk45 step=0.01 rel_tol={spec.tol} "
+        f"abs_tol={_abs_tol(spec.tol, max(w.width, w.height) / 2.0)}; "
         f"arrowheads={'true' if spec.arrowheads else 'false'}</desc>",
         f'<rect x="0" y="0" width="{width_px}" height="{height_px}" '
         f'fill="#ffffff" stroke="#333333" stroke-width="1"/>',

@@ -165,9 +165,6 @@ class ArchSystem(_Record):
     def jacobian(self, p: Point2) -> Mat2:
         return Mat2(0.0, 2.0 * p.y, -self.theta, 0.0)
 
-    def analytic_equilibria(self) -> tuple[Point2, ...]:
-        return (Point2(0.0, 0.0),)
-
     def first_integral(self, p: Point2) -> float:
         """Conserved quantity H(x, y) = theta*x^2/2 + y^3/3 at p."""
         return 0.5 * self.theta * p.x * p.x + p.y ** 3 / 3.0

@@ -30,11 +30,15 @@ def _overriding(func):
     return Field(1.0)
 
 
-def test_config_requires_a_stop_condition():
-    with pytest.raises(ValueError):
-        IntegratorConfig()
-    IntegratorConfig(stop_time=1.0)
-    IntegratorConfig(stop_box=BOX)
+def test_a_config_without_stop_conditions_still_ends():
+    # Forward from (0, 1) the orbit escapes in finite time; the cusp's zero
+    # field grows the step until it is cut at the largest float.
+    config = IntegratorConfig()
+    escape = integrate(ArchSystem(0.5), Point2(0.0, 1.0), config)
+    assert (escape.stop_reason, len(escape)) == ("step_underflow", 5005)
+    cusp = integrate(ArchSystem(0.5), Point2(0.0, 0.0), config)
+    assert (cusp.stop_reason, len(cusp)) == ("time_horizon", 446)
+    assert cusp.final_time == sys.float_info.max
 
 
 def test_config_validation():

@@ -291,6 +291,52 @@ def test_scene_reads_window_description_and_arrows_from_its_spec():
     assert '<path d="M' not in plain and "arrowheads=false</desc>" in plain
 
 
+@pytest.mark.parametrize("s", [1e-4, 0.5, 1.0])
+def test_the_description_prints_the_seed_runs_abs_tol(s, monkeypatch):
+    used = set()
+
+    def recording(system, start, config):
+        used.add((config.rel_tol, config.abs_tol))
+        return integrate(system, start, config)
+
+    monkeypatch.setattr("archflow.portrait.integrate", recording)
+    spec = PortraitSpec(ArchSystem(0.5), window=Window(-s, s, -s, s), seeds_above=1, seeds_below=1)
+    svg = render_svg(build_portrait(spec))
+    # The absolute tolerance follows the window's half-side below 1, as trace's does.
+    [(rel_tol, abs_tol)] = used
+    assert (rel_tol, abs_tol) == (1e-10, 1e-10 * min(1.0, s))
+    assert f"rel_tol=1e-10 abs_tol={abs_tol};" in svg
+
+
+@pytest.mark.parametrize("theta, s", [(1e-9, 1e-12), (0.5, 1e-30)])
+def test_seeded_paths_cross_a_tiny_window(theta, s):
+    # Seed runs stop only at their box, however long they take to leave it,
+    # so no seeded path starts or ends inside the window.
+    spec = PortraitSpec(ArchSystem(theta), window=Window(-s, s, -s, s))
+    paths = build_portrait(spec).paths[2:]
+    assert len(paths) == 12
+    for path in paths:
+        points = path.points
+        assert not spec.window.contains_point(points[0])
+        assert not spec.window.contains_point(points[-1])
+
+
+@pytest.mark.parametrize("theta", PRESETS)
+def test_a_small_window_keeps_a_unit_window_drift(theta):
+    # The largest |H - H(seed)| along a seeded path, relative to H's size
+    # theta*s^2/2 + s^3/3 on a window of half-side s. With the absolute
+    # tolerance left at tol it read 1e-8 to 8e-8 here, and 1e-15 to 3e-12 at s = 4.
+    s = 1e-4
+    system = ArchSystem(theta)
+    spec = PortraitSpec(system, window=Window(-s, s, -s, s))
+    paths = build_portrait(spec).paths[2:]
+    drift = max(
+        abs(system.first_integral(p) - system.first_integral(seed))
+        for (seed, _), path in zip(seed_points(spec), paths) for p in path.points
+    )
+    assert drift / (theta * s * s / 2.0 + s**3 / 3.0) <= 1e-9
+
+
 def test_a_path_without_a_direction_at_its_middle_gets_no_arrowhead():
     spec = PortraitSpec(system=ArchSystem(0.5))
     still = StyledPath("upper_sector", (Point2(0.0, 1.0), Point2(0.5, 1.0), Point2(0.0, 1.0)))

@@ -374,7 +374,6 @@ INVALID = [
     (lambda: IntegratorConfig(direction="sideways", stop_time=1.0),
      "direction must be 'forward' or 'backward', got 'sideways'"),
     (lambda: IntegratorConfig(stop_time=0.0), "stop_time must be finite and > 0, got 0.0"),
-    (lambda: IntegratorConfig(), "at least one stop condition (stop_box, stop_time) is required"),
     (lambda: Trajectory(((0.0, P),), "done"), "unknown stop_reason 'done'"),
     (lambda: Trajectory(((0.0, P),), "equilibrium_reached"),
      "unknown stop_reason 'equilibrium_reached'"),

@@ -148,5 +148,4 @@ def test_separatrix_height_rejects_bad_input():
 
 def test_arch_convenience_methods():
     s = ArchSystem(0.5)
-    assert s.analytic_equilibria() == (Point2(0.0, 0.0),)
     assert repr(s) == "ArchSystem(theta=0.5)"
