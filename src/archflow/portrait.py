@@ -155,7 +155,8 @@ def build_portrait(spec: PortraitSpec) -> Scene:
     Every path is flow ordered; each seed is run both ways, with no time limit,
     until it leaves the window inflated by 5 percent, and the halves are joined
     at the seed. Raises IntegrationError naming a seed that diverges, and
-    ValueError naming one, with both stop reasons, if neither half advances.
+    ValueError naming one, with both stop reasons, if either half stops
+    before it leaves the box.
     """
     system, w = spec.system, spec.window
     box = w.inflated(0.05)
@@ -176,10 +177,10 @@ def build_portrait(spec: PortraitSpec) -> Scene:
             raise IntegrationError(
                 f"seed {index} ({role}) at ({seed.x}, {seed.y}) diverged: {exc}"
             ) from exc
-        if len(backward) == len(forward) == 1:
+        if backward.stop_reason != "box_exit" or forward.stop_reason != "box_exit":
             raise ValueError(
-                f"seed {index} ({role}) at ({seed.x}, {seed.y}) did not advance: backward "
-                f"{backward.stop_reason}, forward {forward.stop_reason}"
+                f"seed {index} ({role}) at ({seed.x}, {seed.y}) did not leave the box: "
+                f"backward {backward.stop_reason}, forward {forward.stop_reason}"
             )
         # The halves share the seed; the backward half is reversed to flow order.
         paths.append(StyledPath._flat(

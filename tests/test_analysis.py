@@ -313,6 +313,42 @@ def test_opening_angle_flanks_are_exact_mirrors():
         assert backward.samples == tuple((-t, Point2(-p.x, p.y)) for t, p in forward.samples)
 
 
+def _two_flank_angle(theta, apex, fraction):
+    # The paper's construction: both flanks integrated, 180 - a_fwd - a_bwd.
+    big = sys.float_info.max
+    angles = []
+    for direction in ("forward", "backward"):
+        traj = integrate(
+            ArchSystem(theta),
+            Point2(0.0, apex),
+            IntegratorConfig(
+                rel_tol=1e-12,
+                abs_tol=1e-12 * apex,
+                direction=direction,
+                stop_box=Window(-big, big, fraction * apex, big),
+            ),
+        )
+        assert traj.stop_reason == "box_exit"
+        exit_point = traj.samples[-1][1]
+        x, y = exit_point.x, exit_point.y
+        slope = theta * abs(x) / (y * y) if y * y else math.inf
+        angles.append(math.degrees(math.atan(slope)))
+    return 180.0 - angles[0] - angles[1]
+
+
+def test_opening_angle_is_the_two_flank_angle_bit_for_bit():
+    rng = random.Random(34)
+    cases = [
+        (10.0 ** rng.uniform(-9.0, 9.0), 10.0 ** rng.uniform(-10.0, 5.0), rng.uniform(0.01, 0.99))
+        for _ in range(100)
+    ]
+    cases += [(0.5, 1.0, 1e-20), (1e-9, 1.0, 1e-20), (0.5, 1e100, 0.5), (1e-9, 1e100, 0.5)]
+    for theta, apex, fraction in cases:
+        assert repr(opening_angle(theta, apex, fraction)) == repr(
+            _two_flank_angle(theta, apex, fraction)
+        ), (theta, apex, fraction)
+
+
 def test_opening_angle_validation():
     with pytest.raises(ValueError):
         opening_angle(0.0)

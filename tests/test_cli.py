@@ -386,7 +386,7 @@ def test_portrait_seed_that_cannot_step_exits_1(run_cli, tmp_path, monkeypatch,
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == (
-        "error: seed 0 (upper_sector) at (-4.0, -0.7711767085640806) did not advance: "
+        "error: seed 0 (upper_sector) at (-4.0, -0.7711767085640806) did not leave the box: "
         "backward step_underflow, forward step_underflow\n"
     )
     assert list(tmp_path.iterdir()) == []

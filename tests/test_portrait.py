@@ -11,6 +11,7 @@ from archflow import (
     PortraitSpec,
     Scene,
     StyledPath,
+    Trajectory,
     Window,
     build_portrait,
     export_trajectory_csv,
@@ -234,8 +235,44 @@ def test_build_portrait_names_a_seed_whose_halves_both_stall(stalled_at_seeds):
     spec = PortraitSpec(system=stalled_at_seeds(0.5))
     (seed, role), *_ = seed_points(spec)
     message = (
-        f"seed 0 ({role}) at ({seed.x}, {seed.y}) did not advance: "
+        f"seed 0 ({role}) at ({seed.x}, {seed.y}) did not leave the box: "
         "backward step_underflow, forward step_underflow"
+    )
+    with pytest.raises(ValueError) as info:
+        build_portrait(spec)
+    assert str(info.value) == message
+
+
+def test_build_portrait_rejects_a_window_whose_field_underflows():
+    # At a half-side of 1e-320 both y*y and theta*x round to 0, so no seed
+    # moves and both halves end at the time horizon inside the box: a stub
+    # must not pass for a flow line.
+    spec = PortraitSpec(system=ArchSystem(1e-9), window=Window(-1e-320, 1e-320, -1e-320, 1e-320))
+    (seed, role), *_ = seed_points(spec)
+    message = (
+        f"seed 0 ({role}) at ({seed.x}, {seed.y}) did not leave the box: "
+        "backward time_horizon, forward time_horizon"
+    )
+    with pytest.raises(ValueError) as info:
+        build_portrait(spec)
+    assert str(info.value) == message
+
+
+def test_build_portrait_names_a_seed_with_one_half_short_of_the_box(monkeypatch):
+    # A half that advanced but stopped inside the box is not a flow line
+    # either, even when the other half left it.
+    def short_backward(system, start, config):
+        traj = integrate(system, start, config)
+        if config.direction == "forward":
+            return traj
+        return Trajectory(traj.samples[:2], "max_steps")
+
+    monkeypatch.setattr("archflow.portrait.integrate", short_backward)
+    spec = PortraitSpec(system=ArchSystem(0.5))
+    (seed, role), *_ = seed_points(spec)
+    message = (
+        f"seed 0 ({role}) at ({seed.x}, {seed.y}) did not leave the box: "
+        "backward max_steps, forward box_exit"
     )
     with pytest.raises(ValueError) as info:
         build_portrait(spec)
