@@ -13,7 +13,6 @@ from .analysis import (
 )
 from .integrate import (
     CrossingNotFound,
-    IntegrationError,
     IntegratorConfig,
     Trajectory,
     crossing,
@@ -38,7 +37,6 @@ __all__ = [
     "CrossingNotFound",
     "EigenPair",
     "Equilibrium",
-    "IntegrationError",
     "IntegratorConfig",
     "Mat2",
     "Point2",

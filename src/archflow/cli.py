@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .analysis import classify_arch, find_equilibria, sector_census
-from .integrate import IntegrationError, IntegratorConfig, _abs_tol, integrate
+from .integrate import IntegratorConfig, _abs_tol, integrate
 from .portrait import PortraitSpec, build_portrait, export_trajectory_csv, render_svg
 from .systems import ArchSystem, Point2, Window
 
@@ -322,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return COMMANDS[command].run(opts)
-    except (ValueError, IntegrationError, LookupError, OSError) as exc:
+    except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:  # a float power past the double range, e.g. H far out

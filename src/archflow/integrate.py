@@ -55,6 +55,7 @@ STOP_REASONS = (
 SAFETY = 0.9
 GROW_MIN = 0.2
 GROW_MAX = 5.0
+FIRST_STEP = 0.01
 MIN_STEP = 1e-12
 TARGET = 0.05
 
@@ -72,10 +73,6 @@ def _abs_tol(tol: float, scale: float) -> float:
     return tol * min(1.0, scale) or tol
 
 
-class IntegrationError(RuntimeError):
-    """Raised when the field is non-finite at the start of a run."""
-
-
 class CrossingNotFound(LookupError):
     """Raised when a trajectory never brackets the requested line."""
 
@@ -83,14 +80,13 @@ class CrossingNotFound(LookupError):
 class IntegratorConfig(_Record):
     """Integration settings; with no ``stop_time``, the horizon is the largest float."""
 
-    __slots__ = ("step", "rel_tol", "abs_tol", "max_steps", "direction", "stop_box", "stop_time")
+    __slots__ = ("rel_tol", "abs_tol", "max_steps", "direction", "stop_box", "stop_time")
 
     def __init__(
-        self, step: float = 0.01, rel_tol: float = 1e-10, abs_tol: float = 1e-10,
-        max_steps: int = 200_000, direction: Literal["forward", "backward"] = "forward",
+        self, rel_tol: float = 1e-10, abs_tol: float = 1e-10, max_steps: int = 200_000,
+        direction: Literal["forward", "backward"] = "forward",
         stop_box: Window | None = None, stop_time: float | None = None,
     ) -> None:
-        _require_positive("step", step)
         _require_positive("rel_tol", rel_tol)
         _require_positive("abs_tol", abs_tol)
         _require_integer("max_steps", max_steps)
@@ -100,7 +96,6 @@ class IntegratorConfig(_Record):
             raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
         if stop_time is not None:
             _require_positive("stop_time", stop_time)
-        _set(self, "step", step)
         _set(self, "rel_tol", rel_tol)
         _set(self, "abs_tol", abs_tol)
         _set(self, "max_steps", max_steps)
@@ -275,7 +270,7 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
     start : Point2
         Initial state, recorded at time 0.
     config : IntegratorConfig
-        Initial step, tolerances, direction and stop conditions.
+        Tolerances, direction and stop conditions; the first step is ``FIRST_STEP``.
 
     Returns
     -------
@@ -287,8 +282,8 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
 
     Raises
     ------
-    IntegrationError
-        If the field is non-finite at a ``start`` inside the stop box.
+    ValueError
+        If the field at a ``start`` inside the stop box, or a located box exit, is not finite.
     """
     # The arch field's stages are computed inline, as (y*y, (-theta)*x), which
     # has the bits of ArchSystem.field_at. A subclass's override or a patched
@@ -321,7 +316,7 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
     min_step = MIN_STEP / root_theta / sigma if root_theta * sigma > 1.0 else MIN_STEP
 
     t = 0.0
-    h = sign * config.step
+    h = sign * FIRST_STEP
     if arch:
         k1x, k1y = y * y, mth * x
     else:
@@ -329,7 +324,7 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
     # Checked once: a later first stage is the last stage of an accepted step,
     # whose error estimate it feeds, so a non-finite one is always rejected.
     if not (math.isfinite(k1x) and math.isfinite(k1y)):
-        raise IntegrationError(f"field is non-finite at ({x}, {y})")
+        raise ValueError(f"field is non-finite at ({x}, {y})")
     reason = "max_steps"
 
     for _ in range(config.max_steps):

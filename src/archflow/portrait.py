@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .analysis import _separatrix_branches
-from .integrate import IntegrationError, IntegratorConfig, Trajectory, _abs_tol, integrate
+from .integrate import FIRST_STEP, IntegratorConfig, Trajectory, _abs_tol, integrate
 from .systems import (
     ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_integer,
     _require_positive, _set,
@@ -154,9 +154,8 @@ def build_portrait(spec: PortraitSpec) -> Scene:
 
     Every path is flow ordered; each seed is run both ways, with no time limit,
     until it leaves the window inflated by 5 percent, and the halves are joined
-    at the seed. Raises IntegrationError naming a seed that diverges, and
-    ValueError naming one, with both stop reasons, if either half stops
-    before it leaves the box.
+    at the seed. Raises ValueError naming a seed whose run the floats cannot
+    carry, and naming one, with both stop reasons, whose half stops in the box.
     """
     system, w = spec.system, spec.window
     box = w.inflated(0.05)
@@ -173,8 +172,8 @@ def build_portrait(spec: PortraitSpec) -> Scene:
     for index, (seed, role) in enumerate(seed_points(spec)):
         try:
             backward, forward = [integrate(system, seed, half) for half in configs]
-        except IntegrationError as exc:
-            raise IntegrationError(
+        except ValueError as exc:
+            raise ValueError(
                 f"seed {index} ({role}) at ({seed.x}, {seed.y}) diverged: {exc}"
             ) from exc
         if backward.stop_reason != "box_exit" or forward.stop_reason != "box_exit":
@@ -214,7 +213,7 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
         f"<desc>theta={spec.system.theta!r}; "
         f"window=[{w.x_min}, {w.x_max}] x [{w.y_min}, {w.y_max}]; "
         f"seeds={spec.seeds_above} upper / {spec.seeds_below} lower; "
-        f"integrator=rk45 step=0.01 rel_tol={spec.tol} "
+        f"integrator=rk45 step={FIRST_STEP} rel_tol={spec.tol} "
         f"abs_tol={_abs_tol(spec.tol, max(w.width, w.height) / 2.0)}; "
         f"arrowheads={'true' if spec.arrowheads else 'false'}</desc>",
         f'<rect x="0" y="0" width="{width_px}" height="{height_px}" '

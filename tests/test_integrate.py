@@ -7,7 +7,6 @@ import pytest
 from archflow import (
     ArchSystem,
     CrossingNotFound,
-    IntegrationError,
     IntegratorConfig,
     Point2,
     Trajectory,
@@ -15,6 +14,7 @@ from archflow import (
     crossing,
     integrate,
 )
+from archflow.integrate import FIRST_STEP
 from orbit_time import apex_escape_time, escape_time, orbit_time
 
 BOX = Window(-4.0, 4.0, -4.0, 4.0)
@@ -42,8 +42,6 @@ def test_a_config_without_stop_conditions_still_ends():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(step=0.0, stop_time=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=-1e-10, stop_time=1.0)
     with pytest.raises(ValueError):
@@ -104,17 +102,10 @@ def test_final_point_is_the_last_sample_without_building_samples(reason, directi
 
 
 def _one_step(start, h):
-    cfg = IntegratorConfig(step=abs(h), stop_time=abs(h),
-                           direction="forward" if h > 0 else "backward")
+    cfg = IntegratorConfig(stop_time=abs(h), direction="forward" if h > 0 else "backward")
     t = integrate(ArchSystem(0.5), start, cfg)
     assert (t.stop_reason, t.times) == ("time_horizon", (0.0, h))
     return t.final_point
-
-
-def test_step_rejects_zero_and_non_finite_values():
-    for step in (0.0, -0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="step must be finite and > 0"):
-            IntegratorConfig(step=step, stop_time=1.0)
 
 
 def test_backward_step_reverses_a_forward_step():
@@ -125,19 +116,17 @@ def test_backward_step_reverses_a_forward_step():
 
 
 def test_first_accepted_step_obeys_the_controller():
-    # The first accepted step of a run: at most the initial step, a next
+    # The first accepted step of a run: at most the first step tried, a next
     # step within the controller's [0.2, 5] clamp, and H kept.
-    cfg = IntegratorConfig(step=0.1, max_steps=2, stop_time=1.0)
+    cfg = IntegratorConfig(max_steps=2, stop_time=1.0)
     (_, _), (t1, p1), (t2, _) = integrate(ArchSystem(5.0), Point2(0.0, 1.0), cfg).samples
-    assert 0.0 < t1 <= 0.1
+    assert 0.0 < t1 <= FIRST_STEP
     assert 0.2 * t1 <= t2 - t1 <= 5.0 * t1
     drift = abs(ArchSystem(5.0).first_integral(p1) - 1.0 / 3.0)
     assert drift <= 1e-9
 
 
-def test_config_messages_name_the_bad_step_and_tolerance():
-    with pytest.raises(ValueError, match="step must be finite and > 0, got -0.1"):
-        IntegratorConfig(step=-0.1, stop_time=1.0)
+def test_config_messages_name_the_bad_tolerance():
     with pytest.raises(ValueError, match="rel_tol must be finite and > 0, got 0.0"):
         IntegratorConfig(rel_tol=0.0, stop_time=1.0)
 
@@ -182,7 +171,7 @@ def test_a_run_from_apex_1e100_ends_exactly_on_half_its_escape_time():
 
 def test_a_non_finite_start_field_raises_at_any_horizon():
     nan_at_start = _overriding(lambda x, y: (math.nan, 1.0))
-    with pytest.raises(IntegrationError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         integrate(nan_at_start, Point2(0.0, 1.0), IntegratorConfig(stop_time=1e-300))
 
 
@@ -225,17 +214,19 @@ def test_a_box_exit_whose_time_rounds_onto_the_last_sample_ends_one_ulp_later():
 
 
 def test_a_box_exit_located_past_the_float_range_raises():
-    # The field kicks x at 1e308 only where x <= 0, so a step of 2 from the
-    # origin ends at a finite x, about 1.8e307, with a finite error. But the
-    # step's interpolant carries h*k1 = 2e308, which overflows, so the located
-    # exit is not finite, and the run names that instead of storing it.
+    # The field moves y at unit speed and kicks x at 1e308 only where y >= 1.
+    # Below that line every step's error is 0, so the steps grow fivefold, and
+    # the step of 1.25 that crosses it ends at a finite x, about 5.7e307, with
+    # a finite error. But the interpolant's quartic term weighs the kicked
+    # stages by factors up to about 5.7, which overflow, so the located exit
+    # is not finite, and the run names that instead of storing it.
     class Kick(ArchSystem):
         __slots__ = ()
 
         def field_at(self, x, y):
-            return (1e308 if x <= 0.0 else 0.0), 0.0
+            return (1e308 if y >= 1.0 else 0.0), 1.0
 
-    config = IntegratorConfig(step=2.0, rel_tol=0.1, stop_box=Window(-1.0, 1.0, -1.0, 1.0))
+    config = IntegratorConfig(rel_tol=0.1, stop_box=Window(-1.0, 1.0, -10.0, 10.0))
     with pytest.raises(ValueError, match="Point2 coordinates must be finite, got nan"):
         integrate(Kick(1.0), Point2(0.0, 0.0), config)
 
@@ -341,7 +332,7 @@ def test_rk45_non_finite_field_at_start_raises(direction):
     nan_at_start = _overriding(lambda x, y: (math.nan, 1.0))
     start = Point2(0.25, -1.0)
     cfg = IntegratorConfig(stop_time=1.0, direction=direction)
-    with pytest.raises(IntegrationError) as info:
+    with pytest.raises(ValueError) as info:
         integrate(nan_at_start, start, cfg)
     assert str(info.value) == "field is non-finite at (0.25, -1.0)"
 
@@ -630,9 +621,8 @@ def test_escapes_from_seeded_starts_match_the_orbit_graph():
 def test_runs_agree_with_their_scaled_images_at_theta_one():
     # The field is quasi-homogeneous: x = a*X, y = b*Y, t = c*T with
     # a = sqrt(b^3/theta) and c = 1/sqrt(theta*b) map the flow at theta onto
-    # theta = 1. With b = 1, a = c = theta^(-1/2); start, box, horizon and
-    # initial step map through those scales, and abs_tol through the smaller
-    # of a and b.
+    # theta = 1. With b = 1, a = c = theta^(-1/2); start, box and horizon map
+    # through those scales, and abs_tol through the smaller of a and b.
     rng = random.Random(12)
     reference = ArchSystem(1.0)
     for _ in range(200):
@@ -642,11 +632,11 @@ def test_runs_agree_with_their_scaled_images_at_theta_one():
         direction = rng.choice(("forward", "backward"))
         horizon = rng.uniform(0.5, 5.0)
         image = integrate(reference, start, IntegratorConfig(
-            step=0.01, abs_tol=1e-10, direction=direction,
+            abs_tol=1e-10, direction=direction,
             stop_box=BOX, stop_time=horizon,
         ))
         run = integrate(ArchSystem(theta), Point2(a * start.x, start.y), IntegratorConfig(
-            step=0.01 * c, abs_tol=1e-10 * min(a, 1.0), direction=direction,
+            abs_tol=1e-10 * min(a, 1.0), direction=direction,
             stop_box=Window(a * BOX.x_min, a * BOX.x_max, BOX.y_min, BOX.y_max),
             stop_time=horizon * c,
         ))

@@ -279,6 +279,23 @@ def test_build_portrait_names_a_seed_with_one_half_short_of_the_box(monkeypatch)
     assert str(info.value) == message
 
 
+def test_build_portrait_names_the_seed_of_a_box_exit_past_the_float_range():
+    # Above y = 1 the field kicks x at 1e308, so the step that crosses that
+    # line locates a box exit that is not finite; the error names its seed.
+    class Kick(ArchSystem):
+        __slots__ = ()
+
+        def field_at(self, x, y):
+            return (1e308 if y >= 1.0 else 0.0), 1.0
+
+    with pytest.raises(ValueError) as info:
+        build_portrait(PortraitSpec(Kick(1.0), tol=0.1))
+    assert str(info.value).startswith(
+        "seed 0 (upper_sector) at (-4.0, -1.3030211069244921) diverged: "
+        "Point2 coordinates must be finite, got nan"
+    )
+
+
 def test_build_portrait_steps_at_the_seeds_own_time_scale():
     # At |x| near 1e159 the flow changes on a time scale near 1e-47, far below
     # the unit-scale step floor; the floor follows that scale, so every seed

@@ -10,7 +10,6 @@ PUBLIC = [
     "CrossingNotFound",
     "EigenPair",
     "Equilibrium",
-    "IntegrationError",
     "IntegratorConfig",
     "Mat2",
     "Point2",
@@ -37,6 +36,7 @@ PUBLIC = [
 RETIRED = [
     "CallableField",
     "DEFAULT_STYLE",
+    "IntegrationError",
     "StepResult",
     "StepUnderflowError",
     "Vec2",

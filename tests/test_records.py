@@ -57,9 +57,9 @@ W_REPR = "Window(x_min=-1.0, x_max=1.0, y_min=-2.0, y_max=2.0)"
 M_REPR = "Mat2(a11=0.0, a12=2.0, a21=-0.5, a22=0.0)"
 E_REPR = "EigenPair(kind='complex_conjugate', values=(1j, (-0-1j)))"
 PATH_REPR = f"StyledPath(role='separatrix', points=({P_REPR}, {Q_REPR}))"
-CONFIG = IntegratorConfig(0.5, 1e-8, 1e-9, 50, "backward", W, 3.0)
+CONFIG = IntegratorConfig(1e-8, 1e-9, 50, "backward", W, 3.0)
 CONFIG_REPR = (
-    "IntegratorConfig(step=0.5, rel_tol=1e-08, abs_tol=1e-09, max_steps=50, "
+    "IntegratorConfig(rel_tol=1e-08, abs_tol=1e-09, max_steps=50, "
     f"direction='backward', stop_box={W_REPR}, stop_time=3.0)"
 )
 SPEC = PortraitSpec(SYSTEM, W, 3, 2, 0.1, 1e-08, False, 64)
@@ -76,8 +76,8 @@ RECORDS = [
     (Window, "x_min x_max y_min y_max", (-1.0, 1.0, -2.0, 2.0), W_REPR, True),
     (
         IntegratorConfig,
-        "step rel_tol abs_tol max_steps direction stop_box stop_time",
-        (0.5, 1e-8, 1e-9, 50, "backward", W, 3.0),
+        "rel_tol abs_tol max_steps direction stop_box stop_time",
+        (1e-8, 1e-9, 50, "backward", W, 3.0),
         CONFIG_REPR,
         True,
     ),
@@ -225,9 +225,11 @@ def test_a_subclass_keeps_its_bases_fields():
 
 def test_integrator_config_defaults():
     config = IntegratorConfig(stop_time=1.0)
-    assert (config.step, config.rel_tol, config.abs_tol) == (0.01, 1e-10, 1e-10)
+    assert (config.rel_tol, config.abs_tol) == (1e-10, 1e-10)
     assert (config.max_steps, config.direction) == (200_000, "forward")
     assert (config.stop_box, config.stop_time) == (None, 1.0)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'step'"):
+        IntegratorConfig(step=0.01, stop_time=1.0)
     with pytest.raises(TypeError, match="unexpected keyword argument 'method'"):
         IntegratorConfig(method="rk45", stop_time=1.0)
     with pytest.raises(TypeError, match="unexpected keyword argument 'equilibrium_radius'"):
@@ -364,7 +366,6 @@ INVALID = [
     (lambda: Window(1, 0, 0, 1), "Window requires x_min < x_max and y_min < y_max, got [1, 0] x [0, 1]"),
     (lambda: Window(0.0, 1.0, 2.0, 2.0),
      "Window requires x_min < x_max and y_min < y_max, got [0.0, 1.0] x [2.0, 2.0]"),
-    (lambda: IntegratorConfig(step=0, stop_time=1.0), "step must be finite and > 0, got 0"),
     (lambda: IntegratorConfig(rel_tol=-1.0, stop_time=1.0), "rel_tol must be finite and > 0, got -1.0"),
     (lambda: IntegratorConfig(abs_tol=math.nan, stop_time=1.0), "abs_tol must be finite and > 0, got nan"),
     (lambda: IntegratorConfig(max_steps=0, stop_time=1.0), "max_steps must be >= 1, got 0"),
