@@ -126,6 +126,22 @@ def test_first_accepted_step_obeys_the_controller():
     assert drift <= 1e-9
 
 
+def test_every_run_tries_the_first_step_first():
+    # The first step is a constant of the module, not a setting: a run that
+    # accepts it lands its first sample on +-FIRST_STEP in either direction.
+    for direction, sign in (("forward", 1.0), ("backward", -1.0)):
+        cfg = IntegratorConfig(max_steps=1, stop_time=1.0, direction=direction)
+        assert integrate(ArchSystem(0.5), Point2(0.0, 1.0), cfg).times == (0.0, sign * FIRST_STEP)
+
+
+def test_a_positional_config_starts_at_rel_tol():
+    config = IntegratorConfig(1e-8, 1e-9, 50, "backward", BOX, 3.0)
+    assert (config.rel_tol, config.abs_tol, config.max_steps) == (1e-8, 1e-9, 50)
+    assert (config.direction, config.stop_box, config.stop_time) == ("backward", BOX, 3.0)
+    with pytest.raises(TypeError, match="takes from 1 to 7 positional arguments but 8 were given"):
+        IntegratorConfig(0.01, 1e-8, 1e-9, 50, "backward", BOX, 3.0)
+
+
 def test_config_messages_name_the_bad_tolerance():
     with pytest.raises(ValueError, match="rel_tol must be finite and > 0, got 0.0"):
         IntegratorConfig(rel_tol=0.0, stop_time=1.0)
