@@ -41,8 +41,8 @@ import operator
 from typing import Literal
 
 from .systems import (
-    ArchSystem, Point2, Window, _Record, _require_finite, _require_integer,
-    _require_positive, _set,
+    ArchSystem, Point2, Window, _Record, _level, _require_finite, _require_integer,
+    _require_positive, _set, _size,
 )
 
 STOP_REASONS = (
@@ -60,12 +60,6 @@ MIN_STEP = 1e-12
 TARGET = 0.05
 
 _ARCH_FIELD_AT = ArchSystem.field_at  # as defined, before anything patches it
-
-
-def _size(theta: float, x: float, y: float) -> float:
-    """Size sigma of (x, y): (x, y, t) -> (s^3 x, s^2 y, t/s) maps runs to runs and
-    sigma to s*sigma. Each root is taken alone, so sigma is finite."""
-    return max(theta ** (1 / 6) * abs(x) ** (1 / 3), abs(y) ** 0.5)
 
 
 def _abs_tol(tol: float, scale: float) -> float:
@@ -452,10 +446,9 @@ def crossing(
     ``x = -+sqrt(2(H - value^3/3)/theta)`` on y = value. As dy/dt = -theta*x,
     the flow rises through that line where x < 0 going forward and where
     x > 0 going backward, so the sign comes from the bracket's direction in
-    y and in time. Both are computed at the exact scale (x, y) -> (x/s^3,
-    y/s^2), s a power of two near the size of p0 and the line, so H stays
-    finite and keeps its relative accuracy. Whether H(p0) = 0 is read at
-    p0's own such scale, where H cannot underflow.
+    y and in time. Both take H from ``systems._level`` at the joint exact scale
+    of p0 and the line, where it stays finite and keeps its relative accuracy;
+    whether H(p0) = 0, at p0's own, where H cannot underflow.
 
     Raises
     ------
@@ -482,20 +475,16 @@ def crossing(
     theta, forward, rising = system.theta, ts[i] > ts[i - 1], cs[i - 1] < value
     lx, ly = (0.0, value) if horizontal else (value, 0.0)
 
-    def level(x: float, y: float, k: int) -> float:
-        """``ArchSystem.first_integral`` at (x/2^(3k), y/2^(2k))."""
-        x, y = math.ldexp(x, -3 * k), math.ldexp(y, -2 * k)
-        return 0.5 * theta * x * x + y ** 3 / 3.0
-
-    k = math.frexp(_size(theta, x0, y0))[1]
-    past_cusp = level(x0, y0, k) == 0.0 and (value >= 0.0 if horizontal else value * x0 <= 0.0)
-    k = math.frexp(_size(theta, max(abs(x0), abs(lx)), max(abs(y0), abs(ly))))[1]
-    # H(p0) - H(lx, ly) is theta*x^2/2 on a horizontal line and y^3/3 on a vertical one.
-    h = level(x0, y0, k) - level(lx, ly, k)
+    h0, k0 = _level(theta, x0, y0)
+    past_cusp = h0 == 0.0 and (value >= 0.0 if horizontal else value * x0 <= 0.0)
+    h1, k1 = _level(theta, lx, ly)
+    # H(p0) - H(lx, ly) at the joint scale: theta*x^2/2 on a horizontal line, y^3/3 on a vertical.
+    k = _level(theta, max(abs(x0), abs(lx)), max(abs(y0), abs(ly)))[1]
+    h = math.ldexp(h0, 6 * (k0 - k)) - math.ldexp(h1, 6 * (k1 - k))
     if horizontal:
         left = rising == forward
         if h >= 0.0 and not past_cusp and (not rising or (x0 < 0.0) == left):
-            x = math.ldexp(math.sqrt(2.0 * h / theta), 3 * k)
+            x = math.ldexp(math.sqrt(2.0 * h) / math.sqrt(theta), 3 * k)
             return Point2(-x if left else x, value)
     elif rising == forward and not past_cusp:  # x grows going forward
         return Point2(value, math.ldexp(math.copysign(abs(3.0 * h) ** (1 / 3), h), 2 * k))

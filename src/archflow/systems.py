@@ -176,25 +176,41 @@ class ArchSystem(_Record):
         return -_arch_separatrix_depth(self.theta, x)
 
 
-def _arch_separatrix_depth(theta: float, x: float) -> float:
-    """(3*theta*x^2/2)^(1/3), the separatrix's depth below the x axis at x.
+_B = 64  # sigma's band is [2^-_B, 2^_B), where K is 0
+_LOW, _HIGH = 2.0 ** (-6 * _B), 2.0 ** (6 * _B)  # the band of sigma^6, about |H|
 
-    Where the product overflows although the depth does not, the depth is
-    taken as c * |x|^(2/3), with c = (3*theta/2)^(1/3), or (3/2)^(1/3) *
-    theta^(1/3) where 3*theta/2 overflows too (inf * 0 is nan at x = 0).
-    Every other depth keeps the bits of the plain formula.
-    """
+
+def _size(theta: float, x: float, y: float) -> float:
+    """Size sigma of (x, y), which the map of runs (x, y, t) -> (s^3 x, s^2 y, t/s) scales by s."""
+    return max(theta ** (1 / 6) * abs(x) ** (1 / 3), abs(y) ** 0.5)  # each root alone: finite
+
+
+def _level(theta: float, x: float, y: float) -> tuple[float, int]:
+    """(h, K) with H(x, y) = h * 2^(6K): K is frexp(sigma)[1], or 0 in the band, and h
+    is H at (x/2^(3K), y/2^(2K)), an exact map, where it neither overflows nor underflows."""
+    k = math.frexp(_size(theta, x, y))[1]
+    k = 0 if -_B < k <= _B else k
+    x, y = math.ldexp(x, -3 * k), math.ldexp(y, -2 * k)
+    return 0.5 * theta * x * x + y ** 3 / 3.0, k
+
+
+def _arch_separatrix_depth(theta: float, x: float) -> float:
+    """(3*theta*x^2/2)^(1/3), the separatrix's depth below the x axis at x."""
     v = 1.5 * theta * x * x
-    if not v < math.inf:
-        c = 1.5 * theta
-        c = c ** (1.0 / 3.0) if c < math.inf else 1.5 ** (1.0 / 3.0) * theta ** (1.0 / 3.0)
-        return c * abs(x) ** (2.0 / 3.0)
-    return v ** (1.0 / 3.0)
+    if _LOW <= v <= _HIGH:
+        return v ** (1.0 / 3.0)
+    h, k = _level(theta, x, 0.0)  # out of the band: (3h)^(1/3) * s^2, s = 2^K
+    s = 2.0 ** k  # so that a depth past the largest float is inf, where ldexp raises
+    return (3.0 * h) ** (1.0 / 3.0) * s * s
 
 
 def _arch_separatrix_reach(theta: float, y: float) -> float:
     """Largest |x| whose separatrix height is at or above y; 0 when y >= 0."""
     if y >= 0.0:
         return 0.0
-    d = 3.0 * theta
-    return abs(y) * math.sqrt(2.0 * abs(y) / d if d < math.inf else abs(y) / 1.5 / theta)
+    q = 2.0 * abs(y) / (3.0 * theta)
+    if _LOW <= q <= _HIGH:
+        return abs(y) * math.sqrt(q)
+    h, k = _level(theta, 0.0, y)  # out of the band: theta*x^2/2 = -H(0, y) at s = 2^K
+    s = 2.0 ** k
+    return math.sqrt(-2.0 * h) / math.sqrt(theta) * s * s * s

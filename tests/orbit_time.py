@@ -62,10 +62,12 @@ def closed_form_angle(theta, apex=1.0, fraction=0.5):
     and its slope ``|dy/dx| = theta*|x|/y^2`` there is
     ``m = sqrt(2*theta*(1 - f^3)/(3*apex)) / f^2``, so the angle is
     ``180 - 2*atan(m)``. ``1 - f^3`` is taken as ``(1 - f)*(1 + f + f^2)``,
-    which keeps its relative accuracy as f nears 1.
+    which keeps its relative accuracy as f nears 1. Where ``f*f`` underflows
+    to 0 the slope is taken as infinite, which gives 0 degrees.
     """
     f = fraction
-    m = math.sqrt(2.0 * theta * (1.0 - f) * (1.0 + f + f * f) / (3.0 * apex)) / (f * f)
+    m = math.sqrt(2.0 * theta * (1.0 - f) * (1.0 + f + f * f) / (3.0 * apex))
+    m = m / (f * f) if f * f else math.inf
     return 180.0 - 2.0 * math.degrees(math.atan(m))
 
 

@@ -257,11 +257,12 @@ def test_opening_angle_one_rounding_below_the_apex_is_the_closed_form():
 
 
 @pytest.mark.parametrize("theta", [1e-9, 0.5, 1e9])
-@pytest.mark.parametrize("fraction", [1e-12, 1e-17, 1e-20, 1e-300, 5e-324])
+@pytest.mark.parametrize("fraction", [1e-12, 1e-17, 1e-20, 1e-170, 1e-300, 5e-324])
 def test_opening_angle_at_a_vanishing_fraction_is_zero(theta, fraction):
     # Near the base of the apex's level set the flanks turn vertical, and the
     # closed form reads 0 at every fraction here. Below about 1e-17 the exit
     # lands on y == 0, where the slope is taken as infinite, not divided by 0.
+    assert opening_angle(theta, fraction=fraction) == closed_form_angle(theta, 1.0, fraction)
     assert opening_angle(theta, fraction=fraction) == 0.0
     assert classify_arch(theta, fraction=fraction).opening_angle_deg == 0.0
 

@@ -361,6 +361,18 @@ def test_numeric_overflow_exits_1(run_cli, tmp_path, monkeypatch, args, message)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_portrait_of_a_window_without_the_origin_exits_1(run_cli, tmp_path, monkeypatch):
+    # The separatrix starts at the origin, so a portrait window must hold it;
+    # analyze takes the same window.
+    monkeypatch.chdir(tmp_path)
+    window = "--window=1,2,1,2"
+    result = run_cli("portrait", "--theta", "0.5", window, "--out", "o.svg")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: window must contain the origin\n"
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli("analyze", "--theta", "0.5", window).returncode == 0
+
+
 @pytest.mark.parametrize("command", ["trace", "portrait"])
 def test_window_whose_inflation_overflows_exits_1(run_cli, tmp_path, monkeypatch,
                                                   command):

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -458,6 +459,22 @@ def test_crossing_tests_for_the_separatrix_at_the_left_sample_s_own_scale():
     p = crossing(s, forged, "vertical", 1.0)
     assert (p.x, p.y) == (1.0, -1.1447142425533319)
     assert p.y == -(1.5 ** (1.0 / 3.0))
+
+
+@pytest.mark.parametrize("theta", [1e-300, 1.0, 1e300])
+def test_crossing_keeps_its_level_set_at_an_extreme_theta(theta):
+    # H(p0) is about 1e-57 here, inside the band where it is taken unscaled;
+    # 2H/theta would underflow at theta = 1e300, so the root is split.
+    y0 = 2.0**-63
+    x0 = -math.sqrt(2.0 * y0**3 / 3.0) / math.sqrt(theta)
+    bracket = Trajectory(((0.0, Point2(x0, y0)), (1.0, Point2(-x0, 0.5 * y0))), "time_horizon")
+    p = crossing(ArchSystem(theta), bracket, "horizontal", 0.75 * y0)
+
+    def level(q):
+        return Fraction(theta) * Fraction(q.x) ** 2 / 2 + Fraction(q.y) ** 3 / 3
+
+    assert p.y == 0.75 * y0 and p.x > 0.0
+    assert abs(level(p) - level(Point2(x0, y0))) <= Fraction(1e-15) * level(Point2(x0, y0))
 
 
 def _inline_and_called_runs(seed, count):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -92,6 +93,23 @@ def test_seed_counts_zero():
     assert len(scene.paths) == 2
 
 
+def test_seeds_of_a_window_where_the_separatrix_square_underflows_lie_in_their_sectors():
+    # In +-1e-200, 1.5*theta*x^2 underflows to 0, but the separatrix lies 4.2e-134
+    # deep: it leaves through the bottom edge, between x = +-1.15e-300, and the
+    # lower seeds sit on that span, where H < 0, not up the left edge, where H > 0.
+    theta, s = 0.5, 1e-200
+    spec = PortraitSpec(system=ArchSystem(theta), window=Window(-s, s, -s, s))
+    seeds = seed_points(spec)
+    lower = [p for p, role in seeds if role == "lower_sector"]
+    assert len(lower) == 4 and all(p.y == -s for p in lower)
+    for p, role in seeds:
+        h = Fraction(theta) * Fraction(p.x) ** 2 / 2 + Fraction(p.y) ** 3 / 3
+        assert (h < 0) == (role == "lower_sector") and h != 0, (p, role)
+    left, right = trace_separatrix(theta, spec.window)
+    assert left[0].y == right[0].y == -s
+    assert right[0].x == pytest.approx(math.sqrt(4.0 / 3.0) * 1e-300, rel=1e-12)
+
+
 def test_a_window_above_the_separatrix_gets_no_lower_seeds():
     # The separatrix leaves Window(0, 4, 0, 4) only at its corner, the cusp.
     spec = PortraitSpec(system=ArchSystem(0.5), window=Window(0.0, 4.0, 0.0, 4.0))
@@ -107,9 +125,12 @@ def test_seed_points_are_pinned():
     # random bounds, so every branch of the seed layout shows: an upper path
     # with and without its left leg, lower seeds on the left edge, on the
     # bottom span, and none. A change of layout or arithmetic that moves any
-    # seed by one bit changes this digest.
+    # seed by one bit changes a digest. Windows of scale 1e-50 and up have one
+    # digest: their seeds kept their bits when the separatrix moved to exact
+    # scaling. The smaller ones have another, since 1.5*theta*x^2 underflowed
+    # or left the band there, and the separatrix with it.
     rng = random.Random(20260531)
-    digest = hashlib.sha256()
+    digests = {True: hashlib.sha256(), False: hashlib.sha256()}
     for _ in range(5000):
         theta = 10.0 ** rng.uniform(-9.0, 9.0)
         s = 10.0 ** rng.uniform(-300.0, 300.0)
@@ -124,8 +145,11 @@ def test_seed_points_are_pinned():
             seeds_below=rng.randint(0, 6), seed_inset=rng.choice((0.0, 0.05, 0.3, 0.49)),
         )
         for p, role in seed_points(spec):
-            digest.update(repr((p.x, p.y, role)).encode())
-    assert digest.hexdigest() == "8f4c9478c7d938d86524c5e42e21bec7f2efaaad4707ee425b65a3c2a55166af"
+            digests[s >= 1e-50].update(repr((p.x, p.y, role)).encode())
+    assert digests[True].hexdigest() == (
+        "8e21dfceb05cda08338d20ccd9514803258cd4e094afcb90e3b28106bc10daf7")
+    assert digests[False].hexdigest() == (
+        "13e9edee8cdc353948734d7cf23a8324f0fe600df840b022aad03d2a5217d090")
 
 
 def test_upper_seeds_follow_the_corner_path_where_its_length_passes_the_largest_float():

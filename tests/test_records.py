@@ -427,6 +427,17 @@ def test_readme_library_snippet(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "portrait.svg").read_text().endswith("</svg>\n")
 
 
+def test_readme_spelling_of_the_first_step_runs():
+    # The package exports the function integrate under the module's name, so
+    # only an import from the module reaches the constant.
+    text = " ".join(README.read_text().split())
+    sentence = r"a step of `FIRST_STEP` \((\S+)\), read with `([^`]+)`"
+    step, spelling = re.search(sentence, text).groups()
+    namespace = {}
+    exec(spelling, namespace)
+    assert namespace["FIRST_STEP"] == float(step) == 0.01
+
+
 class _StringSlot(Point2):
     """A subclass that names its one slot as a plain string, which Python accepts."""
 

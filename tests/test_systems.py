@@ -1,10 +1,14 @@
+import decimal
 import math
+import random
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from archflow import ArchSystem, Mat2, Point2, Window
-from archflow.systems import _arch_separatrix_reach
+from archflow.systems import _arch_separatrix_reach, _level
 
 
 def test_point_rejects_non_finite():
@@ -129,15 +133,49 @@ def test_separatrix_reach_inverts_separatrix_height():
 def test_separatrix_near_the_largest_theta_stays_finite(theta):
     # 3*theta overflows here, and 1.5*theta too above about 1.2e308; the curve
     # itself does not, and it still passes through the origin (inf * 0 would
-    # give nan there).
+    # give nan there). The height is checked against a 40-digit cube root: the
+    # float formula -1.5**(1/3) * theta**(1/3) * x**(2/3) is itself off by
+    # about 1.3e-14 here, since the exponent 1/3 is inexact.
     system = ArchSystem(theta)
     assert system.separatrix_height(0.0) == 0.0
     for x in (1e-300, 1e-100, 1.0, 4.0, 1e100):
-        exact = -(1.5 ** (1.0 / 3.0)) * theta ** (1.0 / 3.0) * x ** (2.0 / 3.0)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            cube = Decimal(1.5) * Decimal(theta) * Decimal(x) ** 2
+            exact = -float(cube ** (Decimal(1) / 3))
         assert system.separatrix_height(x) == pytest.approx(exact, rel=1e-14)
     for y in (-4.0, -1.0, -1e-3):
         reach = _arch_separatrix_reach(theta, y)
         assert 0.0 < reach and system.separatrix_height(reach) == pytest.approx(y, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [1e-9, 0.5, 1e9, sys.float_info.max])
+@pytest.mark.parametrize("x", [1e-160, 1e-200, 1e-300, 5e-324])
+def test_separatrix_height_of_a_tiny_x_lies_on_the_zero_level_set(theta, x):
+    # 1.5*theta*x*x is subnormal or 0 here, or inf at the largest theta, while
+    # the height is a normal float. Checked exactly, in fractions: a float
+    # oracle such as v ** (1/3) is itself off by about 1e-14 at v ~ 1e-300.
+    y = ArchSystem(theta).separatrix_height(x)
+    assert y < 0.0
+    drop = Fraction(theta) * Fraction(x) ** 2 / 2
+    assert abs(drop - abs(Fraction(y)) ** 3 / 3) <= Fraction(1e-12) * drop
+
+
+def test_level_has_the_sign_of_h_across_the_float_range():
+    # H = h * 2^(6K) against H in exact fractions, over points whose coordinates
+    # run from 1e-320 to 1e300 and theta from 1e-300 to 1.7e308: the sign is
+    # exact, and where H is a normal float h is within a few of its ulps.
+    rng = random.Random(36)
+    for _ in range(4000):
+        theta = 10.0 ** rng.uniform(-300.0, math.log10(1.7e308))
+        x, y = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 300.0) for _ in range(2))
+        exact = Fraction(theta) * Fraction(x) ** 2 / 2 + Fraction(y) ** 3 / 3
+        h, k = _level(theta, x, y)
+        scaled = Fraction(h) * Fraction(2) ** (6 * k)
+        assert (scaled > 0) == (exact > 0) and (scaled < 0) == (exact < 0), (theta, x, y)
+        if sys.float_info.min <= abs(exact) <= sys.float_info.max:
+            ulp = Fraction(math.ulp(float(exact)))
+            assert abs(scaled - exact) <= 4 * ulp, (theta, x, y)
 
 
 def test_separatrix_height_rejects_bad_input():
