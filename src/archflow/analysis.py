@@ -17,7 +17,6 @@ from .systems import (
     _require_finite,
     _require_integer,
     _require_positive,
-    _set,
 )
 
 PLAIN_MAX = 0.1  # classify_arch: theta below this is plain
@@ -25,13 +24,12 @@ STRONG_MIN = 2.0  # classify_arch: theta at or above this is strong
 
 
 class EigenPair(_Record):
-    """Eigenvalues of a 2x2 matrix with their structural kind."""
+    """Eigenvalues of a 2x2 matrix with their structural kind (real_repeated at the cusp)."""
 
     __slots__ = ("kind", "values")
 
     def __init__(self, kind: str, values: tuple[complex, complex]) -> None:
-        _set(self, "kind", kind)  # real_repeated at the cusp
-        _set(self, "values", values)
+        self._store(locals())
 
 
 class Equilibrium(_Record):
@@ -42,10 +40,7 @@ class Equilibrium(_Record):
     def __init__(
         self, location: Point2, jacobian: Mat2, eigen: EigenPair, classification: str
     ) -> None:
-        _set(self, "location", location)
-        _set(self, "jacobian", jacobian)
-        _set(self, "eigen", eigen)
-        _set(self, "classification", classification)
+        self._store(locals())
 
 
 class SectorCensus(_Record):
@@ -54,10 +49,7 @@ class SectorCensus(_Record):
     __slots__ = ("hyperbolic", "elliptic", "parabolic", "separatrices")
 
     def __init__(self, hyperbolic: int, elliptic: int, parabolic: int, separatrices: int) -> None:
-        _set(self, "hyperbolic", hyperbolic)
-        _set(self, "elliptic", elliptic)
-        _set(self, "parabolic", parabolic)
-        _set(self, "separatrices", separatrices)
+        self._store(locals())
 
     @property
     def is_cusp(self) -> bool:
@@ -75,8 +67,7 @@ class ArchCategory(_Record):
     __slots__ = ("category", "opening_angle_deg")
 
     def __init__(self, category: str, opening_angle_deg: float) -> None:
-        _set(self, "category", category)
-        _set(self, "opening_angle_deg", opening_angle_deg)
+        self._store(locals())
 
 
 def find_equilibria(system: ArchSystem, window: Window) -> list[Equilibrium]:

@@ -6,12 +6,12 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from .analysis import classify_arch, find_equilibria, sector_census
 from .integrate import IntegratorConfig, _abs_tol, integrate
 from .portrait import PortraitSpec, build_portrait, export_trajectory_csv, render_svg
-from .systems import ArchSystem, Point2, Window
+from .systems import ArchSystem, Point2, Window, _Record
 
 PRESETS = {"plain": 0.001, "tented": 0.5, "strong": 5.0}
 
@@ -24,19 +24,19 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _to_window(text: str) -> Window:
+def _to_numbers(text: str, count: int, needs: str) -> list[float]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"window needs four numbers x0,x1,y0,y1, got {text!r}")
-    x0, x1, y0, y1 = (float(p) for p in parts)
-    return Window(x0, x1, y0, y1)
+    if len(parts) != count:
+        raise ValueError(f"{needs}, got {text!r}")
+    return [float(p) for p in parts]
+
+
+def _to_window(text: str) -> Window:
+    return Window(*_to_numbers(text, 4, "window needs four numbers x0,x1,y0,y1"))
 
 
 def _to_point(text: str) -> Point2:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"point needs two numbers x,y, got {text!r}")
-    return Point2(float(parts[0]), float(parts[1]))
+    return Point2(*_to_numbers(text, 2, "point needs two numbers x,y"))
 
 
 def _to_bool(text: str) -> bool:
@@ -54,21 +54,26 @@ def _to_format(text: str) -> str:
     return text
 
 
-class Option(NamedTuple):
+class Option(_Record):
     """One subcommand option: flag ``--key-with-hyphens`` and config key ``key``."""
 
-    key: str
-    convert: Callable[[str], Any]
-    default: Any
-    check: tuple[Callable[[Any], bool], str] | None = None  # (predicate, requirement)
-    metavar: str | None = None
-    help: str | None = None
+    __slots__ = ("key", "convert", "default", "check", "metavar", "help")
+
+    def __init__(
+        self, key: str, convert: Callable[[str], Any], default: Any,
+        check: tuple[Callable[[Any], bool], str] | None = None,  # (predicate, requirement)
+        metavar: str | None = None, help: str | None = None,
+    ) -> None:
+        self._store(locals())
 
 
-class Command(NamedTuple):
-    help: str
-    options: tuple[Option, ...]
-    run: Callable[[dict], int]
+class Command(_Record):
+    """One subcommand: its help line, its option rows and the function that runs it."""
+
+    __slots__ = ("help", "options", "run")
+
+    def __init__(self, help: str, options: tuple[Option, ...], run: Callable[[dict], int]) -> None:
+        self._store(locals())
 
 
 def _add_flag(parser: argparse.ArgumentParser, option: Option) -> None:

@@ -90,12 +90,7 @@ class IntegratorConfig(_Record):
             raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
         if stop_time is not None:
             _require_positive("stop_time", stop_time)
-        _set(self, "rel_tol", rel_tol)
-        _set(self, "abs_tol", abs_tol)
-        _set(self, "max_steps", max_steps)
-        _set(self, "direction", direction)
-        _set(self, "stop_box", stop_box)
-        _set(self, "stop_time", stop_time)
+        self._store(locals())
 
 
 class Trajectory(_Record):

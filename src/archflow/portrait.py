@@ -67,8 +67,8 @@ class Scene(_Record):
     __slots__ = ("spec", "paths")
 
     def __init__(self, spec: PortraitSpec, paths: tuple[StyledPath, ...]) -> None:
-        _set(self, "spec", spec)
-        _set(self, "paths", tuple(paths))
+        paths = tuple(paths)
+        self._store(locals())
 
 
 class PortraitSpec(_Record):
@@ -95,14 +95,7 @@ class PortraitSpec(_Record):
             raise ValueError(f"seed_inset must lie in [0, 0.5), got {seed_inset!r}")
         if separatrix_resolution < 1:
             raise ValueError("separatrix_resolution must be >= 1")
-        _set(self, "system", system)
-        _set(self, "window", window)
-        _set(self, "seeds_above", seeds_above)
-        _set(self, "seeds_below", seeds_below)
-        _set(self, "seed_inset", seed_inset)
-        _set(self, "tol", tol)
-        _set(self, "arrowheads", arrowheads)
-        _set(self, "separatrix_resolution", separatrix_resolution)
+        self._store(locals())
 
 
 def _spread(x0: float, y0: float, y1: float, x1: float, count: int, inset: float) -> list[Point2]:

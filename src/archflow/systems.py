@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import operator
 
-_set = object.__setattr__  # how a record's __init__ stores a field
+_set = object.__setattr__  # how a record stores a field past its own __setattr__
 
 
 def _require_finite(label: str, *values: float) -> None:
@@ -30,14 +30,15 @@ def _require_integer(label: str, value: object) -> None:
 class _Record:
     """Immutable record whose fields are its constructor's parameters, in order.
 
-    A record's ``__init__`` validates its arguments and stores each one with
-    ``_set``; ``repr``, equality within the type, hashing, copying, pickling
-    and ``_replace`` all read the fields and rebuild the record through that
-    same ``__init__``. A field may be a property over private storage, and a
-    subclass without an ``__init__`` of its own keeps its base's fields.
-    Frozen dataclasses would give the same behaviour, but importing
-    ``dataclasses`` (or ``inspect``) and generating each class's methods at
-    import was the largest part of archflow's cold import time.
+    A record's ``__init__`` validates its arguments, rebinds any it normalises
+    (``theta = float(theta)``) and ends with ``self._store(locals())``. A field
+    may instead be a property over private slots set with ``_set``. ``repr``,
+    equality within the type, hashing, copying, pickling and ``_replace`` read
+    the fields and rebuild the record through that same ``__init__``. A
+    subclass without an ``__init__`` keeps its base's fields; one that calls
+    ``super().__init__`` must store the fields it adds. Frozen dataclasses give
+    the same behaviour, but importing ``dataclasses`` (or ``inspect``) and
+    generating each class's methods was most of archflow's cold import time.
     """
 
     __slots__ = ()
@@ -47,6 +48,12 @@ class _Record:
         super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _store(self, values: dict) -> None:
+        """Store each field found in ``values``, an ``__init__``'s locals(); skip the rest."""
+        for name in self._fields:
+            if name in values:
+                _set(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -85,8 +92,7 @@ class Point2(_Record):
     def __init__(self, x: float, y: float) -> None:
         if not (math.isfinite(x) and math.isfinite(y)):
             _require_finite("Point2 coordinates", x, y)
-        _set(self, "x", x)
-        _set(self, "y", y)
+        self._store(locals())
 
 
 class Mat2(_Record):
@@ -96,10 +102,7 @@ class Mat2(_Record):
 
     def __init__(self, a11: float, a12: float, a21: float, a22: float) -> None:
         _require_finite("Mat2 entries", a11, a12, a21, a22)
-        _set(self, "a11", a11)
-        _set(self, "a12", a12)
-        _set(self, "a21", a21)
-        _set(self, "a22", a22)
+        self._store(locals())
 
 
 class Window(_Record):
@@ -114,10 +117,7 @@ class Window(_Record):
                 f"Window requires x_min < x_max and y_min < y_max, got "
                 f"[{x_min}, {x_max}] x [{y_min}, {y_max}]"
             )
-        _set(self, "x_min", x_min)
-        _set(self, "x_max", x_max)
-        _set(self, "y_min", y_min)
-        _set(self, "y_max", y_max)
+        self._store(locals())
 
     @property
     def width(self) -> float:
@@ -156,7 +156,8 @@ class ArchSystem(_Record):
 
     def __init__(self, theta: float) -> None:
         _require_positive("theta", theta)
-        _set(self, "theta", float(theta))
+        theta = float(theta)
+        self._store(locals())
 
     def field_at(self, x: float, y: float) -> tuple[float, float]:
         """Field components (dx/dt, dy/dt) at (x, y)."""

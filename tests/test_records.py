@@ -1,4 +1,4 @@
-"""Contract of archflow's 13 immutable records.
+"""Contract of archflow's immutable records, the CLI's option rows included.
 
 For every record: the exact ``repr``, equality within the type only,
 hashing, immutability, ``copy``/``deepcopy``/``pickle`` round-trips,
@@ -38,7 +38,8 @@ from archflow import (
     integrate,
     render_svg,
 )
-from archflow.cli import main
+from archflow.cli import Command, Option, main
+from archflow.systems import _Record
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -67,6 +68,12 @@ SPEC_REPR = (
     f"PortraitSpec(system=ArchSystem(theta=0.5), window={W_REPR}, seeds_above=3, "
     "seeds_below=2, seed_inset=0.1, tol=1e-08, arrowheads=False, "
     "separatrix_resolution=64)"
+)
+# Builtins stand for an option's callables, so the reprs are stable and the rows pickle.
+OPTION = Option("tol", float, 1e-10, (math.isfinite, "must be finite"), "TOL", "tolerance")
+OPTION_REPR = (
+    "Option(key='tol', convert=<class 'float'>, default=1e-10, "
+    "check=(<built-in function isfinite>, 'must be finite'), metavar='TOL', help='tolerance')"
 )
 
 # (record, field names in order, positional values, repr, hashable)
@@ -121,13 +128,35 @@ RECORDS = [
         True,
     ),
     (ArchSystem, "theta", (0.5,), "ArchSystem(theta=0.5)", True),
+    (
+        Option,
+        "key convert default check metavar help",
+        ("tol", float, 1e-10, (math.isfinite, "must be finite"), "TOL", "tolerance"),
+        OPTION_REPR,
+        True,
+    ),
+    (
+        Command,
+        "help options run",
+        ("count the options", (OPTION,), len),
+        f"Command(help='count the options', options=({OPTION_REPR},), "
+        "run=<built-in function len>)",
+        True,
+    ),
 ]
 
 CASES = [pytest.param(*case, id=case[0].__name__) for case in RECORDS]
 
 
+def _package_records(base=_Record):
+    for cls in base.__subclasses__():
+        if cls.__module__.split(".")[0] == "archflow":
+            yield cls
+        yield from _package_records(cls)
+
+
 def test_every_record_is_covered():
-    assert len({case[0] for case in RECORDS}) == 13
+    assert {case[0] for case in RECORDS} == set(_package_records())
 
 
 @pytest.mark.parametrize("cls, names, values, text, hashable", CASES)
@@ -221,6 +250,30 @@ def test_a_subclass_keeps_its_bases_fields():
     assert tagged != _TaggedPoint(1.0, 2.0, "foot")
     for clone in (copy.copy(tagged), copy.deepcopy(tagged), pickle.loads(pickle.dumps(tagged))):
         assert type(clone) is _TaggedPoint and clone == tagged
+
+
+class _LabelledPoint(Point2):
+    """A subclass that normalises the field it adds and stores it as its base does."""
+
+    __slots__ = ("label",)
+
+    def __init__(self, x, y, label):
+        super().__init__(x, y)
+        label = str(label)
+        self._store(locals())
+
+
+def test_a_subclass_that_calls_its_base_stores_both_fields():
+    point = _LabelledPoint(1.0, 2.0, 7)
+    assert (point.x, point.y, point.label) == (1.0, 2.0, "7")
+    assert repr(point) == "_LabelledPoint(x=1.0, y=2.0, label='7')"
+    assert point._replace(y=3.0) == _LabelledPoint(1.0, 3.0, "7")
+
+
+def test_a_rebound_parameter_is_what_gets_stored():
+    assert type(ArchSystem(1).theta) is float
+    assert repr(ArchSystem(1)) == "ArchSystem(theta=1.0)"
+    assert type(Scene(SPEC, [PATH]).paths) is tuple
 
 
 def test_integrator_config_defaults():
