@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .integrate import CrossingNotFound, IntegratorConfig, integrate
+from .integrate import IntegratorConfig, integrate
 from .systems import (
     ArchSystem,
     Mat2,
@@ -162,8 +162,8 @@ def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> flo
     (x, t) -> (-x, -t), and DP5(4) steps and that half-plane are symmetric
     under x -> -x in floating point, so the backward flank is the forward one
     mirrored bit for bit and has the same slope. Decreases strictly with
-    theta: obtuse for small stiffness, acute for large. Raises
-    CrossingNotFound when the flank stops for another reason.
+    theta: obtuse for small stiffness, acute for large. Raises ValueError
+    when the flank stops for another reason.
     """
     system = ArchSystem(theta)
     _require_positive("apex", apex)
@@ -182,13 +182,11 @@ def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> flo
     )
     traj = integrate(system, Point2(0.0, apex), cfg)
     if traj.stop_reason != "box_exit":
-        raise CrossingNotFound(
-            f"forward flank stopped by {traj.stop_reason} above y = {y_target}"
-        )
+        raise ValueError(f"forward flank stopped by {traj.stop_reason} above y = {y_target}")
     # An exit on y = 0, which a fraction below about 1e-17 can give, is the
     # limit of an infinite slope.
-    yy = traj._y[-1] * traj._y[-1]
-    a = math.degrees(math.atan(theta * abs(traj._x[-1]) / yy if yy else math.inf))
+    yy = traj.ys[-1] * traj.ys[-1]
+    a = math.degrees(math.atan(theta * abs(traj.xs[-1]) / yy if yy else math.inf))
     # Not 180 - 2*a, which can round differently from the two-flank sum.
     return 180.0 - a - a
 

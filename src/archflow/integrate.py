@@ -23,8 +23,8 @@ loop, as DOPRI5 does; its times are negative, and the time horizon compares
 When ``field_at`` is ``ArchSystem``'s own, each stage evaluates it inline as
 ``(y*y, (-theta)*x)``, with the same bits as the method; a subclass's
 override or a patched method is called once per stage.
-Accepted samples go into three float lists, which the ``Trajectory`` keeps;
-it builds ``Point2``s only for a caller that reads ``samples`` or ``points``.
+Accepted samples go into three float lists, which become the
+``Trajectory``'s ``times``, ``xs`` and ``ys``; no ``Point2`` is built per sample.
 
 Events are located inside the one step where they fire, on that step's
 continuous extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), the
@@ -42,7 +42,7 @@ from typing import Literal
 
 from .systems import (
     ArchSystem, Point2, Window, _Record, _level, _require_finite, _require_integer,
-    _require_positive, _set, _size,
+    _require_positive, _size,
 )
 
 STOP_REASONS = (
@@ -94,67 +94,55 @@ class IntegratorConfig(_Record):
 
 
 class Trajectory(_Record):
-    """Recorded (time, point) samples with the reason integration stopped.
+    """Recorded samples, one float per sample in each of ``times``, ``xs`` and
+    ``ys``, with the reason integration stopped.
 
-    The record keeps the times and coordinates as three float lists, and
-    ``samples`` and ``points`` build their ``Point2``s from them on each read.
-    ``times``, ``final_time``, ``final_point`` and ``len`` read the lists
-    without building one per sample.
+    ``samples`` and ``points`` build their ``Point2``s from the floats on each
+    read; ``final_time``, ``final_point`` and ``len`` build none per sample.
     """
 
-    __slots__ = ("stop_reason", "_t", "_x", "_y")
+    __slots__ = ("times", "xs", "ys", "stop_reason")
 
-    def __init__(self, samples: tuple[tuple[float, Point2], ...], stop_reason: str) -> None:
+    def __init__(
+        self, times: tuple[float, ...], xs: tuple[float, ...], ys: tuple[float, ...],
+        stop_reason: str,
+    ) -> None:
         if stop_reason not in STOP_REASONS:
             raise ValueError(f"unknown stop_reason {stop_reason!r}")
-        samples = tuple(samples)  # read more than once
-        if not samples:
+        times, xs, ys = tuple(times), tuple(xs), tuple(ys)
+        if not times:
             raise ValueError("a trajectory needs at least one sample")
-        ts = [t for t, _ in samples]
-        if not all(map(math.isfinite, ts)):
-            _require_finite("sample time", *ts)
-        before = operator.lt if len(ts) < 2 or ts[1] > ts[0] else operator.gt
-        if not all(map(before, ts, ts[1:])):
+        if not len(times) == len(xs) == len(ys):
+            raise ValueError(
+                f"times, xs and ys must have equal lengths, got {len(times)}, {len(xs)}, {len(ys)}"
+            )
+        # Any inf or nan makes a float sum non-finite; a sum that overflows takes the slow path.
+        if not math.isfinite(sum(times) + sum(xs) + sum(ys)):
+            _require_finite("sample time", *times)
+            _require_finite("sample coordinates", *xs, *ys)
+        before = operator.lt if len(times) < 2 or times[1] > times[0] else operator.gt
+        if not all(map(before, times, times[1:])):
             raise ValueError("sample times must be strictly monotone")
-        _set(self, "stop_reason", stop_reason)
-        _set(self, "_t", ts)
-        _set(self, "_x", [p.x for _, p in samples])
-        _set(self, "_y", [p.y for _, p in samples])
-
-    @classmethod
-    def _flat(
-        cls, ts: list[float], xs: list[float], ys: list[float], stop_reason: str
-    ) -> Trajectory:
-        """A record over ``integrate``'s own lists, which it has already checked."""
-        self = object.__new__(cls)
-        _set(self, "stop_reason", stop_reason)
-        _set(self, "_t", ts)
-        _set(self, "_x", xs)
-        _set(self, "_y", ys)
-        return self
+        self._store(locals())
 
     @property
     def samples(self) -> tuple[tuple[float, Point2], ...]:
-        return tuple([(t, Point2(x, y)) for t, x, y in zip(self._t, self._x, self._y)])
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(self._t)
+        return tuple([(t, Point2(x, y)) for t, x, y in zip(self.times, self.xs, self.ys)])
 
     @property
     def points(self) -> tuple[Point2, ...]:
-        return tuple([Point2(x, y) for x, y in zip(self._x, self._y)])
+        return tuple([Point2(x, y) for x, y in zip(self.xs, self.ys)])
 
     @property
     def final_time(self) -> float:
-        return self._t[-1]
+        return self.times[-1]
 
     @property
     def final_point(self) -> Point2:
-        return Point2(self._x[-1], self._y[-1])
+        return Point2(self.xs[-1], self.ys[-1])
 
     def __len__(self) -> int:
-        return len(self._t)
+        return len(self.times)
 
 
 # Dormand-Prince 5(4) tableau.
@@ -296,7 +284,7 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
     t_append, x_append, y_append = ts.append, xs.append, ys.append
 
     if not (x_min <= x <= x_max and y_min <= y <= y_max):
-        return Trajectory._flat(ts, xs, ys, "box_exit")
+        return Trajectory(ts, xs, ys, "box_exit")
 
     # A run from (x, y) moves on the time scale 1/(sqrt(theta)*sigma). Where
     # that scale is below 1 the step floor is MIN_STEP of it.
@@ -423,7 +411,7 @@ def integrate(system: ArchSystem, start: Point2, config: IntegratorConfig) -> Tr
             reason = "time_horizon"
             break
 
-    return Trajectory._flat(ts, xs, ys, reason)
+    return Trajectory(ts, xs, ys, reason)
 
 
 def crossing(
@@ -456,7 +444,7 @@ def crossing(
     _require_finite("line value", value)
     horizontal = axis == "horizontal"
 
-    ts, xs, ys = trajectory._t, trajectory._x, trajectory._y
+    ts, xs, ys = trajectory.times, trajectory.xs, trajectory.ys
     cs = ys if horizontal else xs
     for i, c in enumerate(cs):
         if c == value:

@@ -7,8 +7,8 @@ import math
 from .analysis import _separatrix_branches
 from .integrate import FIRST_STEP, IntegratorConfig, Trajectory, _abs_tol, integrate
 from .systems import (
-    ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_integer,
-    _require_positive, _set,
+    ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_finite,
+    _require_integer, _require_positive,
 )
 
 # Stroke (color, width) of each path role.
@@ -20,37 +20,30 @@ _STYLE = {
 
 
 class StyledPath(_Record):
-    """A flow-ordered polyline; its role sets its stroke.
+    """A flow-ordered polyline through the points (xs[i], ys[i]); its role sets its stroke.
 
-    The path keeps its coordinates as two float lists, and ``points`` builds
-    its ``Point2``s from them on each read.
+    ``points`` builds the ``Point2``s from the floats on each read.
     """
 
-    __slots__ = ("role", "_x", "_y")
+    __slots__ = ("role", "xs", "ys")
 
-    def __init__(self, role: str, points: tuple[Point2, ...]) -> None:
+    def __init__(self, role: str, xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
         if role not in _STYLE:
             raise ValueError(f"unknown path role {role!r}")
-        points = tuple(points)  # read more than once
-        if len(points) < 2:
+        xs, ys = tuple(xs), tuple(ys)
+        if len(xs) != len(ys):
+            raise ValueError(f"xs and ys must have equal lengths, got {len(xs)}, {len(ys)}")
+        if len(xs) < 2:
             raise ValueError("a styled path needs at least 2 points")
-        _set(self, "role", role)
-        _set(self, "_x", [p.x for p in points])
-        _set(self, "_y", [p.y for p in points])
-
-    @classmethod
-    def _flat(cls, role: str, xs: list[float], ys: list[float]) -> StyledPath:
-        """A path over at least 2 finite points from ``integrate`` or the separatrix."""
-        self = object.__new__(cls)
-        _set(self, "role", role)
-        _set(self, "_x", xs)
-        _set(self, "_y", ys)
-        return self
+        # Any inf or nan makes a float sum non-finite; a sum that overflows takes the slow path.
+        if not math.isfinite(sum(xs) + sum(ys)):
+            _require_finite("path coordinates", *xs, *ys)
+        self._store(locals())
 
     @property
     def points(self) -> tuple[Point2, ...]:
         # Via a list, not tuple(map(...)), which grew a long portrait loop's peak RSS.
-        return tuple([Point2(x, y) for x, y in zip(self._x, self._y)])
+        return tuple([Point2(x, y) for x, y in zip(self.xs, self.ys)])
 
     @property
     def color(self) -> str:
@@ -155,8 +148,8 @@ def build_portrait(spec: PortraitSpec) -> Scene:
 
     (lx, ly), (rx, ry) = _separatrix_branches(system.theta, box, spec.separatrix_resolution)
     paths = [
-        StyledPath._flat("separatrix", lx, ly),
-        StyledPath._flat("separatrix", rx[::-1], ry[::-1]),  # flow order: out of the origin
+        StyledPath("separatrix", lx, ly),
+        StyledPath("separatrix", rx[::-1], ry[::-1]),  # flow order: out of the origin
     ]
 
     abs_tol = _abs_tol(spec.tol, max(w.width, w.height) / 2.0)
@@ -175,8 +168,8 @@ def build_portrait(spec: PortraitSpec) -> Scene:
                 f"backward {backward.stop_reason}, forward {forward.stop_reason}"
             )
         # The halves share the seed; the backward half is reversed to flow order.
-        paths.append(StyledPath._flat(
-            role, backward._x[::-1] + forward._x[1:], backward._y[::-1] + forward._y[1:]
+        paths.append(StyledPath(
+            role, backward.xs[::-1] + forward.xs[1:], backward.ys[::-1] + forward.ys[1:]
         ))
     return Scene(spec, paths)
 
@@ -213,10 +206,10 @@ def render_svg(scene: Scene, width_px: int = 800, height_px: int = 800) -> str:
         f'fill="#ffffff" stroke="#333333" stroke-width="1"/>',
     ]
     for path in scene.paths:
-        n = len(path._x)
+        n = len(path.xs)
         xy = [0.0] * (2 * n)
-        xy[0::2] = [(x - left) * sx for x in path._x]
-        xy[1::2] = [(top - y) * sy for y in path._y]
+        xy[0::2] = [(x - left) * sx for x in path.xs]
+        xy[1::2] = [(top - y) * sy for y in path.ys]
         xy = tuple(xy)
         pts = ("%.2f,%.2f " * n)[:-1] % xy
         lines.append(
@@ -256,13 +249,13 @@ def _arrow_glyph(path: StyledPath, xy: tuple[float, ...]) -> str | None:
 def export_trajectory_csv(trajectory: Trajectory, theta: float) -> str:
     """CSV text with header t,x,y,H and one row per sample, 17 digits.
 
-    Rows are formatted from the trajectory's float lists, so no ``Point2``
-    is built. H is ``ArchSystem.first_integral``'s formula written inline,
-    which gives its bits.
+    Rows are formatted from the trajectory's ``times``, ``xs`` and ``ys``, so
+    no ``Point2`` is built. H is ``ArchSystem.first_integral``'s formula
+    written inline, which gives its bits.
     """
     theta = ArchSystem(theta).theta
     rows = [
         "%.17g,%.17g,%.17g,%.17g\n" % (t, x, y, 0.5 * theta * x * x + y**3 / 3.0)
-        for t, x, y in zip(trajectory._t, trajectory._x, trajectory._y)
+        for t, x, y in zip(trajectory.times, trajectory.xs, trajectory.ys)
     ]
     return "t,x,y,H\n" + "".join(rows)

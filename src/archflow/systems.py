@@ -31,8 +31,7 @@ class _Record:
     """Immutable record whose fields are its constructor's parameters, in order.
 
     A record's ``__init__`` validates its arguments, rebinds any it normalises
-    (``theta = float(theta)``) and ends with ``self._store(locals())``. A field
-    may instead be a property over private slots set with ``_set``. ``repr``,
+    (``theta = float(theta)``) and ends with ``self._store(locals())``. ``repr``,
     equality within the type, hashing, copying, pickling and ``_replace`` read
     the fields and rebuild the record through that same ``__init__``. A
     subclass without an ``__init__`` keeps its base's fields; one that calls

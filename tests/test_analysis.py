@@ -6,7 +6,6 @@ import pytest
 
 from archflow import (
     ArchSystem,
-    CrossingNotFound,
     IntegratorConfig,
     Mat2,
     Point2,
@@ -271,10 +270,10 @@ def test_opening_angle_raises_when_a_flank_has_no_box_exit(monkeypatch):
     # a flank that stops where it started, as a run whose first step
     # underflows does, must not be read as a slope of 0
     def stalled(system, start, config):
-        return Trajectory(((0.0, start),), "step_underflow")
+        return Trajectory((0.0,), (start.x,), (start.y,), "step_underflow")
 
     monkeypatch.setattr("archflow.analysis.integrate", stalled)
-    with pytest.raises(CrossingNotFound, match="forward flank stopped by step_underflow"):
+    with pytest.raises(ValueError, match="forward flank stopped by step_underflow"):
         opening_angle(1.0, apex=1e100)
 
 

@@ -323,7 +323,7 @@ def test_extreme_apex_exits_1(run_cli, apex):
 def test_flank_without_box_exit_exits_1(run_cli, monkeypatch):
     # a flank that stops where it started: a clean error, no traceback
     def stalled(system, start, config):
-        return Trajectory(((0.0, start),), "step_underflow")
+        return Trajectory((0.0,), (start.x,), (start.y,), "step_underflow")
 
     monkeypatch.setattr("archflow.analysis.integrate", stalled)
     result = run_cli("classify", "--theta", "1", "--apex", "1e100")

@@ -54,16 +54,16 @@ def test_config_validation():
 
 
 def test_trajectory_validation():
-    p = Point2(0.0, 0.0)
+    zeros = (0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        Trajectory((), "time_horizon")
+        Trajectory((), (), (), "time_horizon")
     with pytest.raises(ValueError):
-        Trajectory(((0.0, p),), "because")
+        Trajectory((0.0,), (0.0,), (0.0,), "because")
     with pytest.raises(ValueError):
-        Trajectory(((0.0, p), (0.0, p)), "time_horizon")
+        Trajectory((0.0, 0.0), zeros[:2], zeros[:2], "time_horizon")
     with pytest.raises(ValueError):
-        Trajectory(((0.0, p), (1.0, p), (0.5, p)), "time_horizon")
-    backward = Trajectory(((0.0, p), (-1.0, p)), "time_horizon")
+        Trajectory((0.0, 1.0, 0.5), zeros, zeros, "time_horizon")
+    backward = Trajectory((0.0, -1.0), zeros[:2], zeros[:2], "time_horizon")
     assert backward.times == (0.0, -1.0)
 
 
@@ -366,6 +366,26 @@ def test_rk45_rejects_steps_into_a_non_finite_field_until_underflow():
     assert t.final_point.y == 0.0
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_arch_field_non_finite_at_start_raises(direction):
+    # y*y overflows at y = 1e200: ArchSystem's own field, computed inline, raises.
+    cfg = IntegratorConfig(stop_time=1.0, direction=direction)
+    with pytest.raises(ValueError) as info:
+        integrate(ArchSystem(1.0), Point2(0.0, 1e200), cfg)
+    assert str(info.value) == "field is non-finite at (0.0, 1e+200)"
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_arch_run_whose_stages_overflow_accepts_only_finite_samples(direction):
+    # At y = 1e150 the first stage is finite, but the inline stages of steps
+    # that reach further overflow, and those steps are rejected. The stop
+    # reason (step_underflow today, though the orbit escapes) is not pinned.
+    cfg = IntegratorConfig(stop_time=1.0, direction=direction)
+    run = integrate(ArchSystem(1.0), Point2(0.0, 1e150), cfg)
+    assert len(run) > 1
+    assert all(map(math.isfinite, run.times + run.xs + run.ys))
+
+
 def test_crossing_exact_sample_returned_as_is():
     s = ArchSystem(0.5)
     t = integrate(s, Point2(0.0, 1.0), IntegratorConfig(stop_box=BOX))
@@ -411,11 +431,11 @@ def test_crossing_not_found():
         crossing(s, t, "diagonal", 0.0)
     # samples that bracket y = 0 although the flow from (0, 1) barely descends
     # in 0.1: the orbit through (0, 1) still meets the line, at x = sqrt(4/3)
-    forged = Trajectory(((0.0, Point2(0.0, 1.0)), (0.1, Point2(0.0, -1.0))), "time_horizon")
+    forged = Trajectory((0.0, 0.1), (0.0, 0.0), (1.0, -1.0), "time_horizon")
     p = crossing(s, forged, "horizontal", 0.0)
     assert p.y == 0.0 and p.x == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-15)
     # a bracket above the apex of the orbit through its left sample
-    forged = Trajectory(((0.0, Point2(0.0, 1.0)), (0.1, Point2(0.0, 3.0))), "time_horizon")
+    forged = Trajectory((0.0, 0.1), (0.0, 0.0), (1.0, 3.0), "time_horizon")
     with pytest.raises(CrossingNotFound, match="misses the horizontal line at 2.0"):
         crossing(s, forged, "horizontal", 2.0)
 
@@ -434,12 +454,12 @@ def test_crossing_from_the_separatrix_stops_short_of_the_cusp():
     # past it, whatever forged samples bracket.
     s = ArchSystem(2.0 / 3.0)
     assert s.first_integral(Point2(-1.0, -1.0)) == 0.0
-    level = Trajectory(((0.0, Point2(-1.0, -1.0)), (1.0, Point2(1.0, -1.0))), "time_horizon")
+    level = Trajectory((0.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), "time_horizon")
     with pytest.raises(CrossingNotFound, match="misses the vertical line at 0.5"):
         crossing(s, level, "vertical", 0.5)
     with pytest.raises(CrossingNotFound, match="misses the vertical line at 0.0"):
         crossing(s, level, "vertical", 0.0)
-    rising = Trajectory(((0.0, Point2(-1.0, -1.0)), (1.0, Point2(1.0, 1.0))), "time_horizon")
+    rising = Trajectory((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), "time_horizon")
     with pytest.raises(CrossingNotFound, match="misses the horizontal line at 0.0"):
         crossing(s, rising, "horizontal", 0.0)
     # a line between the left sample and the cusp is still met
@@ -455,7 +475,7 @@ def test_crossing_tests_for_the_separatrix_at_the_left_sample_s_own_scale():
     # of the sample and the line, H(p0) underflows to 0 and would read as the
     # separatrix, which never gets past the cusp.
     s = ArchSystem(1.0)
-    forged = Trajectory(((0.0, Point2(-1e-200, 1e-110)), (1.0, Point2(2.0, -1.0))), "time_horizon")
+    forged = Trajectory((0.0, 1.0), (-1e-200, 2.0), (1e-110, -1.0), "time_horizon")
     p = crossing(s, forged, "vertical", 1.0)
     assert (p.x, p.y) == (1.0, -1.1447142425533319)
     assert p.y == -(1.5 ** (1.0 / 3.0))
@@ -467,7 +487,7 @@ def test_crossing_keeps_its_level_set_at_an_extreme_theta(theta):
     # 2H/theta would underflow at theta = 1e300, so the root is split.
     y0 = 2.0**-63
     x0 = -math.sqrt(2.0 * y0**3 / 3.0) / math.sqrt(theta)
-    bracket = Trajectory(((0.0, Point2(x0, y0)), (1.0, Point2(-x0, 0.5 * y0))), "time_horizon")
+    bracket = Trajectory((0.0, 1.0), (x0, -x0), (y0, 0.5 * y0), "time_horizon")
     p = crossing(ArchSystem(theta), bracket, "horizontal", 0.75 * y0)
 
     def level(q):
@@ -729,11 +749,13 @@ def test_crossing_beyond_a_bracket_that_runs_ahead_of_the_flow():
     # from sample 7 only reaches it after the bracket's duration.
     s = ArchSystem(0.5)
     cfg = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-13, stop_time=0.5)
-    samples = [(0.0, Point2(0.0, 1.0))]
+    ts, xs, ys = [0.0], [0.0], [1.0]
     for i in range(1, 9):
-        p = integrate(s, samples[-1][1], cfg).final_point
-        samples.append((0.5 * i, Point2(p.x + 2e-4, p.y)))
-    traj = Trajectory(samples, "time_horizon")
+        p = integrate(s, Point2(xs[-1], ys[-1]), cfg).final_point
+        ts.append(0.5 * i)
+        xs.append(p.x + 2e-4)
+        ys.append(p.y)
+    traj = Trajectory(ts, xs, ys, "time_horizon")
     value = traj.samples[8][1].x - 5e-5
     assert integrate(s, traj.samples[7][1], cfg).final_point.x < value
     p = crossing(s, traj, "vertical", value)
@@ -806,13 +828,13 @@ def test_crossing_from_a_left_sample_within_rounding_of_the_line(direction, risi
     y0 = math.nextafter(value, -math.inf if rising else math.inf)
     x0 = math.sqrt(2.0 / 3.0 * (1.0 - y0**3)) * (-1.0 if rising == (dt > 0) else 1.0)
     y1 = value + (0.01 if rising else -0.01)
-    bracket = Trajectory(((0.0, Point2(x0, y0)), (dt, Point2(x0 + dt, y1))), "time_horizon")
+    bracket = Trajectory((0.0, dt), (x0, x0 + dt), (y0, y1), "time_horizon")
     p = crossing(s, bracket, "horizontal", value)
     assert p.y == value and p.x == pytest.approx(x0, rel=1e-12)
     # a left sample one ulp from a vertical line, on the level set H = +-1/3
     x0 = math.nextafter(value, -math.inf if dt > 0 else math.inf)
     c = (1.0 if rising else -1.0) - 1.5 * x0 * x0
     y0 = math.copysign(abs(c) ** (1 / 3), c)
-    bracket = Trajectory(((0.0, Point2(x0, y0)), (dt, Point2(x0 + dt, y0))), "time_horizon")
+    bracket = Trajectory((0.0, dt), (x0, x0 + dt), (y0, y0), "time_horizon")
     p = crossing(s, bracket, "vertical", value)
     assert p.x == value and p.y == pytest.approx(y0, rel=1e-12)

@@ -26,12 +26,12 @@ PRESETS = (0.001, 0.5, 5.0)
 
 
 def test_styled_path_validation():
-    points = (Point2(0.0, 0.0), Point2(1.0, 1.0))
-    StyledPath("separatrix", points)
+    xs, ys = (0.0, 1.0), (0.0, 1.0)
+    StyledPath("separatrix", xs, ys)
     with pytest.raises(ValueError):
-        StyledPath("separatrix", points[:1])
+        StyledPath("separatrix", xs[:1], ys[:1])
     with pytest.raises(ValueError):
-        StyledPath("decoration", points)
+        StyledPath("decoration", xs, ys)
 
 
 def test_portrait_spec_validation():
@@ -289,7 +289,7 @@ def test_build_portrait_names_a_seed_with_one_half_short_of_the_box(monkeypatch)
         traj = integrate(system, start, config)
         if config.direction == "forward":
             return traj
-        return Trajectory(traj.samples[:2], "max_steps")
+        return Trajectory(traj.times[:2], traj.xs[:2], traj.ys[:2], "max_steps")
 
     monkeypatch.setattr("archflow.portrait.integrate", short_backward)
     spec = PortraitSpec(system=ArchSystem(0.5))
@@ -417,8 +417,8 @@ def test_a_small_window_keeps_a_unit_window_drift(theta):
 
 def test_a_path_without_a_direction_at_its_middle_gets_no_arrowhead():
     spec = PortraitSpec(system=ArchSystem(0.5))
-    still = StyledPath("upper_sector", (Point2(0.0, 1.0), Point2(0.5, 1.0), Point2(0.0, 1.0)))
-    moving = StyledPath("upper_sector", (Point2(0.0, 1.0), Point2(0.5, 1.0), Point2(1.0, 1.0)))
+    still = StyledPath("upper_sector", (0.0, 0.5, 0.0), (1.0, 1.0, 1.0))
+    moving = StyledPath("upper_sector", (0.0, 0.5, 1.0), (1.0, 1.0, 1.0))
     assert '<path d="M' not in render_svg(Scene(spec, (still,)))
     assert render_svg(Scene(spec, (still, moving))).count('<path d="M') == 1
 

@@ -50,14 +50,15 @@ W = Window(-1.0, 1.0, -2.0, 2.0)
 M = Mat2(0.0, 2.0, -0.5, 0.0)
 E = EigenPair("complex_conjugate", (1j, -1j))
 SYSTEM = ArchSystem(0.5)
-PATH = StyledPath("separatrix", (P, Q))
+TIMES, XS, YS = (0.0, 0.5), (1.0, 3.0), (2.0, 4.0)  # the samples (0.0, P) and (0.5, Q)
+PATH = StyledPath("separatrix", XS, YS)
 
 P_REPR = "Point2(x=1.0, y=2.0)"
 Q_REPR = "Point2(x=3.0, y=4.0)"
 W_REPR = "Window(x_min=-1.0, x_max=1.0, y_min=-2.0, y_max=2.0)"
 M_REPR = "Mat2(a11=0.0, a12=2.0, a21=-0.5, a22=0.0)"
 E_REPR = "EigenPair(kind='complex_conjugate', values=(1j, (-0-1j)))"
-PATH_REPR = f"StyledPath(role='separatrix', points=({P_REPR}, {Q_REPR}))"
+PATH_REPR = "StyledPath(role='separatrix', xs=(1.0, 3.0), ys=(2.0, 4.0))"
 CONFIG = IntegratorConfig(1e-8, 1e-9, 50, "backward", W, 3.0)
 CONFIG_REPR = (
     "IntegratorConfig(rel_tol=1e-08, abs_tol=1e-09, max_steps=50, "
@@ -90,9 +91,9 @@ RECORDS = [
     ),
     (
         Trajectory,
-        "samples stop_reason",
-        (((0.0, P), (0.5, Q)), "box_exit"),
-        f"Trajectory(samples=((0.0, {P_REPR}), (0.5, {Q_REPR})), stop_reason='box_exit')",
+        "times xs ys stop_reason",
+        (TIMES, XS, YS, "box_exit"),
+        "Trajectory(times=(0.0, 0.5), xs=(1.0, 3.0), ys=(2.0, 4.0), stop_reason='box_exit')",
         True,
     ),
     (EigenPair, "kind values", ("complex_conjugate", (1j, -1j)), E_REPR, True),
@@ -118,7 +119,7 @@ RECORDS = [
         "ArchCategory(category='tented', opening_angle_deg=49.5)",
         True,
     ),
-    (StyledPath, "role points", ("separatrix", (P, Q)), PATH_REPR, True),
+    (StyledPath, "role xs ys", ("separatrix", XS, YS), PATH_REPR, True),
     (Scene, "spec paths", (SPEC, (PATH,)), f"Scene(spec={SPEC_REPR}, paths=({PATH_REPR},))", True),
     (
         PortraitSpec,
@@ -300,19 +301,33 @@ def test_portrait_spec_defaults():
 
 
 def test_trajectory_keeps_its_own_samples():
-    samples = [(0.0, P), (0.5, Q)]
-    trajectory = Trajectory(samples, "box_exit")
-    samples.append((0.25, P))
-    assert trajectory.times == (0.0, 0.5)
-    assert hash(trajectory) == hash(Trajectory(((0.0, P), (0.5, Q)), "box_exit"))
+    columns = [list(TIMES), list(XS), list(YS)]
+    trajectory = Trajectory(*columns, "box_exit")
+    for column in columns:
+        column.append(0.25)
+    assert (trajectory.times, trajectory.xs, trajectory.ys) == (TIMES, XS, YS)
+    assert trajectory.samples == ((0.0, P), (0.5, Q))
+    assert hash(trajectory) == hash(Trajectory(TIMES, XS, YS, "box_exit"))
 
 
 def test_styled_path_keeps_its_own_points():
-    points = [P, Q]
-    path = StyledPath("separatrix", points)
-    points.append(P)
+    xs, ys = list(XS), list(YS)
+    path = StyledPath("separatrix", xs, ys)
+    xs.append(5.0)
+    ys.append(6.0)
+    assert (path.xs, path.ys) == (XS, YS)
     assert path.points == (P, Q)
     assert hash(path) == hash(PATH)
+
+
+def test_finite_columns_whose_sums_overflow_are_accepted():
+    # Their float sums are inf, or nan where one column sums to inf and the
+    # other to -inf, so each value is checked on its own and passes.
+    big = (1e308, 1e308)
+    trajectory = Trajectory((1e308, 1.5e308), big, (-1e308, -1e308), "box_exit")
+    assert (trajectory.times, trajectory.xs) == ((1e308, 1.5e308), big)
+    assert trajectory.final_point == Point2(1e308, -1e308)
+    assert StyledPath("separatrix", big, big).points == (Point2(*big), Point2(*big))
 
 
 def test_scene_keeps_its_own_paths():
@@ -323,43 +338,40 @@ def test_scene_keeps_its_own_paths():
     assert hash(scene) == hash(Scene(SPEC, (PATH,)))
 
 
-def _lazy_and_built_records():
-    """Factories of records built over float lists by ``integrate`` and
-    ``build_portrait``, and their twins built through the public constructors
-    from the same floats; each factory call gives a record nothing has read yet."""
-    start, config = Point2(0.2, 1.0), IntegratorConfig(stop_box=W, direction="backward")
-    trajectory = lambda: integrate(SYSTEM, start, config)  # noqa: E731
-    run = trajectory()
-    samples = tuple((t, Point2(x, y)) for t, x, y in zip(run._t, run._x, run._y))
-    spec = PortraitSpec(SYSTEM, seeds_above=2, seeds_below=1)
-    path = lambda: build_portrait(spec).paths[2]  # noqa: E731
-    flat = path()
-    return [
-        (trajectory, Trajectory(samples, run.stop_reason), "samples",
-         {"stop_reason": "time_horizon"}),
-        (path, StyledPath(flat.role, tuple(map(Point2, flat._x, flat._y))), "points",
-         {"role": "lower_sector"}),
-    ]
+LONG_RUN = (Point2(0.0, 1.0), IntegratorConfig(stop_time=10.0))  # 5005 samples at theta 0.5
 
 
-@pytest.mark.parametrize("lazy, built, first, change", _lazy_and_built_records(),
-                         ids=["Trajectory", "StyledPath"])
-def test_lazily_built_records_match_caller_built_ones(lazy, built, first, change):
-    assert lazy() == built and built == lazy()
-    assert hash(lazy()) == hash(built)
-    assert repr(lazy()) == repr(built)
-    for clone in (copy.copy(lazy()), copy.deepcopy(lazy()), pickle.loads(pickle.dumps(lazy()))):
-        assert type(clone) is type(built) and clone == built and repr(clone) == repr(built)
-    assert len(getattr(lazy(), first)) == len(getattr(built, first))
-    if isinstance(built, Trajectory):
-        assert len(lazy()) == len(built)
-        assert lazy().times == built.times and lazy().points == built.points
-        assert lazy().final_point == built.final_point
-        assert lazy().final_time == built.final_time
-    assert lazy()._replace(**change) == built._replace(**change)
-    record = lazy()
+def _refuse_point(self, x, y):
+    raise AssertionError("a Point2 was built")
+
+
+@pytest.mark.parametrize("build, twin, change", [
+    (lambda: integrate(SYSTEM, *LONG_RUN),
+     lambda run: Trajectory(list(run.times), list(run.xs), list(run.ys), run.stop_reason),
+     {"stop_reason": "box_exit"}),
+    (lambda: build_portrait(PortraitSpec(SYSTEM, seeds_above=2, seeds_below=1)).paths[2],
+     lambda path: StyledPath(path.role, list(path.xs), list(path.ys)),
+     {"role": "lower_sector"}),
+], ids=["Trajectory", "StyledPath"])
+def test_library_built_records_match_caller_built_ones(build, twin, change, monkeypatch):
+    # Equality, hashing, repr, copies and pickles read the float fields, so
+    # none of them builds a Point2 per sample, however long the record.
+    record = build()
+    monkeypatch.setattr(Point2, "__init__", _refuse_point)
+    with pytest.raises(AssertionError, match="a Point2 was built"):
+        record.points
+    if isinstance(record, Trajectory):
+        assert len(record) > 5000
+        assert build() == record  # integrate itself builds none
+    built = twin(record)
+    assert record == built and built == record
+    assert hash(record) == hash(built)
+    assert repr(record) == repr(built)
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record and repr(clone) == repr(record)
+    assert record._replace(**change) == built._replace(**change)
     with pytest.raises(AttributeError):
-        setattr(record, first, getattr(built, first))
+        record.xs = built.xs
     assert repr(record) == repr(built)
 
 
@@ -378,8 +390,8 @@ def _outputs_of_every_path():
         "classify_arch": repr(classify_arch(0.5)),
         "render_svg": render_svg(build_portrait(PortraitSpec(SYSTEM))),
         "export_trajectory_csv": export_trajectory_csv(run, 0.5),
-        "final_point": repr(run.final_point),
-        "crossing on a sample": repr(crossing(SYSTEM, run, "vertical", run._x[5])),
+        "final_time": repr(run.final_time),
+        "crossing on a sample": repr(crossing(SYSTEM, run, "vertical", run.xs[5])),
         "crossing in a bracket": repr(crossing(SYSTEM, run, "horizontal", 0.0)),
         "trace": _cli("trace", "--theta", "0.5", "--tmax", "2", "--out", "t.csv")
         + Path("t.csv").read_text(),
@@ -396,7 +408,8 @@ def _outputs_of_every_path():
 
 def test_no_library_path_reads_the_point_views(tmp_path, monkeypatch):
     # Trajectory.samples, Trajectory.points and StyledPath.points build a Point2
-    # per sample on each read, for callers only: the library reads the floats.
+    # per sample on each read, and Trajectory.final_point one, for callers only:
+    # the library reads the float fields.
     monkeypatch.chdir(tmp_path)
     expected = _outputs_of_every_path()
 
@@ -404,7 +417,9 @@ def test_no_library_path_reads_the_point_views(tmp_path, monkeypatch):
         raise AssertionError(f"a {type(record).__name__}'s Point2 view was read")
 
     with monkeypatch.context() as patch:
-        for cls, name in ((Trajectory, "samples"), (Trajectory, "points"), (StyledPath, "points")):
+        views = ((Trajectory, "samples"), (Trajectory, "points"), (Trajectory, "final_point"),
+                 (StyledPath, "points"))
+        for cls, name in views:
             patch.setattr(cls, name, property(unread))
         with pytest.raises(AssertionError, match="a Trajectory's Point2 view was read"):
             integrate(SYSTEM, P, IntegratorConfig(stop_time=1.0)).samples
@@ -428,16 +443,24 @@ INVALID = [
     (lambda: IntegratorConfig(direction="sideways", stop_time=1.0),
      "direction must be 'forward' or 'backward', got 'sideways'"),
     (lambda: IntegratorConfig(stop_time=0.0), "stop_time must be finite and > 0, got 0.0"),
-    (lambda: Trajectory(((0.0, P),), "done"), "unknown stop_reason 'done'"),
-    (lambda: Trajectory(((0.0, P),), "equilibrium_reached"),
+    (lambda: Trajectory((0.0,), (1.0,), (2.0,), "done"), "unknown stop_reason 'done'"),
+    (lambda: Trajectory((0.0,), (1.0,), (2.0,), "equilibrium_reached"),
      "unknown stop_reason 'equilibrium_reached'"),
-    (lambda: Trajectory((), "box_exit"), "a trajectory needs at least one sample"),
-    (lambda: Trajectory(((math.nan, P),), "box_exit"), "sample time must be finite, got nan"),
-    (lambda: Trajectory(((0.0, P), (0.0, Q)), "box_exit"), "sample times must be strictly monotone"),
-    (lambda: Trajectory(((0.0, P), (1.0, Q), (0.5, P)), "box_exit"),
+    (lambda: Trajectory((), (), (), "box_exit"), "a trajectory needs at least one sample"),
+    (lambda: Trajectory((math.nan,), (1.0,), (2.0,), "box_exit"),
+     "sample time must be finite, got nan"),
+    (lambda: Trajectory((0.0, 0.0), XS, YS, "box_exit"), "sample times must be strictly monotone"),
+    (lambda: Trajectory((0.0, 1.0, 0.5), XS + (1.0,), YS + (2.0,), "box_exit"),
      "sample times must be strictly monotone"),
-    (lambda: StyledPath("decoration", (P, Q)), "unknown path role 'decoration'"),
-    (lambda: StyledPath("separatrix", (P,)), "a styled path needs at least 2 points"),
+    (lambda: Trajectory(TIMES, (1.0, math.inf), YS, "box_exit"),
+     "sample coordinates must be finite, got inf"),
+    (lambda: Trajectory(TIMES, (1.0,), YS, "box_exit"),
+     "times, xs and ys must have equal lengths, got 2, 1, 2"),
+    (lambda: StyledPath("decoration", XS, YS), "unknown path role 'decoration'"),
+    (lambda: StyledPath("separatrix", (1.0,), (2.0,)), "a styled path needs at least 2 points"),
+    (lambda: StyledPath("separatrix", XS, (2.0, -math.inf)),
+     "path coordinates must be finite, got -inf"),
+    (lambda: StyledPath("separatrix", XS, (2.0,)), "xs and ys must have equal lengths, got 2, 1"),
     (lambda: PortraitSpec(SYSTEM, seeds_above=-1), "seed counts must be >= 0"),
     (lambda: PortraitSpec(SYSTEM, seeds_below=-1), "seed counts must be >= 0"),
     (lambda: PortraitSpec(SYSTEM, seed_inset=0.5), "seed_inset must lie in [0, 0.5), got 0.5"),
@@ -450,10 +473,23 @@ INVALID = [
     # Rows whose message repeats an earlier one carry their own test id, as a
     # third entry, so the ids of the rows above stay as they are.
     (lambda: Point2(1.0, math.nan), "Point2 coordinates must be finite, got nan", "nan in y"),
-    (lambda: Trajectory(tuple((float(i), P) for i in range(49)) + ((math.nan, Q),), "box_exit"),
+    (lambda: Trajectory(tuple(map(float, range(49))) + (math.nan,), (1.0,) * 50, (2.0,) * 50,
+                        "box_exit"),
      "sample time must be finite, got nan", "nan as the last of 50 sample times"),
-    (lambda: Trajectory(((0.0, P), (-1.0, Q), (0.5, P)), "box_exit"),
+    (lambda: Trajectory((0.0, -1.0, 0.5), XS + (1.0,), YS + (2.0,), "box_exit"),
      "sample times must be strictly monotone", "sample times fall, then rise"),
+    (lambda: Trajectory((math.inf,), (1.0,), (2.0,), "box_exit"),
+     "sample time must be finite, got inf", "inf as a sample time"),
+    (lambda: Trajectory(TIMES, XS, (2.0, math.nan), "box_exit"),
+     "sample coordinates must be finite, got nan", "nan in ys"),
+    (lambda: Trajectory(TIMES, (math.inf, -math.inf), YS, "box_exit"),
+     "sample coordinates must be finite, got inf", "inf and -inf in one column"),
+    (lambda: StyledPath("separatrix", (1.0, math.nan), YS),
+     "path coordinates must be finite, got nan", "nan in a path's xs"),
+    (lambda: Trajectory((0.0, 0.5, 1.0), XS, YS, "box_exit"),
+     "times, xs and ys must have equal lengths, got 3, 2, 2", "more times than points"),
+    (lambda: StyledPath("separatrix", (1.0, 3.0, 5.0), YS),
+     "xs and ys must have equal lengths, got 3, 2", "more xs than ys"),
 ]
 
 
