@@ -506,6 +506,30 @@ def test_export_trajectory_csv_conserves_h_column():
     assert max(abs(h - h_values[0]) for h in h_values) <= 1e-8
 
 
+def test_portrait_separatrix_paths_are_pinned():
+    # 1000 seedless specs with theta log-uniform in 1e-9..1e9, windows about
+    # the origin whose four sides lie at independent distances 1e-300..1e300,
+    # and 1..64 segments per branch, so branches leave the box through its
+    # sides and through its bottom edge. A change that moves any vertex of
+    # either separatrix path by one bit, or reorders one, changes the digest.
+    rng = random.Random(20261022)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        theta = 10.0 ** rng.uniform(-9.0, 9.0)
+        x_min, x_max, y_min, y_max = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(4))
+        spec = PortraitSpec(
+            system=ArchSystem(theta), window=Window(-x_min, x_max, -y_min, y_max),
+            seeds_above=0, seeds_below=0, separatrix_resolution=rng.randint(1, 64),
+        )
+        paths = build_portrait(spec).paths
+        assert [p.role for p in paths] == ["separatrix"] * 2
+        for path in paths:
+            for column in (path.xs, path.ys):
+                digest.update(" ".join(map(float.hex, column)).encode() + b";")
+    assert digest.hexdigest() == (
+        "c62dd9ebbb2eac595b788a985fe4154cdc6b10305adc708f2006c938f6b9e94b")
+
+
 @pytest.mark.parametrize("exit_edge", ["side", "bottom"])
 @pytest.mark.parametrize("theta", [float(f"1e{k}") for k in range(-9, 10)])
 def test_portrait_separatrix_paths_are_the_traced_separatrix(theta, exit_edge):
