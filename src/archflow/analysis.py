@@ -115,10 +115,18 @@ def sector_census(system: ArchSystem) -> SectorCensus:
     return SectorCensus(2, 0, 0, 2)
 
 
-def _separatrix_branches(
-    theta: float, window: Window, resolution: int
-) -> list[tuple[list[float], list[float]]]:
-    """``trace_separatrix``'s (left, right) branches as (xs, ys) float lists."""
+def trace_separatrix(
+    theta: float, window: Window, resolution: int = 256
+) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
+    """Sample the two separatrix branches inside ``window``, in flow order.
+
+    Returns ((left_xs, left_ys), (right_xs, right_ys)) as float tuples; each
+    branch has resolution+1 vertices on the curve y = -(3*theta*x^2/2)^(1/3)
+    and extends as far in x as the window permits, shrunk when the curve
+    leaves through the bottom edge first. The flow runs along the left branch
+    into the cusp, so it ends at the origin, and out along the right branch,
+    so it starts there.
+    """
     theta = ArchSystem(theta).theta
     _require_integer("resolution", resolution)
     if resolution < 1:
@@ -126,31 +134,18 @@ def _separatrix_branches(
     if not window.contains(0.0, 0.0):
         raise ValueError("window must contain the origin")
 
-    vertical_cap = _arch_separatrix_reach(theta, window.y_min)
+    cap = _arch_separatrix_reach(theta, window.y_min)
+    fractions = [1.0 - i / resolution for i in range(resolution + 1)]  # outer end first
     branches = []
-    for extent, side in ((min(-window.x_min, vertical_cap), -1.0),
-                         (min(window.x_max, vertical_cap), 1.0)):
+    for far_x, order in ((-min(-window.x_min, cap), fractions),
+                         (min(window.x_max, cap), fractions[::-1])):
+        xs = tuple([far_x * f for f in order])
         # "+ 0.0" turns the origin's -0.0 into 0.0.
-        xs = [side * extent * (1.0 - i / resolution) for i in range(resolution + 1)]
-        ys = [-_arch_separatrix_depth(theta, x) + 0.0 for x in xs]
-        # |y| grows with |x|, so only the first vertex can overflow.
-        _require_finite("Point2 coordinates", ys[0])
+        ys = tuple([-_arch_separatrix_depth(theta, x) + 0.0 for x in xs])
+        # |y| grows with |x|, so a branch overflows, if at all, at an end.
+        _require_finite("separatrix height", ys[0], ys[-1])
         branches.append((xs, ys))
-    return branches
-
-
-def trace_separatrix(
-    theta: float, window: Window, resolution: int = 256
-) -> tuple[tuple[Point2, ...], tuple[Point2, ...]]:
-    """Sample the two separatrix branches inside ``window``.
-
-    Returns (left, right); each branch has resolution+1 vertices on the
-    curve y = -(3*theta*x^2/2)^(1/3), ends at the origin, and extends as far
-    in x as the window permits, shrunk when the curve leaves through the
-    bottom edge first.
-    """
-    (lx, ly), (rx, ry) = _separatrix_branches(theta, window, resolution)
-    return tuple(map(Point2, lx, ly)), tuple(map(Point2, rx, ry))
+    return tuple(branches)
 
 
 def opening_angle(theta: float, apex: float = 1.0, fraction: float = 0.5) -> float:

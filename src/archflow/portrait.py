@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .analysis import _separatrix_branches
+from .analysis import trace_separatrix
 from .integrate import FIRST_STEP, IntegratorConfig, Trajectory, _abs_tol, integrate
 from .systems import (
     ArchSystem, Point2, Window, _Record, _arch_separatrix_reach, _require_finite,
@@ -146,11 +146,8 @@ def build_portrait(spec: PortraitSpec) -> Scene:
     system, w = spec.system, spec.window
     box = w.inflated(0.05)
 
-    (lx, ly), (rx, ry) = _separatrix_branches(system.theta, box, spec.separatrix_resolution)
-    paths = [
-        StyledPath("separatrix", lx, ly),
-        StyledPath("separatrix", rx[::-1], ry[::-1]),  # flow order: out of the origin
-    ]
+    paths = [StyledPath("separatrix", xs, ys)
+             for xs, ys in trace_separatrix(system.theta, box, spec.separatrix_resolution)]
 
     abs_tol = _abs_tol(spec.tol, max(w.width, w.height) / 2.0)
     configs = [IntegratorConfig(rel_tol=spec.tol, abs_tol=abs_tol, direction=d, stop_box=box)

@@ -120,12 +120,12 @@ def test_separatrix_matches_closed_form_and_feeds_the_origin():
         for theta in PRESET_THETAS.values():
             system = ArchSystem(theta)
             left, right = trace_separatrix(theta, window, resolution=99)
-            assert len(left) == 100 and len(right) == 100
-            for branch in (left, right):
-                for p in branch:
-                    assert abs(system.first_integral(p)) <= 1e-10
-                    expected = -((1.5 * theta * p.x * p.x) ** (1.0 / 3.0))
-                    assert abs(p.y - expected) <= 1e-10
+            assert all(len(column) == 100 for column in left + right)
+            for xs, ys in (left, right):
+                for x, y in zip(xs, ys):
+                    assert abs(system.first_integral(Point2(x, y))) <= 1e-10
+                    expected = -((1.5 * theta * x * x) ** (1.0 / 3.0))
+                    assert abs(y - expected) <= 1e-10
             # On the left branch dx/dt = y^2 = c*|x|^(4/3), so |x|^(-1/3) grows
             # as |x0|^(-1/3) + c*t/3: the flow feeds the origin but never
             # reaches it. Run until the closed form puts |x| at r.

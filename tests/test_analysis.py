@@ -134,36 +134,40 @@ def test_sector_signs_match_trajectory_side():
 
 
 def test_trace_separatrix_shape_and_values():
-    left, right = trace_separatrix(0.5, Window(-4.0, 4.0, -4.0, 4.0), resolution=100)
-    assert len(left) == 101 and len(right) == 101
-    assert left[0].x == -4.0
-    assert left[-1] == Point2(0.0, 0.0)
-    assert right[0].x == 4.0
-    assert right[-1] == Point2(0.0, 0.0)
+    (lx, ly), (rx, ry) = trace_separatrix(0.5, Window(-4.0, 4.0, -4.0, 4.0), resolution=100)
+    assert all(type(c) is tuple and len(c) == 101 for c in (lx, ly, rx, ry))
+    # Flow order: the left branch runs into the origin, the right one out of it,
+    # and x never falls along either, as dx/dt = y^2.
+    assert list(lx) == sorted(lx) and list(rx) == sorted(rx)
+    assert lx[0] == -4.0
+    assert (lx[-1], ly[-1]) == (0.0, 0.0)
+    assert rx[-1] == 4.0
+    assert (rx[0], ry[0]) == (0.0, 0.0)
     # vertex lands exactly on the sample grid
-    assert right[75].x == 1.0
-    assert right[75].y == pytest.approx(-0.9085602964160697, abs=1e-12)
-    assert left[25].x == -3.0
-    assert left[25].y == pytest.approx(-1.8898815748423097, abs=1e-12)
+    assert rx[25] == 1.0
+    assert ry[25] == pytest.approx(-0.9085602964160697, abs=1e-12)
+    assert lx[25] == -3.0
+    assert ly[25] == pytest.approx(-1.8898815748423097, abs=1e-12)
 
 
 def test_trace_separatrix_level_set_residual():
     for theta in (0.001, 0.5, 5.0):
         system = ArchSystem(theta)
-        left, right = trace_separatrix(theta, Window(-4.0, 4.0, -4.0, 4.0), resolution=100)
-        for p in left + right:
-            assert abs(system.first_integral(p)) <= 1e-10
+        (lx, ly), (rx, ry) = trace_separatrix(
+            theta, Window(-4.0, 4.0, -4.0, 4.0), resolution=100)
+        for x, y in zip(lx + rx, ly + ry):
+            assert abs(system.first_integral(Point2(x, y))) <= 1e-10
 
 
 def test_trace_separatrix_clips_to_bottom_edge():
     w = Window(-4.0, 4.0, -4.0, 4.0)
-    left, right = trace_separatrix(5.0, w, resolution=50)
+    (lx, ly), (rx, ry) = trace_separatrix(5.0, w, resolution=50)
     cap = math.sqrt(2.0 * 4.0 ** 3 / (3.0 * 5.0))
-    assert left[0].x == pytest.approx(-cap, abs=1e-12)
-    assert left[0].y == pytest.approx(-4.0, abs=1e-12)
-    assert right[0].x == pytest.approx(cap, abs=1e-12)
-    for p in left + right:
-        assert w.contains_point(p, pad=1e-9)
+    assert lx[0] == pytest.approx(-cap, abs=1e-12)
+    assert ly[0] == pytest.approx(-4.0, abs=1e-12)
+    assert rx[-1] == pytest.approx(cap, abs=1e-12)
+    for x, y in zip(lx + rx, ly + ry):
+        assert w.contains(x, y, pad=1e-9)
 
 
 @pytest.mark.parametrize("theta", [1e-9, 1e-3, 0.5, 5.0, 1e9])
@@ -174,34 +178,34 @@ def test_trace_separatrix_vertices_are_the_separatrix_height(theta, exit_edge):
     system = ArchSystem(theta)
     edge_y = system.separatrix_height(4.0)
     window = Window(-3.0, 4.0, 2.0 * edge_y if exit_edge == "side" else 0.5 * edge_y, 1.0)
-    left, right = trace_separatrix(theta, window, resolution=64)
+    (lx, ly), (rx, ry) = trace_separatrix(theta, window, resolution=64)
     if exit_edge == "side":
-        assert (left[0].x, right[0].x) == (-3.0, 4.0)
+        assert (lx[0], rx[-1]) == (-3.0, 4.0)
     else:
-        assert -3.0 < left[0].x and right[0].x < 4.0
-        assert right[0].y == pytest.approx(window.y_min, rel=1e-12)
-    for p in left + right:
+        assert -3.0 < lx[0] and rx[-1] < 4.0
+        assert ry[-1] == pytest.approx(window.y_min, rel=1e-12)
+    for x, y in zip(lx + rx, ly + ry):
         # Bit for bit; the vertex at the origin is stored as +0.0.
-        assert p.y.hex() == (system.separatrix_height(p.x) + 0.0).hex()
+        assert y.hex() == (system.separatrix_height(x) + 0.0).hex()
 
 
 def test_trace_separatrix_reaches_the_bottom_edge_past_the_cube_range():
     # |y|**3 overflows at y = -1e100, yet the curve leaves through the bottom
     # edge at |x| = 1e100 * sqrt(2e100 / 3e-9).
-    left, right = trace_separatrix(1e-9, Window(-1e200, 1e200, -1e100, 1.0))
-    assert right[0].x == pytest.approx(2.581988897471611e154, rel=1e-12)
-    assert left[0].x == -right[0].x
-    assert left[0].y == right[0].y == pytest.approx(-1e100, rel=1e-12)
+    (lx, ly), (rx, ry) = trace_separatrix(1e-9, Window(-1e200, 1e200, -1e100, 1.0))
+    assert rx[-1] == pytest.approx(2.581988897471611e154, rel=1e-12)
+    assert lx[0] == -rx[-1]
+    assert ly[0] == ry[-1] == pytest.approx(-1e100, rel=1e-12)
 
 
 def test_trace_separatrix_height_past_the_square_range():
     # 1.5 * theta * x * x overflows at x = 1e200, the height (1.5)**(1/3) * 1e200**(2/3)
     # does not.
-    left, right = trace_separatrix(1.0, Window(-1e200, 1e200, -1e200, 1e200))
-    assert (left[0].x, right[0].x) == (-1e200, 1e200)
-    assert left[0].y == right[0].y == pytest.approx(-2.4662120743304e133, rel=1e-12)
-    for p in left + right:
-        assert p.y <= 0.0 and math.isfinite(p.y)
+    (lx, ly), (rx, ry) = trace_separatrix(1.0, Window(-1e200, 1e200, -1e200, 1e200))
+    assert (lx[0], rx[-1]) == (-1e200, 1e200)
+    assert ly[0] == ry[-1] == pytest.approx(-2.4662120743304e133, rel=1e-12)
+    for y in ly + ry:
+        assert y <= 0.0 and math.isfinite(y)
 
 
 def test_trace_separatrix_validation():
@@ -213,6 +217,12 @@ def test_trace_separatrix_validation():
         trace_separatrix(0.5, Window(-1.0, 1.0, -1.0, 1.0), 2.5)
     with pytest.raises(ValueError):
         trace_separatrix(-1.0, Window(-1.0, 1.0, -1.0, 1.0))
+    # The curve sinks past the largest float before it leaves the window: on
+    # both sides, and on the right only, where the branch ends at its outer vertex.
+    big = sys.float_info.max
+    for x_min in (-big, -1.0):
+        with pytest.raises(ValueError, match=r"^separatrix height must be finite, got -inf$"):
+            trace_separatrix(big, Window(x_min, big, -big, big))
 
 
 def test_opening_angle_frozen_values():
